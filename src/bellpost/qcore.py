@@ -3,8 +3,7 @@
 Everything is dense complex128: the largest object is 16x16, so there is no
 need for sparsity or factored representations.  States, density matrices and
 projectors validate their defining invariants on construction and are
-read-only afterwards.  All operations are pure except ``measure_projective``,
-which consumes an explicitly passed ``numpy.random.Generator``.
+read-only afterwards.  All operations are pure.
 
 Conventions:
   * Qubit 0 is the leftmost tensor factor and the most significant bit of the
@@ -211,44 +210,3 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     reduced = np.einsum(f"{rows}{''.join(cols)}->{out}", t)
     dim = 1 << len(kept)
     return DensityMatrix(reduced.reshape(dim, dim))
-
-
-def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
-    """Mix toward the maximally mixed state: (1-p) rho + p I/2^n."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing strength {p!r} outside [0, 1]")
-    dim = rho.mat.shape[0]
-    return DensityMatrix((1.0 - p) * rho.mat + (p / dim) * np.eye(dim))
-
-
-def measure_projective(
-    state: PureState, projectors: list[Projector], rng: np.random.Generator
-) -> tuple[int, PureState]:
-    """Sample a complete orthogonal projective measurement.
-
-    Returns the outcome index k, drawn with probability <psi|P_k|psi>, together
-    with the renormalized post-measurement state P_k|psi>.
-    """
-    dim = state.amps.size
-    if any(p.mat.shape[0] != dim for p in projectors):
-        raise ValueError("projector dimensions do not match the state")
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for p in projectors:
-        total += p.mat
-    if not np.allclose(total, np.eye(dim), rtol=0.0, atol=STRUCTURAL_TOL):
-        raise ValueError("projectors do not sum to the identity")
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            if not np.allclose(
-                projectors[i].mat @ projectors[j].mat, 0.0, rtol=0.0, atol=STRUCTURAL_TOL
-            ):
-                raise ValueError(f"projectors {i} and {j} are not orthogonal")
-    probs = np.array([born_prob(state, p) for p in projectors])
-    cum = np.cumsum(probs)
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    k = min(k, len(projectors) - 1)
-    post = projectors[k].mat @ state.amps
-    norm = float(np.linalg.norm(post))
-    if norm < math.sqrt(EXACT_TOL):
-        raise NumericsError(f"sampled outcome {k} has vanishing probability {probs[k]!r}")
-    return k, PureState(post / norm)

@@ -13,9 +13,7 @@ from bellpost.qcore import (
     PureState,
     born_prob,
     canonical_angle,
-    depolarize,
     ket_theta,
-    measure_projective,
     mixture_density,
     partial_trace,
     phi_plus,
@@ -213,79 +211,6 @@ class TestPartialTrace:
             partial_trace(phi_plus().density(), (2,))
         with pytest.raises(ValueError, match="subset"):
             partial_trace(phi_plus().density(), ())
-
-
-class TestDepolarize:
-    def test_zero_strength_is_identity(self):
-        rho = ket_theta(0.9).density()
-        np.testing.assert_allclose(depolarize(rho, 0.0).mat, rho.mat, atol=1e-12)
-
-    def test_full_strength_is_maximally_mixed(self):
-        rho = depolarize(phi_plus().density(), 1.0)
-        np.testing.assert_allclose(rho.mat, np.eye(4) / 4, atol=1e-12)
-
-    def test_half_strength_on_ket0(self):
-        rho = depolarize(ket_theta(0.0).density(), 0.5)
-        np.testing.assert_allclose(rho.mat, np.diag([0.75, 0.25]), atol=1e-12)
-
-    def test_affine_in_the_state(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            r1, r2 = _random_density(rng, 2), _random_density(rng, 2)
-            t = rng.uniform()
-            p = rng.uniform()
-            mixed = DensityMatrix(t * r1.mat + (1 - t) * r2.mat)
-            lhs = depolarize(mixed, p).mat
-            rhs = t * depolarize(r1, p).mat + (1 - t) * depolarize(r2, p).mat
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="0, 1"):
-            depolarize(ket_theta(0.0).density(), 1.5)
-
-
-class TestMeasureProjective:
-    def _z_pair(self):
-        return [Projector.onto(ket_theta(0.0)), Projector.onto(ket_theta(math.pi))]
-
-    def test_eigenstate_is_deterministic(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            k, post = measure_projective(ket_theta(0.0), self._z_pair(), rng)
-            assert k == 0
-            np.testing.assert_allclose(post.amps, [1, 0], atol=1e-12)
-
-    def test_plus_state_frequencies(self):
-        rng = np.random.default_rng(7)
-        n = 100_000
-        ones = sum(
-            measure_projective(ket_theta(math.pi / 2), self._z_pair(), rng)[0]
-            for _ in range(n)
-        )
-        sigma = math.sqrt(n * 0.25)
-        assert abs(ones - n / 2) < 5 * sigma
-
-    def test_phi_plus_always_selected(self):
-        proj = Projector.onto(phi_plus())
-        comp = Projector(np.eye(4) - proj.mat)
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            k, _ = measure_projective(phi_plus(), [proj, comp], rng)
-            assert k == 0
-
-    def test_incomplete_set_rejected(self):
-        rng = np.random.default_rng(9)
-        with pytest.raises(ValueError, match="identity"):
-            measure_projective(ket_theta(0.0), [Projector.onto(ket_theta(0.0))], rng)
-
-    def test_non_orthogonal_set_rejected(self):
-        rng = np.random.default_rng(10)
-        p = Projector.onto(ket_theta(0.0))
-        q = Projector(np.eye(2) - p.mat)
-        tilted = Projector.onto(ket_theta(0.3))
-        comp = Projector(np.eye(2) - tilted.mat)
-        with pytest.raises(ValueError):
-            measure_projective(ket_theta(0.0), [p, q, tilted, comp], rng)
 
 
 class TestCompleteness:
