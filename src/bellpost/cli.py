@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -246,8 +247,8 @@ def config_from_doc(doc) -> ScenarioConfig:
         cfg.samples = _DEFAULT_SAMPLES.get(mode, 0)
     if "tol" in doc:
         tol = doc["tol"]
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
-            raise ConfigError(f"tol: expected a positive number, got {tol!r}")
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ConfigError(f"tol: expected a positive finite number, got {tol!r}")
         cfg.tol = float(tol)
     if "schemes" in doc:
         cfg.schemes = _parse_schemes(doc["schemes"])
@@ -282,10 +283,18 @@ def config_from_doc(doc) -> ScenarioConfig:
     return cfg
 
 
+def _finite_number(text: str) -> float:
+    """``json.loads`` hook for float literals, NaN and +-Infinity: finite or ConfigError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} is not allowed in a config")
+    return value
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON config document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_doc(doc)
@@ -454,18 +463,10 @@ def _run_lhv_indet(cfg: ScenarioConfig) -> tuple[dict, str]:
 
 def _run_loophole(cfg: ScenarioConfig) -> tuple[dict, str]:
     w = cfg.trit_weights if cfg.trit_weights else lhv.loophole_max_example()
-    s, retained = lhv.s_with_discards(w)
-    i, j, k, l = np.indices((3, 3, 3, 3))
-    e = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            xa = i if a == 0 else j
-            yb = k if b == 0 else l
-            mask = (xa != 2) & (yb != 2)
-            e[f"{a}{b}"] = float(((1 - 2 * xa) * (1 - 2 * yb) * w.w)[mask].sum()) / retained[a, b]
+    s, e, retained = lhv.s_with_discards(w)
     results = {
         "s": s,
-        "e": e,
+        "e": _e_dict(e),
         "retained": _e_dict(retained),
         "note": "classical trit model with per-basis discards; a value above 2 "
                 "exposes the discard loophole, not nonclassical resources",
@@ -482,13 +483,14 @@ def _run_swap(cfg: ScenarioConfig) -> tuple[dict, str]:
     swap_cfg = swap.SwapConfig(
         n_trials=cfg.trials, noise=cfg.noise, seed=cfg.seed, order=cfg.order
     )
-    tally = swap.run_swap(swap_cfg)
+    joints = {order: swap.joint_distribution(cfg.noise, order) for order in swap.ORDERS}
+    tally = swap.run_swap(swap_cfg, joints[cfg.order])
     rep = protocol.bell_report(tally, cfg.bootstrap, cfg.seed)
     results = _bell_results(rep)
-    _, rates = swap.exact_postselected_swap(cfg.noise)
-    results["exact_s"] = swap.exact_swap_s(cfg.noise)
+    table, rates = swap.exact_postselected_swap(joints["parties-first"])
+    results["exact_s"] = protocol.table_s(table)
     results["selection_rates"] = _e_dict(rates)
-    results["order_invariance_gap"] = swap.order_invariance(swap_cfg)
+    results["order_invariance_gap"] = swap.order_invariance(*joints.values())
     return results, _verdict_sampled(rep.s, rep.se_s)
 
 
@@ -623,7 +625,8 @@ def _error_report(exc: Exception) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        doc = json.loads(_read_config_text(args.config)) if args.config else {}
+        text = _read_config_text(args.config) if args.config else "{}"
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         if "mode" in doc and doc["mode"] != args.mode:

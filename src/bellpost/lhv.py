@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import EXACT_TOL
-from .protocol import Tally
-from .rng import trial_uniforms
+from .protocol import Tally, sample_tally
 
 
 class NondeterministicModelError(Exception):
@@ -271,25 +270,24 @@ _COL_A, _COL_B, _COL_LAM, _COL_LAMP, _COL_X, _COL_Y, _COL_C = range(7)
 
 def simulate_lhv(m: LhvSimModel, n_trials: int, seed: int) -> Tally:
     """Sample the classical task; feeds the same tally pipeline as the quantum path."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    u = trial_uniforms(seed, n_trials)
-    a = (u[:, _COL_A] >= 0.5).astype(np.int64)
-    b = (u[:, _COL_B] >= 0.5).astype(np.int64)
-    lam = np.minimum(
-        np.searchsorted(np.cumsum(m.lambda_probs), u[:, _COL_LAM], side="right"),
-        m.lambda_probs.size - 1,
-    )
-    lamp = np.minimum(
-        np.searchsorted(np.cumsum(m.lambda_prime_probs), u[:, _COL_LAMP], side="right"),
-        m.lambda_prime_probs.size - 1,
-    )
-    x = (u[:, _COL_X] < m.response_a[a, lam]).astype(np.int64)
-    y = (u[:, _COL_Y] < m.response_b[b, lamp]).astype(np.int64)
-    c = u[:, _COL_C] < m.select[lam, lamp]
-    flat = ((a * 2 + b) * 2 + x) * 2 + y
-    counts = np.bincount(flat[c], minlength=16).reshape(2, 2, 2, 2)
-    return Tally(counts, n_trials)
+    cum_lam = np.cumsum(m.lambda_probs)
+    cum_lamp = np.cumsum(m.lambda_prime_probs)
+
+    def selected_cells(u: np.ndarray) -> np.ndarray:
+        a = (u[:, _COL_A] >= 0.5).astype(np.int64)
+        b = (u[:, _COL_B] >= 0.5).astype(np.int64)
+        lam = np.minimum(
+            np.searchsorted(cum_lam, u[:, _COL_LAM], side="right"), cum_lam.size - 1
+        )
+        lamp = np.minimum(
+            np.searchsorted(cum_lamp, u[:, _COL_LAMP], side="right"), cum_lamp.size - 1
+        )
+        x = (u[:, _COL_X] < m.response_a[a, lam]).astype(np.int64)
+        y = (u[:, _COL_Y] < m.response_b[b, lamp]).astype(np.int64)
+        flat = ((a * 2 + b) * 2 + x) * 2 + y
+        return flat[u[:, _COL_C] < m.select[lam, lamp]]
+
+    return sample_tally(seed, n_trials, selected_cells)
 
 
 def cells_from_model(m: LhvSimModel) -> CellWeights:
@@ -318,13 +316,13 @@ def cells_from_model(m: LhvSimModel) -> CellWeights:
     return CellWeights(w / total)
 
 
-def s_with_discards(w: TritCellWeights) -> tuple[float, np.ndarray]:
+def s_with_discards(w: TritCellWeights) -> tuple[float, np.ndarray, np.ndarray]:
     """CHSH value when state value 2 means "discard after selection".
 
     For each basis pair, cells whose effective state (Alice: i if a = 0 else j;
     Bob: k if b = 0 else l) equals 2 are dropped and the rest renormalized.
-    Returns (S, retained), where retained[a, b] is the surviving weight
-    fraction.
+    Returns (S, e, retained), where e[a, b] is the renormalized correlation
+    E(a, b) and retained[a, b] is the surviving weight fraction.
     """
     i, j, k, l = np.indices((3, 3, 3, 3))
     e = np.zeros((2, 2))
@@ -341,7 +339,7 @@ def s_with_discards(w: TritCellWeights) -> tuple[float, np.ndarray]:
             e[a, b] = float((values * w.w)[mask].sum()) / kept
             retained[a, b] = kept
     s = float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
-    return s, retained
+    return s, e, retained
 
 
 def loophole_max_example() -> TritCellWeights:

@@ -7,8 +7,9 @@ and announces c = 1 on that outcome; only announced trials are tallied.  From
 the tally come conditional probabilities p(x, y | a, b), correlations E(a, b),
 and the CHSH combination S = E(0,0) + E(0,1) + E(1,0) - E(1,1).
 
-This module provides both the sampling path (seeded Monte Carlo feeding a
-``Tally``) and the exact path (closed-form post-selected statistics), plus the
+This module provides both the sampling path (``sample_tally``, the streaming
+driver through which every seeded Monte Carlo run fills a ``Tally``) and the
+exact path (closed-form post-selected statistics), plus the
 basis-independence check that makes the task nontrivial and bootstrap error
 bars for sampled runs.
 """
@@ -33,7 +34,7 @@ from .qcore import (
     tensor,
     trace_distance,
 )
-from .rng import trial_uniforms
+from .rng import trial_uniforms_block
 
 PI = math.pi
 
@@ -162,6 +163,29 @@ def tally_from_records(records, n_total: int) -> Tally:
     return Tally(counts, n_total)
 
 
+# Trials per block of the streaming sampler: 64 Ki rows of DRAWS_PER_TRIAL
+# float64 uniforms is 4 MiB, which fits in L3 cache and bounds the sampler's
+# memory whatever the trial count.
+BLOCK_TRIALS = 1 << 16
+
+
+def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
+    """Stream trials 0..n_trials-1 block by block into a Tally.
+
+    ``selected_cells(u)`` maps a block of per-trial uniform rows (rng module)
+    to the flat cell index ((a*2 + b)*2 + x)*2 + y of each announced trial in
+    it.  A trial's row depends only on (seed, trial index), so the tally does
+    not depend on the block size.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, n_trials, BLOCK_TRIALS):
+        u = trial_uniforms_block(seed, start, min(start + BLOCK_TRIALS, n_trials))
+        counts += np.bincount(selected_cells(u), minlength=16)
+    return Tally(counts.reshape(2, 2, 2, 2), n_trials)
+
+
 @dataclass(frozen=True)
 class CondProbTable:
     """Conditional probabilities; ``probs[a, b, x, y]`` is p(x, y | a, b)."""
@@ -242,10 +266,14 @@ def exact_postselected(
     return CondProbTable(weights / rates[:, :, None, None]), rates
 
 
+def table_s(table: CondProbTable) -> float:
+    """The CHSH value of a conditional probability table."""
+    return bell_s(*(correlation(table, a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))))
+
+
 def exact_s(scheme_a: PreparationScheme, scheme_b: PreparationScheme) -> float:
     """The exact post-selected CHSH value for a scheme pair."""
-    table, _ = exact_postselected(scheme_a, scheme_b)
-    return bell_s(*(correlation(table, a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))))
+    return table_s(exact_postselected(scheme_a, scheme_b)[0])
 
 
 def check_basis_independence(scheme: PreparationScheme, tol: float) -> tuple[float, bool]:
@@ -256,32 +284,38 @@ def check_basis_independence(scheme: PreparationScheme, tol: float) -> tuple[flo
     return distance, distance <= tol
 
 
-# Column layout of the per-trial uniform row (see rng.DRAWS_PER_TRIAL):
-# 0 -> a, 1 -> b, 2 -> x, 3 -> y, 4 -> Charlie's acceptance.  Columns 5-7 are
-# reserved so all samplers share one row width.
+# Column layout of a prepare-and-measure trial's uniform row (see
+# rng.DRAWS_PER_TRIAL): 0 -> a, 1 -> b, 2 -> x, 3 -> y, 4 -> Charlie's
+# acceptance.  Columns 5-7 are reserved so all samplers share one row width.
 _COL_A, _COL_B, _COL_X, _COL_Y, _COL_C = range(5)
+
+
+def prepare_and_measure(priors_a: np.ndarray, priors_b: np.ndarray, accept: np.ndarray):
+    """The ``sample_tally`` transform of a prepare-and-measure trial.
+
+    The basis bits are fair coins, the state bits follow ``priors_a[a]`` and
+    ``priors_b[b]``, and Charlie announces with probability
+    ``accept[a, b, x, y]``.
+    """
+    accept = accept.ravel()
+
+    def selected_cells(u: np.ndarray) -> np.ndarray:
+        a = (u[:, _COL_A] >= 0.5).astype(np.int64)
+        b = (u[:, _COL_B] >= 0.5).astype(np.int64)
+        x = (u[:, _COL_X] >= priors_a[a, 0]).astype(np.int64)
+        y = (u[:, _COL_Y] >= priors_b[b, 0]).astype(np.int64)
+        flat = ((a * 2 + b) * 2 + x) * 2 + y
+        return flat[u[:, _COL_C] < accept[flat]]
+
+    return selected_cells
 
 
 def run_quantum_mc(
     scheme_a: PreparationScheme, scheme_b: PreparationScheme, n_trials: int, seed: int
 ) -> Tally:
-    """Sample the quantum task; deterministic in (schemes, n_trials, seed).
-
-    Each trial draws from its own substream (rng module), so the tally is
-    independent of how the trial range is executed or partitioned.
-    """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    """Sample the quantum task; deterministic in (schemes, n_trials, seed)."""
     sel = selection_probability_table(scheme_a, scheme_b)
-    u = trial_uniforms(seed, n_trials)
-    a = (u[:, _COL_A] >= 0.5).astype(np.int64)
-    b = (u[:, _COL_B] >= 0.5).astype(np.int64)
-    x = (u[:, _COL_X] >= scheme_a.priors[a, 0]).astype(np.int64)
-    y = (u[:, _COL_Y] >= scheme_b.priors[b, 0]).astype(np.int64)
-    c = u[:, _COL_C] < sel[a, b, x, y]
-    flat = ((a * 2 + b) * 2 + x) * 2 + y
-    counts = np.bincount(flat[c], minlength=16).reshape(2, 2, 2, 2)
-    return Tally(counts, n_trials)
+    return sample_tally(seed, n_trials, prepare_and_measure(scheme_a.priors, scheme_b.priors, sel))
 
 
 @dataclass(frozen=True)

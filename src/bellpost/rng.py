@@ -3,9 +3,9 @@
 Every sampler in this package draws a fixed number of uniforms per trial.
 Trial ``i`` owns stream positions ``[i*DRAWS_PER_TRIAL, (i+1)*DRAWS_PER_TRIAL)``
 of the Philox stream keyed by the master seed, so the values a trial sees
-depend only on ``(seed, i)``.  Any partition of the trial range — one shot,
-chunked, or parallel workers handing out disjoint ranges — reproduces
-bit-identical samples.
+depend only on ``(seed, i)``.  Any partition of the trial range — the
+sampler's fixed-size blocks, or parallel workers handing out disjoint
+ranges — reproduces bit-identical samples.
 
 DRAWS_PER_TRIAL is 8 because Philox emits four 64-bit words per counter
 increment and ``advance()`` counts counter increments: an 8-wide row is
@@ -19,13 +19,8 @@ import numpy as np
 DRAWS_PER_TRIAL = 8
 
 
-def trial_uniforms(seed: int, n_trials: int) -> np.ndarray:
-    """Uniform [0, 1) table for trials 0..n_trials-1, shape (n_trials, 8)."""
-    return trial_uniforms_block(seed, 0, n_trials)
-
-
 def trial_uniforms_block(seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the trial table for this seed."""
+    """Uniform [0, 1) rows start..stop-1 of this seed's (n, DRAWS_PER_TRIAL) table."""
     if not 0 <= start <= stop:
         raise ValueError(f"invalid trial range [{start}, {stop})")
     bitgen = np.random.Philox(key=seed)

@@ -44,11 +44,11 @@ from .protocol import (
     EmptyCellError,
     PreparationScheme,
     Tally,
-    bell_s,
     canonical_schemes,
-    correlation,
+    prepare_and_measure,
+    sample_tally,
+    table_s,
 )
-from .rng import trial_uniforms
 
 ORDERS = ("parties-first", "charlie-first")
 
@@ -231,16 +231,18 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     return joint
 
 
-def order_invariance(cfg: SwapConfig) -> float:
+def order_invariance(parties_first: np.ndarray, charlie_first: np.ndarray) -> float:
     """Maximum entrywise gap between the two measurement orderings' joints."""
-    pf = joint_distribution(cfg.noise, "parties-first")
-    cf = joint_distribution(cfg.noise, "charlie-first")
-    return float(np.max(np.abs(pf - cf)))
+    return float(np.max(np.abs(parties_first - charlie_first)))
 
 
-def exact_postselected_swap(noise: NoiseParams) -> tuple[CondProbTable, np.ndarray]:
-    """Exact post-selected table and per-(a, b) selection rates for the swap."""
-    selected = joint_distribution(noise, "parties-first")[..., 1]
+def exact_postselected_swap(joint: np.ndarray) -> tuple[CondProbTable, np.ndarray]:
+    """Exact post-selected table and per-(a, b) selection rates of a swap joint.
+
+    ``joint`` is a ``joint_distribution`` result; reports use the
+    parties-first ordering.
+    """
+    selected = joint[..., 1]
     if float(selected.min()) < -EXACT_TOL:
         raise NumericsError(f"negative selection weight {float(selected.min())!r}")
     selected = np.clip(selected, 0.0, None)
@@ -254,8 +256,7 @@ def exact_postselected_swap(noise: NoiseParams) -> tuple[CondProbTable, np.ndarr
 
 def exact_swap_s(noise: NoiseParams) -> float:
     """Exact post-selected CHSH value of the (possibly noisy) swap realization."""
-    table, _ = exact_postselected_swap(noise)
-    return bell_s(*(correlation(table, a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))))
+    return table_s(exact_postselected_swap(joint_distribution(noise, "parties-first"))[0])
 
 
 def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
@@ -285,26 +286,17 @@ def remote_state_check(basis: int, jitter: float) -> DensityMatrix:
     return partial_trace(DensityMatrix(acc), (1,))
 
 
-# Per-trial uniform row layout: 0 -> a, 1 -> b, 2 -> x, 3 -> y, 4 -> acceptance.
-_COL_A, _COL_B, _COL_X, _COL_Y, _COL_C = range(5)
-
-
-def run_swap(cfg: SwapConfig) -> Tally:
+def run_swap(cfg: SwapConfig, joint: np.ndarray | None = None) -> Tally:
     """Sample the swap realization into a tally.
 
     The per-trial outcome distribution is the exact joint for the configured
     ordering; local outcomes are unbiased coins (the kept halves are maximally
     mixed), and Charlie's announcement follows the conditional acceptance
-    probability given (a, b, x, y).
+    probability given (a, b, x, y).  A caller that already holds
+    ``joint_distribution(cfg.noise, cfg.order)`` passes it as ``joint``.
     """
-    joint = joint_distribution(cfg.noise, cfg.order)
+    if joint is None:
+        joint = joint_distribution(cfg.noise, cfg.order)
     accept = np.clip(joint[..., 1] * 4.0, 0.0, 1.0)  # p(x,y|a,b) = 1/4 exactly
-    u = trial_uniforms(cfg.seed, cfg.n_trials)
-    a = (u[:, _COL_A] >= 0.5).astype(np.int64)
-    b = (u[:, _COL_B] >= 0.5).astype(np.int64)
-    x = (u[:, _COL_X] >= 0.5).astype(np.int64)
-    y = (u[:, _COL_Y] >= 0.5).astype(np.int64)
-    c = u[:, _COL_C] < accept[a, b, x, y]
-    flat = ((a * 2 + b) * 2 + x) * 2 + y
-    counts = np.bincount(flat[c], minlength=16).reshape(2, 2, 2, 2)
-    return Tally(counts, cfg.n_trials)
+    coins = np.full((2, 2), 0.5)
+    return sample_tally(cfg.seed, cfg.n_trials, prepare_and_measure(coins, coins, accept))

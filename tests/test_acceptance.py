@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bellpost import cli, lhv, protocol, swap
-from bellpost.rng import trial_uniforms, trial_uniforms_block
+from bellpost.rng import trial_uniforms_block
 from conftest import random_deterministic_model, random_response_model
 
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -107,7 +107,7 @@ def test_criterion_5_pipeline_consistency():
 
 
 def test_criterion_6_detection_loophole():
-    s, retained = lhv.s_with_discards(lhv.loophole_max_example())
+    s, _, retained = lhv.s_with_discards(lhv.loophole_max_example())
     ok = s == 4.0 and np.all(retained == 0.25)
     _report(6, f"discard example: S = {s}, retained fractions {retained.ravel().tolist()}", ok)
     assert s == 4.0
@@ -168,7 +168,9 @@ def test_criterion_9_swap_realization():
             trace_distance(swap.remote_state_check(0, j0), swap.remote_state_check(1, j1)),
         )
 
-    order_gap = swap.order_invariance(swap.SwapConfig(n_trials=1))
+    order_gap = swap.order_invariance(
+        *(swap.joint_distribution(swap.NoiseParams(), order) for order in swap.ORDERS)
+    )
 
     rows = swap.depolarizing_sweep(np.linspace(0.0, 1.0, 11))
     values = [s for _, s in rows]
@@ -217,7 +219,7 @@ def test_criterion_10_reproducibility():
 
     # Chunked generation is the execution-order/thread-count independence
     # guarantee: any partition of the trial range yields the same substreams.
-    full = trial_uniforms(123, 10_000)
+    full = trial_uniforms_block(123, 0, 10_000)
     chunked = np.vstack(
         [trial_uniforms_block(123, lo, hi) for lo, hi in ((0, 2500), (2500, 9000), (9000, 10_000))]
     )

@@ -14,6 +14,13 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 TWO_SQRT2 = 2 * math.sqrt(2)
 
 
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _strip_duration(text: str) -> dict:
     doc = json.loads(text)
     doc.pop("duration_s", None)
@@ -79,6 +86,16 @@ class TestParseConfig:
     def test_seed_range_enforced(self):
         with pytest.raises(ConfigError, match="seed"):
             config_from_doc({"mode": "lhv-max", "seed": -1})
+
+    def test_nonfinite_constants_rejected(self):
+        for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+            with pytest.raises(ConfigError, match="non-finite"):
+                parse_config(f'{{"mode": "check-independence", "tol": {literal}}}')
+
+    def test_nonfinite_tol_rejected(self):
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="tol"):
+                config_from_doc({"mode": "check-independence", "tol": tol})
 
     def test_sweep_grid_validated(self):
         with pytest.raises(ConfigError, match=r"sweep\.grid"):
@@ -248,6 +265,46 @@ class TestMain:
         stdout = capsys.readouterr().out
         assert out_path.read_text() == stdout
         assert csv_path.read_text().splitlines()[0] == "a,b,E,se"
+
+    def test_nan_prior_exits_2(self, capsys, tmp_path):
+        # json.dumps writes the NaN literal that json.loads would otherwise accept.
+        doc = {
+            "mode": "quantum-mc",
+            "trials": 1000,
+            "schemes": {
+                "alice": {
+                    "basis0": {"angles": [0.0, math.pi], "priors": [math.nan, 0.5]},
+                    "basis1": {"angles": [math.pi / 2, 3 * math.pi / 2]},
+                },
+                "bob": {
+                    "basis0": {"angles": [math.pi / 4, 5 * math.pi / 4]},
+                    "basis1": {"angles": [7 * math.pi / 4, 3 * math.pi / 4]},
+                },
+            },
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["quantum-mc", "--config", str(cfg)]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_nonfinite_tol_flag_exits_2(self, capsys, tol):
+        assert main(["check-independence", f"--tol={tol}"]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+
+    def test_swap_run_evaluates_each_joint_once(self, capsys, monkeypatch):
+        calls = []
+        original = cli.swap.joint_distribution
+
+        def counted(noise, order):
+            calls.append(order)
+            return original(noise, order)
+
+        monkeypatch.setattr(cli.swap, "joint_distribution", counted)
+        assert main(["swap", "--trials", "2000", "--bootstrap", "0"]) == 0
+        assert sorted(calls) == sorted(cli.swap.ORDERS)
 
     def test_byte_identical_reruns(self, capsys):
         assert main(["lhv-mc", "--config", str(EXAMPLES / "lhv_mc.json"), "--trials", "20000"]) == 0

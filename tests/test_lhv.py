@@ -316,8 +316,9 @@ def discard_oracle(weights: dict) -> tuple[float, dict]:
 
 class TestSWithDiscards:
     def test_max_example_reaches_four(self):
-        s, retained = s_with_discards(loophole_max_example())
+        s, e, retained = s_with_discards(loophole_max_example())
         assert s == 4.0
+        np.testing.assert_array_equal(e, [[1.0, 1.0], [1.0, -1.0]])
         np.testing.assert_allclose(retained, 0.25)
 
     def test_max_example_matches_oracle(self):
@@ -332,14 +333,14 @@ class TestSWithDiscards:
             flat = rng.dirichlet(np.ones(16))
             trit = np.zeros((3, 3, 3, 3))
             trit[:2, :2, :2, :2] = flat.reshape(2, 2, 2, 2)
-            s, retained = s_with_discards(TritCellWeights(trit))
+            s, _, retained = s_with_discards(TritCellWeights(trit))
             assert s == pytest.approx(
                 s_from_cells(CellWeights(flat.reshape(2, 2, 2, 2))), abs=1e-12
             )
             np.testing.assert_allclose(retained, 1.0, atol=1e-12)
 
     def test_uniform_over_all_cells_is_zero(self):
-        s, _ = s_with_discards(TritCellWeights(np.full((3, 3, 3, 3), 1 / 81)))
+        s, _, _ = s_with_discards(TritCellWeights(np.full((3, 3, 3, 3), 1 / 81)))
         assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_all_discarded_raises(self):
@@ -356,7 +357,7 @@ class TestSWithDiscards:
             flat = rng.dirichlet(np.ones(16))
             trit = np.zeros((3, 3, 3, 3))
             trit[:2, :2, :2, :2] = flat.reshape(2, 2, 2, 2)
-            s, _ = s_with_discards(TritCellWeights(trit))
+            s, _, _ = s_with_discards(TritCellWeights(trit))
             assert abs(s) <= 2.0 + 1e-12
 
     def test_arity_enforced(self):

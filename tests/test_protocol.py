@@ -1,11 +1,12 @@
 """Tests for the three-party task: schemes, tallies, exact statistics, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bellpost import protocol
+from bellpost import lhv, protocol, swap
 from bellpost.protocol import (
     BellReport,
     CondProbTable,
@@ -25,7 +26,7 @@ from bellpost.protocol import (
     run_quantum_mc,
     tally_from_records,
 )
-from bellpost.rng import trial_uniforms
+from bellpost.rng import trial_uniforms_block
 
 PI = math.pi
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -260,7 +261,7 @@ class TestRunQuantumMc:
         alice, bob = canonical_schemes()
         n, seed = 5_000, 17
         sel = protocol.selection_probability_table(alice, bob)
-        u = trial_uniforms(seed, n)
+        u = trial_uniforms_block(seed, 0, n)
         records = []
         for i in range(n):
             a = int(u[i, 0] >= 0.5)
@@ -283,6 +284,51 @@ class TestRunQuantumMc:
         t = run_quantum_mc(alice, bob, 1_000_000, seed=42)
         rep = bell_report(t, 1000, seed=0)
         assert abs(rep.s - exact_s(alice, bob)) < 5 * rep.se_s
+
+
+def _lhv_model() -> lhv.LhvSimModel:
+    return lhv.LhvSimModel(
+        lambda_values=[0.2, 0.8],
+        lambda_probs=[0.5, 0.5],
+        lambda_prime_values=[0.3],
+        lambda_prime_probs=[1.0],
+        response_a=[[0.1, 0.9], [0.7, 0.2]],
+        response_b=[[0.4], [0.6]],
+        select=[[0.9], [0.4]],
+    )
+
+
+SAMPLED_MODES = {
+    "quantum-mc": lambda n: run_quantum_mc(*canonical_schemes(), n, seed=3),
+    "lhv-mc": lambda n: lhv.simulate_lhv(_lhv_model(), n, seed=3),
+    "swap": lambda n: swap.run_swap(swap.SwapConfig(n_trials=n, seed=3)),
+}
+
+
+class TestSampleTally:
+    @pytest.mark.parametrize("mode", sorted(SAMPLED_MODES))
+    def test_peak_memory_does_not_grow_with_trials(self, mode):
+        # A whole (1e6, 8) float64 table alone would be 61 MiB.
+        tracemalloc.start()
+        try:
+            tally = SAMPLED_MODES[mode](1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tally.n_total == 1_000_000
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("n", [1, protocol.BLOCK_TRIALS, protocol.BLOCK_TRIALS + 1])
+    def test_block_edges_match_whole_range(self, n):
+        # The same transform applied to the whole trial range in one array.
+        alice, bob = canonical_schemes()
+        cells = protocol.prepare_and_measure(
+            alice.priors, bob.priors, protocol.selection_probability_table(alice, bob)
+        )
+        want = np.bincount(cells(trial_uniforms_block(4, 0, n)), minlength=16)
+        got = protocol.sample_tally(4, n, cells)
+        np.testing.assert_array_equal(got.counts.ravel(), want)
+        assert got.n_total == n
 
 
 class TestBellReport:

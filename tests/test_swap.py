@@ -103,7 +103,7 @@ class TestJointDistribution:
     def test_zero_noise_matches_direct_preparation(self):
         # The swap's exact post-selected table must equal the canonical
         # send-the-states table: remote preparation realizes the same scheme.
-        table, rates = exact_postselected_swap(NoiseParams())
+        table, rates = exact_postselected_swap(joint_distribution(NoiseParams(), "parties-first"))
         direct, direct_rates = protocol.exact_postselected(*protocol.canonical_schemes())
         np.testing.assert_allclose(table.probs, direct.probs, atol=1e-12)
         np.testing.assert_allclose(rates, direct_rates, atol=1e-12)
@@ -112,9 +112,13 @@ class TestJointDistribution:
         assert exact_swap_s(NoiseParams()) == pytest.approx(TWO_SQRT2, abs=1e-12)
 
 
+def _order_gap(noise: NoiseParams) -> float:
+    return order_invariance(*(joint_distribution(noise, order) for order in swap.ORDERS))
+
+
 class TestOrderInvariance:
     def test_zero_noise(self):
-        assert order_invariance(SwapConfig(n_trials=1)) < 1e-12
+        assert _order_gap(NoiseParams()) < 1e-12
 
     def test_random_noise_configs(self):
         rng = np.random.default_rng(53)
@@ -126,7 +130,7 @@ class TestOrderInvariance:
                 jitter_bob=rng.uniform(0, 2 * math.pi),
                 charlie_mix=rng.uniform(),
             )
-            assert order_invariance(SwapConfig(n_trials=1, noise=noise)) < 1e-12
+            assert _order_gap(noise) < 1e-12
 
 
 class TestRunSwap:
