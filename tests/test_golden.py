@@ -1,4 +1,4 @@
-"""Golden pins for every seeded sampler and for one CLI report per sampled mode.
+"""Golden pins for every seeded sampler and for one CLI report per mode.
 
 The reproducibility tests elsewhere compare two runs in one process, so a
 change to the stream-to-trial mapping (which uniforms a trial reads, or how
@@ -107,8 +107,27 @@ def test_golden_tally(key):
     np.testing.assert_array_equal(tally.counts.ravel(), GOLDEN_COUNTS[key])
 
 
-# One CLI run per sampled mode: (argv, config document or None, sha256 of the
-# rendered report without its duration_s field).
+def _scheme_doc(scheme: protocol.PreparationScheme) -> dict:
+    return {
+        f"basis{a}": {"angles": scheme.angles[a].tolist(), "priors": scheme.priors[a].tolist()}
+        for a in (0, 1)
+    }
+
+
+PERTURBED_SCHEMES = {
+    "alice": {
+        "basis0": {"angles": [0.0, PI]},
+        "basis1": {"angles": [PI / 2 + 0.2, 3 * PI / 2]},
+    },
+    "bob": {
+        "basis0": {"angles": [PI / 4, 5 * PI / 4]},
+        "basis1": {"angles": [7 * PI / 4, 3 * PI / 4]},
+    },
+}
+
+# One CLI run per mode, plus the canonical quantum-exact run and the swap
+# sweep, so every branch of the config echo is pinned: (argv, config document
+# or None, sha256 of the rendered report without its duration_s field).
 GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5", "--bootstrap", "200"],
@@ -134,6 +153,36 @@ GOLDEN_REPORTS = {
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
         "fb2e1792dad34aa93521ad4596e9b62852eed5f6c317cafc65cc44755d966353",
     ),
+    "quantum-exact": (
+        ["quantum-exact"],
+        {
+            "mode": "quantum-exact",
+            "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
+        },
+        "2ff4992a2dd94638a6835e7cb9cfd7829b769f8d5fab091caa0f9a2579e84cdf",
+    ),
+    "quantum-exact-canonical": (["quantum-exact"], None, "07be86dc859666dabd250432f021e0d761e421eb159b33a6c38f602b42ebd127"),
+    "check-independence": (
+        ["check-independence"],
+        {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
+        "e47dca199e062b105d46d716d4a178238e8be9cb9bc1bd3411984b6a2eebcf87",
+    ),
+    "loophole": (["loophole"], None, "2e4222c66d5723dddf96b6e36eb002db0a976fd3d0abbc9d839ccdb5f53a20a9"),
+    "lhv-indet": (
+        ["lhv-indet", "--seed", "3"],
+        {
+            "mode": "lhv-indet",
+            "response_model": {
+                "atoms": [
+                    {"weight": 0.75, "f0": 1.0, "f1": 1.0, "g0": 1.0, "g1": -1.0},
+                    {"weight": 0.25, "f0": 0.5, "f1": -0.5, "g0": 0.25, "g1": 0.0},
+                ]
+            },
+        },
+        "55d32151b9b07426e9a0a2dd05797a6f5c53911885c5224f68a9ae8de710d888",
+    ),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "64f644d1dd70641bc523873c11e3be87c4d8d192c9c89d96765a97513c9d4cdd"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "f38c6f3ec5d1ec3a322e1c22143f669a6c5edf1bcd1a913cccd134d2d957b907"),
 }
 
 
