@@ -14,11 +14,13 @@ Exit codes: 0 success, 2 config error, 3 empty-cell / undefined statistic,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,22 +40,6 @@ MODES = (
 
 SCHEMA_VERSION = 1
 
-_SAMPLING_MODES = ("quantum-mc", "lhv-mc", "swap")
-
-# Keys accepted per mode, beyond the common schema_version/mode/seed.
-_MODE_KEYS = {
-    "quantum-exact": {"schemes"},
-    "quantum-mc": {"schemes", "trials", "bootstrap"},
-    "lhv-mc": {"lhv_model", "trials", "bootstrap"},
-    "lhv-max": {"samples"},
-    "lhv-indet": {"response_model", "samples"},
-    "loophole": {"trit_weights"},
-    "swap": {"noise", "order", "trials", "bootstrap", "sweep"},
-    "check-independence": {"schemes", "tol"},
-}
-
-_DEFAULT_SAMPLES = {"lhv-max": 10_000, "lhv-indet": 1_000}
-
 # Margins for the task-completed verdict: sampled runs must clear the
 # classical bound by five standard errors, exact runs by 1e-9.
 _SIGMA_MARGIN = 5.0
@@ -66,296 +52,292 @@ class ConfigError(Exception):
 
 @dataclass
 class ScenarioConfig:
-    """A validated scenario: mode plus every field the mode consumes."""
+    """A validated scenario: mode plus every field the mode consumes.
+
+    ``config_from_doc`` fills the fields its mode consumes from ``_FIELDS``,
+    defaults included; the other fields stay None.
+    """
 
     mode: str
-    seed: int = 0
-    trials: int = 1_000_000
-    bootstrap: int = 1_000
+    seed: int | None = None
+    trials: int | None = None
+    bootstrap: int | None = None
     schemes: tuple[protocol.PreparationScheme, protocol.PreparationScheme] | None = None
     lhv_model: lhv.LhvSimModel | None = None
     response_model: lhv.ResponseModel | None = None
     trit_weights: lhv.TritCellWeights | None = None
-    noise: swap.NoiseParams = field(default_factory=swap.NoiseParams)
-    order: str = "parties-first"
-    samples: int = 0
-    tol: float = 1e-12
+    noise: swap.NoiseParams | None = None
+    order: str | None = None
+    samples: int | None = None
+    tol: float | None = None
     sweep_grid: list[float] | None = None
 
 
-def _require(obj, key: str, kind, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
+def _number(v, path: str) -> float:
+    """A finite float from a config number; bools and non-numbers are errors."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {type(v).__name__}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: non-finite number {x!r} is not allowed")
+    return x
 
 
-def _number_list(values, length: int | None, path: str) -> list[float]:
-    if not isinstance(values, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
-    ):
-        raise ConfigError(f"{path}: expected a list of numbers")
-    if length is not None and len(values) != length:
-        raise ConfigError(f"{path}: expected {length} numbers, got {len(values)}")
-    return [float(v) for v in values]
+def _list(v, length: int | None, path: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: expected a list, got {type(v).__name__}")
+    if length is not None and len(v) != length:
+        raise ConfigError(f"{path}: expected {length} entries, got {len(v)}")
+    return v
 
 
-def _parse_scheme(obj, path: str) -> protocol.PreparationScheme:
+def _numbers(v, length: int | None, path: str) -> list[float]:
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(_list(v, length, path))]
+
+
+def _object(obj, required, optional, path: str) -> dict:
+    """``obj`` as an object with every required key and no key outside required + optional."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object with basis0/basis1")
-    angles = np.zeros((2, 2))
-    priors = np.full((2, 2), 0.5)
+        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ConfigError(f"missing field(s) for {path}: {missing}")
+    unknown = sorted(str(k) for k in obj if k not in required and k not in optional)
+    if unknown:
+        raise ConfigError(f"unknown field(s) for {path}: {unknown}")
+    return obj
+
+
+def _integer(lo: int, hi: int | None = None):
+    """Parser of an integer in [lo, hi]; no upper bound when hi is None."""
+
+    def parse(v, path: str) -> int:
+        if isinstance(v, bool) or not isinstance(v, int) or v < lo or (hi is not None and v > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{path}: expected an integer {bound}, got {v!r}")
+        return v
+
+    return parse
+
+
+def _bootstrap(v, path: str) -> int:
+    # One resample has no spread, so its se_s = 0 would pass any verdict.
+    n = _integer(0)(v, path)
+    if n == 1 or n > 1_000_000:
+        raise ConfigError(f"{path}: expected 0 or an integer in [2, 1000000], got {n}")
+    return n
+
+
+def _scheme(obj, path: str) -> protocol.PreparationScheme:
+    _object(obj, ("basis0", "basis1"), (), path)
+    angles, priors = [], []
     for a in (0, 1):
-        basis = _require(obj, f"basis{a}", dict, path)
-        angles[a] = _number_list(_require(basis, "angles", list, f"{path}.basis{a}"), 2,
-                                 f"{path}.basis{a}.angles")
-        if "priors" in basis:
-            row = _number_list(basis["priors"], 2, f"{path}.basis{a}.priors")
-            if any(p < 0.0 for p in row) or abs(sum(row) - 1.0) > 1e-12:
-                raise ConfigError(
-                    f"{path}.basis{a}.priors: must be nonnegative and sum to 1, got {row}"
-                )
-            priors[a] = row
+        bpath = f"{path}.basis{a}"
+        basis = _object(obj[f"basis{a}"], ("angles",), ("priors",), bpath)
+        angles.append(_numbers(basis["angles"], 2, f"{bpath}.angles"))
+        row = _numbers(basis.get("priors", [0.5, 0.5]), 2, f"{bpath}.priors")
+        if any(p < 0.0 for p in row) or abs(sum(row) - 1.0) > 1e-12:
+            raise ConfigError(f"{bpath}.priors: must be nonnegative and sum to 1, got {row}")
+        priors.append(row)
     return protocol.PreparationScheme(angles, priors)
 
 
-def _parse_schemes(obj) -> tuple[protocol.PreparationScheme, protocol.PreparationScheme]:
-    if not isinstance(obj, dict) or set(obj) != {"alice", "bob"}:
-        raise ConfigError("schemes: expected an object with exactly 'alice' and 'bob'")
-    return _parse_scheme(obj["alice"], "schemes.alice"), _parse_scheme(obj["bob"], "schemes.bob")
+def _schemes(obj, path: str) -> tuple[protocol.PreparationScheme, protocol.PreparationScheme]:
+    _object(obj, ("alice", "bob"), (), path)
+    return _scheme(obj["alice"], f"{path}.alice"), _scheme(obj["bob"], f"{path}.bob")
 
 
-def _parse_lhv_model(obj) -> lhv.LhvSimModel:
-    if not isinstance(obj, dict):
-        raise ConfigError("lhv_model: expected an object")
-    expected = {"lambda", "lambda_prime", "response_a", "response_b", "select"}
-    unknown = set(obj) - expected
-    if unknown:
-        raise ConfigError(f"lhv_model: unknown field(s) {sorted(unknown)}")
-    dists = {}
-    for name in ("lambda", "lambda_prime"):
-        d = _require(obj, name, dict, "lhv_model")
-        dists[name] = (
-            _number_list(_require(d, "values", list, f"lhv_model.{name}"), None,
-                         f"lhv_model.{name}.values"),
-            _number_list(_require(d, "probs", list, f"lhv_model.{name}"), None,
-                         f"lhv_model.{name}.probs"),
-        )
-    n = len(dists["lambda"][0])
-    m = len(dists["lambda_prime"][0])
-    resp_a = [_number_list(row, n, "lhv_model.response_a")
-              for row in _require(obj, "response_a", list, "lhv_model")]
-    resp_b = [_number_list(row, m, "lhv_model.response_b")
-              for row in _require(obj, "response_b", list, "lhv_model")]
-    if len(resp_a) != 2 or len(resp_b) != 2:
-        raise ConfigError("lhv_model.response_a/response_b: expected one row per basis")
-    select = [_number_list(row, m, "lhv_model.select")
-              for row in _require(obj, "select", list, "lhv_model")]
-    if len(select) != n:
-        raise ConfigError(f"lhv_model.select: expected {n} rows, got {len(select)}")
-    try:
-        return lhv.LhvSimModel(
-            lambda_values=dists["lambda"][0],
-            lambda_probs=dists["lambda"][1],
-            lambda_prime_values=dists["lambda_prime"][0],
-            lambda_prime_probs=dists["lambda_prime"][1],
-            response_a=resp_a,
-            response_b=resp_b,
-            select=select,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"lhv_model: {exc}") from exc
+def _scheme_pair(schemes):
+    """The configured scheme pair, or the canonical pair when the config gives none."""
+    return schemes or protocol.canonical_schemes()
 
 
-def _parse_response_model(obj) -> lhv.ResponseModel:
-    if not isinstance(obj, dict) or set(obj) != {"atoms"}:
-        raise ConfigError("response_model: expected an object with 'atoms'")
-    atoms = obj["atoms"]
-    if not isinstance(atoms, list) or not atoms:
-        raise ConfigError("response_model.atoms: expected a nonempty list")
+def _schemes_echo(schemes) -> dict:
+    return {
+        name: {
+            f"basis{a}": {"angles": s.angles[a].tolist(), "priors": s.priors[a].tolist()}
+            for a in (0, 1)
+        }
+        for name, s in zip(("alice", "bob"), _scheme_pair(schemes))
+    }
+
+
+_LHV_DISTS = ("lambda", "lambda_prime")
+_LHV_TABLES = ("response_a", "response_b", "select")
+
+
+def _lhv_model(obj, path: str) -> lhv.LhvSimModel:
+    _object(obj, _LHV_DISTS + _LHV_TABLES, (), path)
+    kwargs = {}
+    for name in _LHV_DISTS:
+        dist = _object(obj[name], ("values", "probs"), (), f"{path}.{name}")
+        for k in ("values", "probs"):
+            kwargs[f"{name}_{k}"] = _numbers(dist[k], None, f"{path}.{name}.{k}")
+    for name in _LHV_TABLES:
+        rows = _list(obj[name], None, f"{path}.{name}")
+        kwargs[name] = [_numbers(r, None, f"{path}.{name}[{i}]") for i, r in enumerate(rows)]
+    return lhv.LhvSimModel(**kwargs)
+
+
+def _lhv_model_echo(m: lhv.LhvSimModel) -> dict:
+    echo = {
+        name: {k: getattr(m, f"{name}_{k}").tolist() for k in ("values", "probs")}
+        for name in _LHV_DISTS
+    }
+    echo.update((name, getattr(m, name).tolist()) for name in _LHV_TABLES)
+    return echo
+
+
+_ATOM_KEYS = ("weight", "f0", "f1", "g0", "g1")
+
+
+def _response_model(obj, path: str) -> lhv.ResponseModel:
+    atoms = _list(_object(obj, ("atoms",), (), path)["atoms"], None, f"{path}.atoms")
+    if not atoms:
+        raise ConfigError(f"{path}.atoms: expected a nonempty list")
     rows = []
-    for idx, atom in enumerate(atoms):
-        if not isinstance(atom, dict) or set(atom) != {"weight", "f0", "f1", "g0", "g1"}:
-            raise ConfigError(
-                f"response_model.atoms[{idx}]: expected fields weight, f0, f1, g0, g1"
-            )
-        rows.append([_require(atom, k, float, f"response_model.atoms[{idx}]")
-                     for k in ("weight", "f0", "f1", "g0", "g1")])
-    try:
-        return lhv.ResponseModel.from_atoms(rows)
-    except ValueError as exc:
-        raise ConfigError(f"response_model: {exc}") from exc
+    for i, atom in enumerate(atoms):
+        apath = f"{path}.atoms[{i}]"
+        _object(atom, _ATOM_KEYS, (), apath)
+        rows.append([_number(atom[k], f"{apath}.{k}") for k in _ATOM_KEYS])
+    return lhv.ResponseModel.from_atoms(rows)
 
 
-def _parse_noise(obj) -> swap.NoiseParams:
-    if not isinstance(obj, dict):
-        raise ConfigError("noise: expected an object")
-    fields = {"depol_alice", "depol_bob", "jitter_alice", "jitter_bob", "charlie_mix"}
-    unknown = set(obj) - fields
-    if unknown:
-        raise ConfigError(f"noise: unknown field(s) {sorted(unknown)}")
-    kwargs = {k: _require(obj, k, float, "noise") for k in obj}
-    try:
-        return swap.NoiseParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
+def _response_model_echo(m: lhv.ResponseModel | None) -> dict | None:
+    if m is None:
+        return None
+    atoms = zip(m.weights, m.f0, m.f1, m.g0, m.g1)
+    return {"atoms": [dict(zip(_ATOM_KEYS, atom)) for atom in atoms]}
+
+
+def _trit_weights(v, path: str) -> lhv.TritCellWeights:
+    return lhv.TritCellWeights.from_flat(_numbers(v, 81, path))
+
+
+_NOISE_KEYS = tuple(f.name for f in dataclasses.fields(swap.NoiseParams))
+
+
+def _noise(obj, path: str) -> swap.NoiseParams:
+    _object(obj, (), _NOISE_KEYS, path)
+    return swap.NoiseParams(**{k: _number(v, f"{path}.{k}") for k, v in obj.items()})
+
+
+def _order(v, path: str) -> str:
+    if v not in swap.ORDERS:
+        raise ConfigError(f"{path}: expected one of {swap.ORDERS}, got {v!r}")
+    return v
+
+
+def _sweep(obj, path: str) -> list[float]:
+    grid = _numbers(_object(obj, ("grid",), (), path)["grid"], None, f"{path}.grid")
+    if not grid:
+        raise ConfigError(f"{path}.grid: grid must be nonempty")
+    if any(not 0.0 <= p <= 1.0 for p in grid):
+        raise ConfigError(f"{path}.grid: values must lie in [0, 1], got {grid}")
+    return grid
+
+
+def _tol(v, path: str) -> float:
+    tol = _number(v, path)
+    if tol <= 0.0:
+        raise ConfigError(f"{path}: expected a positive finite number, got {tol!r}")
+    return tol
+
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One config field.
+
+    ``defaults`` maps each mode that accepts the field to the value it takes
+    when the document leaves it out, or to ``_REQUIRED``.  ``parse(value,
+    path)`` validates the document's value; ``echo(value)`` renders the
+    resolved value for the report, and a None echo leaves the field out.
+    ``attr`` names the ScenarioConfig attribute when it is not ``key``.
+    """
+
+    key: str
+    defaults: dict
+    parse: Callable
+    echo: Callable = lambda value: value
+    attr: str | None = None
+
+
+# Every config field, in the order the report echoes them.
+_FIELDS = (
+    _Field("seed", dict.fromkeys(MODES, 0), _integer(0, 2**64 - 1)),
+    _Field("trials", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000_000), _integer(1)),
+    _Field("bootstrap", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000), _bootstrap),
+    # Absent schemes stay None, which means the canonical pair; quantum-exact
+    # then also reports the pair with Bob's basis-1 labels exchanged.
+    _Field("schemes", dict.fromkeys(("quantum-exact", "quantum-mc", "check-independence"), None),
+           _schemes, _schemes_echo),
+    _Field("lhv_model", {"lhv-mc": _REQUIRED}, _lhv_model, _lhv_model_echo),
+    _Field("response_model", {"lhv-indet": None}, _response_model, _response_model_echo),
+    _Field("samples", {"lhv-max": 10_000, "lhv-indet": 1_000}, _integer(1)),
+    _Field("trit_weights", {"loophole": lhv.loophole_max_example()}, _trit_weights,
+           lambda w: w.w.ravel().tolist()),
+    _Field("noise", {"swap": swap.NoiseParams()}, _noise, dataclasses.asdict),
+    _Field("order", {"swap": "parties-first"}, _order),
+    _Field("sweep", {"swap": None}, _sweep,
+           lambda grid: None if grid is None else {"grid": grid}, "sweep_grid"),
+    _Field("tol", {"check-independence": 1e-12}, _tol),
+)
 
 
 def config_from_doc(doc) -> ScenarioConfig:
     """Validate a decoded config document into a ScenarioConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
-            f"schema_version: only version {SCHEMA_VERSION} is supported, "
-            f"got {doc.get('schema_version')!r}"
+            f"schema_version: only version {SCHEMA_VERSION} is supported, got {version!r}"
         )
     mode = doc.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-    allowed = {"schema_version", "mode", "seed"} | _MODE_KEYS[mode]
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field(s) for mode {mode}: {sorted(unknown)}")
-
-    cfg = ScenarioConfig(mode=mode)
-    if "seed" in doc:
-        seed = doc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ConfigError(f"seed: expected an integer in [0, 2^64), got {seed!r}")
-        cfg.seed = seed
-    if "trials" in doc:
-        trials = doc["trials"]
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-            raise ConfigError(f"trials: expected an integer >= 1, got {trials!r}")
-        cfg.trials = trials
-    if "bootstrap" in doc:
-        b = doc["bootstrap"]
-        if isinstance(b, bool) or not isinstance(b, int) or b < 0:
-            raise ConfigError(f"bootstrap: expected an integer >= 0, got {b!r}")
-        cfg.bootstrap = b
-    if "samples" in doc:
-        s = doc["samples"]
-        if isinstance(s, bool) or not isinstance(s, int) or s < 1:
-            raise ConfigError(f"samples: expected an integer >= 1, got {s!r}")
-        cfg.samples = s
-    else:
-        cfg.samples = _DEFAULT_SAMPLES.get(mode, 0)
-    if "tol" in doc:
-        tol = doc["tol"]
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-            raise ConfigError(f"tol: expected a positive finite number, got {tol!r}")
-        cfg.tol = float(tol)
-    if "schemes" in doc:
-        cfg.schemes = _parse_schemes(doc["schemes"])
-    if "lhv_model" in doc:
-        cfg.lhv_model = _parse_lhv_model(doc["lhv_model"])
-    elif mode == "lhv-mc":
-        raise ConfigError("lhv_model: required for mode lhv-mc")
-    if "response_model" in doc:
-        cfg.response_model = _parse_response_model(doc["response_model"])
-    if "trit_weights" in doc:
-        flat = _number_list(doc["trit_weights"], 81, "trit_weights")
-        try:
-            cfg.trit_weights = lhv.TritCellWeights.from_flat(flat)
-        except ValueError as exc:
-            raise ConfigError(f"trit_weights: {exc}") from exc
-    if "noise" in doc:
-        cfg.noise = _parse_noise(doc["noise"])
-    if "order" in doc:
-        if doc["order"] not in swap.ORDERS:
-            raise ConfigError(f"order: expected one of {swap.ORDERS}, got {doc['order']!r}")
-        cfg.order = doc["order"]
-    if "sweep" in doc:
-        obj = doc["sweep"]
-        if not isinstance(obj, dict) or set(obj) != {"grid"}:
-            raise ConfigError("sweep: expected an object with 'grid'")
-        grid = _number_list(obj["grid"], None, "sweep.grid")
-        if not grid:
-            raise ConfigError("sweep.grid: grid must be nonempty")
-        if any(not 0.0 <= p <= 1.0 for p in grid):
-            raise ConfigError(f"sweep.grid: values must lie in [0, 1], got {grid}")
-        cfg.sweep_grid = grid
-    return cfg
+    fields = [f for f in _FIELDS if mode in f.defaults]
+    _object(doc, (), ["schema_version", "mode"] + [f.key for f in fields], f"mode {mode}")
+    values = {}
+    for f in fields:
+        if f.key in doc:
+            try:
+                value = f.parse(doc[f.key], f.key)
+            except ValueError as exc:  # a model's own validation
+                raise ConfigError(f"{f.key}: {exc}") from exc
+        elif f.defaults[mode] is _REQUIRED:
+            raise ConfigError(f"{f.key}: required for mode {mode}")
+        else:
+            value = f.defaults[mode]
+        values[f.attr or f.key] = value
+    return ScenarioConfig(mode, **values)
 
 
-def _finite_number(text: str) -> float:
-    """``json.loads`` hook for float literals, NaN and +-Infinity: finite or ConfigError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {text} is not allowed in a config")
-    return value
+def _decode(text: str):
+    """Decode a JSON config document; malformed JSON is a ConfigError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON config document."""
-    try:
-        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_doc(doc)
-
-
-def _scheme_echo(scheme: protocol.PreparationScheme) -> dict:
-    return {
-        f"basis{a}": {
-            "angles": [float(v) for v in scheme.angles[a]],
-            "priors": [float(v) for v in scheme.priors[a]],
-        }
-        for a in (0, 1)
-    }
+    return config_from_doc(_decode(text))
 
 
 def _echo_config(cfg: ScenarioConfig) -> dict:
-    echo: dict = {"schema_version": SCHEMA_VERSION, "mode": cfg.mode, "seed": cfg.seed}
-    if cfg.mode in _SAMPLING_MODES:
-        echo["trials"] = cfg.trials
-        echo["bootstrap"] = cfg.bootstrap
-    if cfg.mode in ("quantum-exact", "quantum-mc", "check-independence"):
-        alice, bob = cfg.schemes if cfg.schemes else protocol.canonical_schemes()
-        echo["schemes"] = {"alice": _scheme_echo(alice), "bob": _scheme_echo(bob)}
-    if cfg.mode == "lhv-mc":
-        m = cfg.lhv_model
-        echo["lhv_model"] = {
-            "lambda": {"values": m.lambda_values.tolist(), "probs": m.lambda_probs.tolist()},
-            "lambda_prime": {
-                "values": m.lambda_prime_values.tolist(),
-                "probs": m.lambda_prime_probs.tolist(),
-            },
-            "response_a": m.response_a.tolist(),
-            "response_b": m.response_b.tolist(),
-            "select": m.select.tolist(),
-        }
-    if cfg.mode == "lhv-indet" and cfg.response_model is not None:
-        m = cfg.response_model
-        echo["response_model"] = {
-            "atoms": [
-                {"weight": w, "f0": f0, "f1": f1, "g0": g0, "g1": g1}
-                for w, f0, f1, g0, g1 in zip(m.weights, m.f0, m.f1, m.g0, m.g1)
-            ]
-        }
-    if cfg.mode in ("lhv-max", "lhv-indet"):
-        echo["samples"] = cfg.samples
-    if cfg.mode == "loophole":
-        w = cfg.trit_weights if cfg.trit_weights else lhv.loophole_max_example()
-        echo["trit_weights"] = w.w.ravel().tolist()
-    if cfg.mode == "swap":
-        echo["noise"] = {
-            "depol_alice": cfg.noise.depol_alice,
-            "depol_bob": cfg.noise.depol_bob,
-            "jitter_alice": cfg.noise.jitter_alice,
-            "jitter_bob": cfg.noise.jitter_bob,
-            "charlie_mix": cfg.noise.charlie_mix,
-        }
-        echo["order"] = cfg.order
-        if cfg.sweep_grid is not None:
-            echo["sweep"] = {"grid": list(cfg.sweep_grid)}
-    if cfg.mode == "check-independence":
-        echo["tol"] = cfg.tol
+    echo: dict = {"schema_version": SCHEMA_VERSION, "mode": cfg.mode}
+    for f in _FIELDS:
+        if cfg.mode in f.defaults:
+            value = f.echo(getattr(cfg, f.attr or f.key))
+            if value is not None:
+                echo[f.key] = value
     return echo
 
 
@@ -393,7 +375,7 @@ def _no_signaling_gap(table: protocol.CondProbTable) -> float:
 
 
 def _run_quantum_exact(cfg: ScenarioConfig) -> tuple[dict, str]:
-    alice, bob = cfg.schemes if cfg.schemes else protocol.canonical_schemes()
+    alice, bob = _scheme_pair(cfg.schemes)
     table, rates = protocol.exact_postselected(alice, bob)
     e = np.array([[protocol.correlation(table, a, b) for b in (0, 1)] for a in (0, 1)])
     s = protocol.bell_s(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
@@ -413,7 +395,7 @@ def _run_quantum_exact(cfg: ScenarioConfig) -> tuple[dict, str]:
 
 
 def _run_quantum_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
-    alice, bob = cfg.schemes if cfg.schemes else protocol.canonical_schemes()
+    alice, bob = _scheme_pair(cfg.schemes)
     tally = protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed)
     rep = protocol.bell_report(tally, cfg.bootstrap, cfg.seed)
     return _bell_results(rep), _verdict_sampled(rep.s, rep.se_s)
@@ -462,8 +444,7 @@ def _run_lhv_indet(cfg: ScenarioConfig) -> tuple[dict, str]:
 
 
 def _run_loophole(cfg: ScenarioConfig) -> tuple[dict, str]:
-    w = cfg.trit_weights if cfg.trit_weights else lhv.loophole_max_example()
-    s, e, retained = lhv.s_with_discards(w)
+    s, e, retained = lhv.s_with_discards(cfg.trit_weights)
     results = {
         "s": s,
         "e": _e_dict(e),
@@ -495,7 +476,7 @@ def _run_swap(cfg: ScenarioConfig) -> tuple[dict, str]:
 
 
 def _run_check_independence(cfg: ScenarioConfig) -> tuple[dict, str]:
-    alice, bob = cfg.schemes if cfg.schemes else protocol.canonical_schemes()
+    alice, bob = _scheme_pair(cfg.schemes)
     results = {}
     all_pass = True
     for name, scheme in (("alice", alice), ("bob", bob)):
@@ -574,12 +555,12 @@ def render_csv(report: dict) -> str:
 
 
 def _read_config_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
@@ -625,8 +606,7 @@ def _error_report(exc: Exception) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = _read_config_text(args.config) if args.config else "{}"
-        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        doc = _decode(_read_config_text(args.config)) if args.config else {}
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         if "mode" in doc and doc["mode"] != args.mode:
@@ -634,11 +614,9 @@ def main(argv=None) -> int:
                 f"mode: config says {doc['mode']!r} but the {args.mode!r} subcommand was invoked"
             )
         doc["mode"] = args.mode
-        for flag in ("trials", "seed", "bootstrap"):
+        for flag in ("trials", "seed", "bootstrap", "tol"):
             if getattr(args, flag, None) is not None:
                 doc[flag] = getattr(args, flag)
-        if getattr(args, "tol", None) is not None:
-            doc["tol"] = args.tol
         if getattr(args, "grid", None) is not None:
             try:
                 doc["sweep"] = {"grid": [float(v) for v in args.grid.split(",")]}
@@ -648,10 +626,6 @@ def main(argv=None) -> int:
         report = run(cfg)
         primary = render_report(report) if args.format == "json" else render_csv(report)
         csv_text = render_csv(report) if (args.csv or args.format == "csv") else None
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"config error: invalid JSON: {exc}\n")
-        sys.stdout.write(_error_report(ConfigError(f"config is not valid JSON: {exc}")))
-        return 2
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         sys.stdout.write(_error_report(exc))

@@ -107,25 +107,8 @@ def canonical_schemes() -> tuple[PreparationScheme, PreparationScheme]:
 
 def bob_labels_swapped() -> tuple[PreparationScheme, PreparationScheme]:
     """Canonical pair with Bob's basis-1 state labels exchanged (S = 0)."""
-    alice = PreparationScheme.uniform([[0.0, PI], [PI / 2, 3 * PI / 2]])
     bob = PreparationScheme.uniform([[PI / 4, 5 * PI / 4], [3 * PI / 4, 7 * PI / 4]])
-    return alice, bob
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One completed trial: bases, states, and Charlie's announcement."""
-
-    a: int
-    b: int
-    x: int
-    y: int
-    c: int
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "x", "y", "c"):
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"trial field {name} must be a bit")
+    return canonical_schemes()[0], bob
 
 
 @dataclass(frozen=True)
@@ -152,15 +135,6 @@ class Tally:
     @property
     def n_selected(self) -> int:
         return int(self.counts.sum())
-
-
-def tally_from_records(records, n_total: int) -> Tally:
-    """Accumulate selected trial records into a Tally (reference path)."""
-    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    for r in records:
-        if r.c == 1:
-            counts[r.a, r.b, r.x, r.y] += 1
-    return Tally(counts, n_total)
 
 
 # Trials per block of the streaming sampler: 64 Ki rows of DRAWS_PER_TRIAL
@@ -354,10 +328,10 @@ def bell_report(t: Tally, bootstrap_resamples: int = 1000, seed: int = 0) -> Bel
 
     Counts are resampled multinomially per basis pair, holding each pair's
     selected count fixed; the standard errors are the sample deviations of the
-    resampled statistics.
+    resampled statistics, so at least 2 resamples are needed.
     """
-    if bootstrap_resamples < 0:
-        raise ValueError(f"bootstrap_resamples must be >= 0, got {bootstrap_resamples}")
+    if bootstrap_resamples < 0 or bootstrap_resamples == 1:
+        raise ValueError(f"bootstrap_resamples must be 0 or >= 2, got {bootstrap_resamples}")
     table = conditional_probs(t)
     e = np.array([[correlation(table, a, b) for b in (0, 1)] for a in (0, 1)])
     s = bell_s(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
@@ -371,12 +345,11 @@ def bell_report(t: Tally, bootstrap_resamples: int = 1000, seed: int = 0) -> Bel
             draws = rng.multinomial(m, t.counts[a, b].ravel() / m, size=bootstrap_resamples)
             reps[:, a, b] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / m
     s_reps = reps[:, 0, 0] + reps[:, 0, 1] + reps[:, 1, 0] - reps[:, 1, 1]
-    ddof = 1 if bootstrap_resamples > 1 else 0
     return BellReport(
         e,
         s,
-        reps.std(axis=0, ddof=ddof),
-        float(s_reps.std(ddof=ddof)),
+        reps.std(axis=0, ddof=1),
+        float(s_reps.std(ddof=1)),
         t.n_total,
         t.n_selected,
     )

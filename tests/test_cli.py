@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,27 @@ import pytest
 from bellpost import cli
 from bellpost.cli import ConfigError, config_from_doc, main, parse_config, render_csv, render_report, run
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "docs" / "examples"
 
 TWO_SQRT2 = 2 * math.sqrt(2)
+
+# An integer literal far outside the float range.
+HUGE = int("9" * 400)
+
+
+def _schemes_doc(**alice_basis0) -> dict:
+    """The canonical scheme pair as a config object, Alice's basis 0 overridden."""
+    return {
+        "alice": {
+            "basis0": {"angles": [0.0, math.pi], **alice_basis0},
+            "basis1": {"angles": [math.pi / 2, 3 * math.pi / 2]},
+        },
+        "bob": {
+            "basis0": {"angles": [math.pi / 4, 5 * math.pi / 4]},
+            "basis1": {"angles": [7 * math.pi / 4, 3 * math.pi / 4]},
+        },
+    }
 
 
 def _strict_json(text: str):
@@ -80,8 +99,9 @@ class TestParseConfig:
             parse_config("{not json")
 
     def test_bad_schema_version(self):
-        with pytest.raises(ConfigError, match="schema_version"):
-            config_from_doc({"mode": "lhv-max", "schema_version": 2})
+        for version in (2, True, 1.0, "1"):
+            with pytest.raises(ConfigError, match="schema_version"):
+                config_from_doc({"mode": "lhv-max", "schema_version": version})
 
     def test_seed_range_enforced(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -96,6 +116,44 @@ class TestParseConfig:
         for tol in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="tol"):
                 config_from_doc({"mode": "check-independence", "tol": tol})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"mode": "quantum-mc", "schemes": _schemes_doc(priors=[math.nan, 0.5])},
+            {"mode": "swap", "noise": {"jitter_bob": math.nan}},
+        ],
+        ids=["prior", "jitter"],
+    )
+    def test_nonfinite_numbers_rejected_through_api(self, doc):
+        with pytest.raises(ConfigError, match="non-finite"):
+            config_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("schemes", "alice"),
+            ("schemes", "alice", "basis0"),
+            ("lhv_model", "lambda"),
+            ("lhv_model", "lambda_prime"),
+        ],
+        ids=".".join,
+    )
+    def test_unknown_nested_field(self, path):
+        if path[0] == "schemes":
+            doc = {"mode": "quantum-mc", "schemes": _schemes_doc()}
+        else:
+            doc = json.loads((EXAMPLES / "lhv_mc.json").read_text())
+        node = doc
+        for key in path:
+            node = node[key]
+        node["prios"] = [0.9, 0.1]
+        with pytest.raises(ConfigError, match=r"unknown field.*prios"):
+            config_from_doc(doc)
+
+    def test_bootstrap_range_edges_accepted(self):
+        for count in (0, 2, 1_000_000):
+            assert config_from_doc({"mode": "swap", "bootstrap": count}).bootstrap == count
 
     def test_sweep_grid_validated(self):
         with pytest.raises(ConfigError, match=r"sweep\.grid"):
@@ -288,6 +346,42 @@ class TestMain:
         out = _strict_json(capsys.readouterr().out)
         assert out["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "mode, doc",
+        [
+            ("swap", {"noise": {"jitter_alice": HUGE}}),
+            ("quantum-exact", {"schemes": _schemes_doc(angles=[HUGE, math.pi])}),
+            ("loophole", {"trit_weights": [HUGE] + [0.0] * 80}),
+        ],
+        ids=["jitter", "angle", "trit_weights"],
+    )
+    def test_oversized_integer_exits_2(self, capsys, tmp_path, mode, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": mode, **doc}))
+        assert main([mode, "--config", str(cfg)]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("count", ["1", "-1", "1000001", str(2**62)])
+    def test_bootstrap_out_of_range_exits_2(self, capsys, count):
+        # Rejected before any resample is drawn, so 2**62 is never allocated.
+        assert main(["quantum-mc", "--trials", "1000", "--bootstrap", count]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+        assert "bootstrap" in out["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b"[" * 100_000, b'{"seed": 1' + b"0" * 5000 + b"}"],
+        ids=["not-utf8", "deeply-nested", "5000-digit-integer"],
+    )
+    def test_undecodable_config_exits_2(self, capsys, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        assert main(["lhv-max", "--config", str(cfg)]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_nonfinite_tol_flag_exits_2(self, capsys, tol):
         assert main(["check-independence", f"--tol={tol}"]) == 2
@@ -312,3 +406,18 @@ class TestMain:
         assert main(["lhv-mc", "--config", str(EXAMPLES / "lhv_mc.json"), "--trials", "20000"]) == 0
         second = capsys.readouterr().out
         assert json.dumps(_strip_duration(first)) == json.dumps(_strip_duration(second))
+
+
+def test_readme_schema_table_lists_the_config_fields():
+    """README's config table names each field of cli._FIELDS, in order, with its modes."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\|([^|]+)\|", section, re.M)
+    listed = []
+    for key, modes in rows:
+        required = "(required)" in modes
+        modes = modes.replace("(required)", "").strip()
+        names = set(cli.MODES) if modes == "all" else {m.strip() for m in modes.split(",")}
+        listed.append((key, names, required))
+    want = [(f.key, set(f.defaults), cli._REQUIRED in f.defaults.values()) for f in cli._FIELDS]
+    assert listed == want

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from bellpost.protocol import (
     EmptyCellError,
     PreparationScheme,
     Tally,
-    TrialRecord,
     bell_report,
     bell_s,
     bob_labels_swapped,
@@ -24,12 +24,36 @@ from bellpost.protocol import (
     exact_postselected,
     exact_s,
     run_quantum_mc,
-    tally_from_records,
 )
 from bellpost.rng import trial_uniforms_block
 
 PI = math.pi
 TWO_SQRT2 = 2 * math.sqrt(2)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One completed trial of the per-trial oracle: bases, states, announcement."""
+
+    a: int
+    b: int
+    x: int
+    y: int
+    c: int
+
+    def __post_init__(self) -> None:
+        for name in ("a", "b", "x", "y", "c"):
+            if getattr(self, name) not in (0, 1):
+                raise ValueError(f"trial field {name} must be a bit")
+
+
+def tally_from_records(records, n_total: int) -> Tally:
+    """Accumulate selected trial records into a Tally, one trial at a time."""
+    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    for r in records:
+        if r.c == 1:
+            counts[r.a, r.b, r.x, r.y] += 1
+    return Tally(counts, n_total)
 
 
 def exact_table_oracle(alice: PreparationScheme, bob: PreparationScheme):
@@ -341,6 +365,11 @@ class TestBellReport:
         rep = bell_report(self._scaled_tally(), 1000, seed=3)
         assert rep.se_s > 0
         assert abs(rep.s - TWO_SQRT2) < 5 * rep.se_s
+
+    @pytest.mark.parametrize("resamples", [-1, 1])
+    def test_fewer_than_two_resamples_rejected(self, resamples):
+        with pytest.raises(ValueError, match="bootstrap_resamples"):
+            bell_report(self._scaled_tally(), resamples, seed=0)
 
     def test_no_bootstrap_gives_none(self):
         rep = bell_report(self._scaled_tally(), 0, seed=0)
