@@ -329,16 +329,7 @@ class TestMain:
         doc = {
             "mode": "quantum-mc",
             "trials": 1000,
-            "schemes": {
-                "alice": {
-                    "basis0": {"angles": [0.0, math.pi], "priors": [math.nan, 0.5]},
-                    "basis1": {"angles": [math.pi / 2, 3 * math.pi / 2]},
-                },
-                "bob": {
-                    "basis0": {"angles": [math.pi / 4, 5 * math.pi / 4]},
-                    "basis1": {"angles": [7 * math.pi / 4, 3 * math.pi / 4]},
-                },
-            },
+            "schemes": _schemes_doc(priors=[math.nan, 0.5]),
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
