@@ -115,9 +115,10 @@ def _integer(lo: int, hi: int | None = None):
     """Parser of an integer in [lo, hi]; no upper bound when hi is None."""
 
     def parse(v, path: str) -> int:
-        if isinstance(v, bool) or not isinstance(v, int) or v < lo or (hi is not None and v > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise ConfigError(f"{path}: expected an integer {bound}, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+            raise ConfigError(f"{path}: expected an integer >= {lo}, got {v!r}")
+        if hi is not None and v > hi:
+            raise ConfigError(f"{path}: expected an integer <= {hi}, got {v!r}")
         return v
 
     return parse
@@ -270,7 +271,8 @@ class _Field(NamedTuple):
 # Every config field, in the order the report echoes them.
 _FIELDS = (
     _Field("seed", dict.fromkeys(MODES, 0), _integer(0, 2**64 - 1)),
-    _Field("trials", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000_000), _integer(1)),
+    _Field("trials", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000_000),
+           _integer(1, 10**10)),
     _Field("bootstrap", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000), _bootstrap),
     # Absent schemes stay None, which means the canonical pair; quantum-exact
     # then also reports the pair with Bob's basis-1 labels exchanged.
@@ -278,7 +280,7 @@ _FIELDS = (
            _schemes, _schemes_echo),
     _Field("lhv_model", {"lhv-mc": _REQUIRED}, _lhv_model, _lhv_model_echo),
     _Field("response_model", {"lhv-indet": None}, _response_model, _response_model_echo),
-    _Field("samples", {"lhv-max": 10_000, "lhv-indet": 1_000}, _integer(1)),
+    _Field("samples", {"lhv-max": 10_000, "lhv-indet": 1_000}, _integer(1, 10**6)),
     _Field("trit_weights", {"loophole": lhv.loophole_max_example()}, _trit_weights,
            lambda w: w.w.ravel().tolist()),
     _Field("noise", {"swap": swap.NoiseParams()}, _noise, dataclasses.asdict),
@@ -528,8 +530,15 @@ def _round_floats(obj):
 
 
 def render_report(report: dict) -> str:
-    """Serialize a report with 12-significant-digit floats; stable byte-for-byte."""
-    return json.dumps(_round_floats(report), indent=2) + "\n"
+    """Serialize a report as strict JSON with 12-significant-digit floats.
+
+    The rendering is stable byte-for-byte; a non-finite number anywhere in the
+    report is a NumericsError, since strict JSON has no NaN or infinity.
+    """
+    try:
+        return json.dumps(_round_floats(report), indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"report is not strict JSON: {exc}") from exc
 
 
 def _fmt(value: float) -> str:
@@ -625,7 +634,15 @@ def main(argv=None) -> int:
         cfg = config_from_doc(doc)
         report = run(cfg)
         primary = render_report(report) if args.format == "json" else render_csv(report)
-        csv_text = render_csv(report) if (args.csv or args.format == "csv") else None
+        side_files = [(args.out, primary)] if args.out else []
+        if args.csv:
+            side_files.append((args.csv, render_csv(report)))
+        for path, text in side_files:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         sys.stdout.write(_error_report(exc))
@@ -639,12 +656,6 @@ def main(argv=None) -> int:
         sys.stdout.write(_error_report(exc))
         return 4
     sys.stdout.write(primary)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(primary)
-    if args.csv and csv_text is not None:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
     return 0
 
 

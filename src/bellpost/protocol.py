@@ -12,11 +12,20 @@ driver through which every seeded Monte Carlo run fills a ``Tally``) and the
 exact path (closed-form post-selected statistics), plus the
 basis-independence check that makes the task nontrivial and bootstrap error
 bars for sampled runs.
+
+``sample_tally`` splits the trial range into one contiguous share per CPU the
+process may run on and streams each share in blocks of ``BLOCK_TRIALS`` trials
+on its own thread; numpy releases the GIL for the draws and the array work, so
+the shares run in parallel.  Memory is O(CPUs x a few MiB) whatever the trial
+count, and since a trial's uniforms depend only on (seed, trial index), the
+tally does not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,27 +146,67 @@ class Tally:
         return int(self.counts.sum())
 
 
-# Trials per block of the streaming sampler: 64 Ki rows of DRAWS_PER_TRIAL
-# float64 uniforms is 4 MiB, which fits in L3 cache and bounds the sampler's
-# memory whatever the trial count.
-BLOCK_TRIALS = 1 << 16
+# Trials per block of the streaming sampler: 16 Ki rows of DRAWS_PER_TRIAL
+# float64 uniforms is 1 MiB.  Each thread holds one block and the transform's
+# temporaries, so the sampler's memory is O(CPUs x a few MiB) whatever the
+# trial count.
+BLOCK_TRIALS = 1 << 14
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _stream_counts(seed: int, start: int, stop: int, selected_cells) -> np.ndarray:
+    """Flat 16-cell counts of trials start..stop-1, one block at a time."""
+    counts = np.zeros(16, dtype=np.int64)
+    for lo in range(start, stop, BLOCK_TRIALS):
+        u = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop))
+        counts += np.bincount(selected_cells(u), minlength=16)
+    return counts
 
 
 def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
-    """Stream trials 0..n_trials-1 block by block into a Tally.
+    """Stream trials 0..n_trials-1 into a Tally, one share per allowed CPU.
 
     ``selected_cells(u)`` maps a block of per-trial uniform rows (rng module)
     to the flat cell index ((a*2 + b)*2 + x)*2 + y of each announced trial in
-    it.  A trial's row depends only on (seed, trial index), so the tally does
-    not depend on the block size.
+    it.  It is called from several threads at once, so it must be
+    thread-safe: read its captured arrays, never write them.
+
+    The range is split into ``max(1, min(CPUs, n_trials // BLOCK_TRIALS))``
+    contiguous shares.  The calling thread streams the first share and one
+    helper thread each of the others; an exception raised in a helper is
+    re-raised here once every helper has finished.  A trial's row depends only
+    on (seed, trial index), so the tally depends neither on the block size nor
+    on the number of shares.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    counts = np.zeros(16, dtype=np.int64)
-    for start in range(0, n_trials, BLOCK_TRIALS):
-        u = trial_uniforms_block(seed, start, min(start + BLOCK_TRIALS, n_trials))
-        counts += np.bincount(selected_cells(u), minlength=16)
-    return Tally(counts.reshape(2, 2, 2, 2), n_trials)
+    shares = max(1, min(_cpu_count(), n_trials // BLOCK_TRIALS))
+    bounds = [n_trials * i // shares for i in range(shares + 1)]
+    results: list = [None] * shares
+
+    def stream(i: int) -> None:
+        try:
+            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], selected_cells)
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            results[i] = exc
+
+    helpers = [threading.Thread(target=stream, args=(i,)) for i in range(1, shares)]
+    for t in helpers:
+        t.start()
+    stream(0)
+    for t in helpers:
+        t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return Tally(sum(results).reshape(2, 2, 2, 2), n_trials)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellpost import cli
@@ -154,6 +155,12 @@ class TestParseConfig:
     def test_bootstrap_range_edges_accepted(self):
         for count in (0, 2, 1_000_000):
             assert config_from_doc({"mode": "swap", "bootstrap": count}).bootstrap == count
+
+    def test_count_upper_limits_accepted(self):
+        # Validation only: nothing runs 10^10 trials here.
+        assert config_from_doc({"mode": "quantum-mc", "trials": 10**10}).trials == 10**10
+        for mode in ("lhv-max", "lhv-indet"):
+            assert config_from_doc({"mode": mode, "samples": 10**6}).samples == 10**6
 
     def test_sweep_grid_validated(self):
         with pytest.raises(ConfigError, match=r"sweep\.grid"):
@@ -323,6 +330,36 @@ class TestMain:
         stdout = capsys.readouterr().out
         assert out_path.read_text() == stdout
         assert csv_path.read_text().splitlines()[0] == "a,b,E,se"
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_side_file_exits_2(self, capsys, tmp_path, flag):
+        target = tmp_path / "missing" / "side.txt"
+        assert main(["quantum-mc", "--trials", "2000", flag, str(target)]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert list(out) == ["error"]
+        assert out["error"]["type"] == "ConfigError"
+        assert str(target) in out["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "mode, key, count",
+        [("quantum-mc", "trials", 10**10 + 1), ("lhv-max", "samples", 10**6 + 1),
+         ("lhv-indet", "samples", 10**6 + 1)],
+    )
+    def test_count_above_limit_exits_2(self, capsys, tmp_path, mode, key, count):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: count}))
+        assert main([mode, "--config", str(cfg)]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+        assert key in out["error"]["message"]
+
+    def test_nonfinite_report_number_exits_4(self, capsys, monkeypatch):
+        # No accepted config yields a NaN, so stand in a runner result that holds one.
+        nan_s = (math.nan, np.zeros((2, 2)), np.ones((2, 2)))
+        monkeypatch.setattr(cli.lhv, "s_with_discards", lambda weights: nan_s)
+        assert main(["loophole"]) == 4
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "NumericsError"
 
     def test_nan_prior_exits_2(self, capsys, tmp_path):
         # json.dumps writes the NaN literal that json.loads would otherwise accept.

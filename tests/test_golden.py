@@ -6,9 +6,10 @@ it turns them into (a, b, x, y, c)) passes them.  The tallies and report
 digests below were recorded from the samplers and must never move without a
 ``schema_version`` bump.
 
-Trial counts: 100 000, and 131 075, which is above 2 * 65 536 and odd, so
-any partition of the trial range into power-of-two blocks ends in a partial
-block.  Seeds: a small one and one above 2**63.
+Trial counts: 100 000, and 131 075, which is odd and above 8 * 16 384, so
+the sampler's 16 384-trial blocks, its per-CPU shares and any partition of
+the trial range into power-of-two blocks all end in a partial block.  Seeds:
+a small one and one above 2**63.
 """
 
 import hashlib

@@ -1,6 +1,8 @@
 """Tests for the three-party task: schemes, tallies, exact statistics, sampling."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import dataclass
 
@@ -329,6 +331,16 @@ SAMPLED_MODES = {
 }
 
 
+# Trial counts below one block, on a block edge, just past a block edge, and
+# the golden pins' odd count, so shares end both on and off block edges.
+SHARE_EDGES = (
+    protocol.BLOCK_TRIALS - 1,
+    2 * protocol.BLOCK_TRIALS,
+    3 * protocol.BLOCK_TRIALS + 1,
+    131_075,
+)
+
+
 class TestSampleTally:
     @pytest.mark.parametrize("mode", sorted(SAMPLED_MODES))
     def test_peak_memory_does_not_grow_with_trials(self, mode):
@@ -353,6 +365,43 @@ class TestSampleTally:
         got = protocol.sample_tally(4, n, cells)
         np.testing.assert_array_equal(got.counts.ravel(), want)
         assert got.n_total == n
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    @pytest.mark.parametrize("mode", sorted(SAMPLED_MODES))
+    def test_shares_match_single_thread_count(self, monkeypatch, mode, cpus):
+        # One CPU streams the whole range on the calling thread: the reference.
+        # The others run more shares than this host may have cores, with
+        # frequent thread switches.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for n in SHARE_EDGES:
+                monkeypatch.setattr(protocol, "_cpu_count", lambda: 1)
+                want = SAMPLED_MODES[mode](n)
+                monkeypatch.setattr(protocol, "_cpu_count", lambda: cpus)
+                got = SAMPLED_MODES[mode](n)
+                np.testing.assert_array_equal(got.counts, want.counts)
+                assert got.n_total == n
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_helper_exception_reraised_after_join(self, monkeypatch):
+        alice, bob = canonical_schemes()
+        cells = protocol.prepare_and_measure(
+            alice.priors, bob.priors, protocol.selection_probability_table(alice, bob)
+        )
+        main_thread = threading.current_thread()
+
+        def failing_in_helpers(u):
+            if threading.current_thread() is not main_thread:
+                raise RuntimeError("transform failed in a helper")
+            return cells(u)
+
+        monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="in a helper"):
+            protocol.sample_tally(1, 3 * protocol.BLOCK_TRIALS, failing_in_helpers)
+        assert threading.active_count() == before
 
 
 class TestBellReport:
