@@ -354,7 +354,10 @@ class TestSampleTally:
         assert tally.n_total == 1_000_000
         assert peak < 32 * 2**20
 
-    @pytest.mark.parametrize("n", [1, protocol.BLOCK_TRIALS, protocol.BLOCK_TRIALS + 1])
+    # 65 536 is four blocks: an edge several blocks in, and one trial past it.
+    @pytest.mark.parametrize(
+        "n", [1, protocol.BLOCK_TRIALS, protocol.BLOCK_TRIALS + 1, 65_536, 65_537]
+    )
     def test_block_edges_match_whole_range(self, n):
         # The same transform applied to the whole trial range in one array.
         alice, bob = canonical_schemes()
