@@ -20,6 +20,7 @@ import numpy as np
 
 from .qcore import EXACT_TOL
 from .protocol import Tally, sample_tally
+from .rng import threshold
 
 
 class NondeterministicModelError(Exception):
@@ -263,29 +264,41 @@ class LhvSimModel:
         )
 
 
-# Per-trial uniform row layout (rng.DRAWS_PER_TRIAL columns):
+# Per-trial row layout of words (rng.DRAWS_PER_TRIAL columns):
 # 0 -> a, 1 -> b, 2 -> lambda, 3 -> lambda', 4 -> x, 5 -> y, 6 -> acceptance.
 _COL_A, _COL_B, _COL_LAM, _COL_LAMP, _COL_X, _COL_Y, _COL_C = range(7)
 
 
 def simulate_lhv(m: LhvSimModel, n_trials: int, seed: int) -> Tally:
-    """Sample the classical task; feeds the same tally pipeline as the quantum path."""
-    cum_lam = np.cumsum(m.lambda_probs)
-    cum_lamp = np.cumsum(m.lambda_prime_probs)
+    """Sample the classical task; feeds the same tally pipeline as the quantum path.
 
-    def selected_cells(u: np.ndarray) -> np.ndarray:
-        a = (u[:, _COL_A] >= 0.5).astype(np.int64)
-        b = (u[:, _COL_B] >= 0.5).astype(np.int64)
-        lam = np.minimum(
-            np.searchsorted(cum_lam, u[:, _COL_LAM], side="right"), cum_lam.size - 1
-        )
-        lamp = np.minimum(
-            np.searchsorted(cum_lamp, u[:, _COL_LAMP], side="right"), cum_lamp.size - 1
-        )
-        x = (u[:, _COL_X] < m.response_a[a, lam]).astype(np.int64)
-        y = (u[:, _COL_Y] < m.response_b[b, lamp]).astype(np.int64)
-        flat = ((a * 2 + b) * 2 + x) * 2 + y
-        return flat[u[:, _COL_C] < m.select[lam, lamp]]
+    Hidden value i is drawn when its uniform u has cum[i-1] <= u < cum[i] in
+    the cumulative probabilities, the last value taking any u past the end;
+    x = 1 when u < response_a[a, i], likewise y, and Charlie announces when
+    u < select[i, j].  Every cut runs on integer thresholds (rng module): the
+    hidden-value index counts the cumulative thresholds at or below the
+    word's top 53 bits, and the response and selection thresholds are read
+    from flat tables.
+    """
+    n_lam = m.lambda_probs.size
+    n_lamp = m.lambda_prime_probs.size
+    # Dropping the last cumulative cut caps the index at the last value.
+    cut_lam = threshold(np.cumsum(m.lambda_probs))[:-1]
+    cut_lamp = threshold(np.cumsum(m.lambda_prime_probs))[:-1]
+    cut_x = threshold(m.response_a).ravel()
+    cut_y = threshold(m.response_b).ravel()
+    cut_select = threshold(m.select).ravel()
+
+    def selected_cells(w: np.ndarray) -> np.ndarray:
+        a = (w[:, _COL_A] >> 63).view(np.int64)
+        b = (w[:, _COL_B] >> 63).view(np.int64)
+        lam = np.searchsorted(cut_lam, w[:, _COL_LAM] >> 11, side="right")
+        lamp = np.searchsorted(cut_lamp, w[:, _COL_LAMP] >> 11, side="right")
+        x = (w[:, _COL_X] >> 11) < cut_x.take(a * n_lam + lam)
+        y = (w[:, _COL_Y] >> 11) < cut_y.take(b * n_lamp + lamp)
+        cell = ((a * 2 + b) * 2 + x) * 2 + y
+        rejected = (w[:, _COL_C] >> 11) >= cut_select.take(lam * n_lamp + lamp)
+        return cell + 16 * rejected
 
     return sample_tally(seed, n_trials, selected_cells)
 

@@ -17,8 +17,14 @@ bars for sampled runs.
 process may run on and streams each share in blocks of ``BLOCK_TRIALS`` trials
 on its own thread; numpy releases the GIL for the draws and the array work, so
 the shares run in parallel.  Memory is O(CPUs x a few MiB) whatever the trial
-count, and since a trial's uniforms depend only on (seed, trial index), the
+count, and since a trial's words depend only on (seed, trial index), the
 tally does not depend on the CPU count.
+
+The transforms cut the raw Philox words of each trial directly (rng module):
+a fair coin is a word's top bit, and ``u >= p`` on the uniform a word stands
+for is ``(w >> 11) >= threshold(p)``, with every threshold computed once per
+run.  No word is converted to a float, and the tally is the one the float
+comparisons give, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .qcore import (
     tensor,
     trace_distance,
 )
-from .rng import trial_uniforms_block
+from .rng import threshold, trial_uniforms_block
 
 PI = math.pi
 
@@ -147,7 +153,7 @@ class Tally:
 
 
 # Trials per block of the streaming sampler: 16 Ki rows of DRAWS_PER_TRIAL
-# float64 uniforms is 1 MiB.  Each thread holds one block and the transform's
+# uint64 words is 1 MiB.  Each thread holds one block and the transform's
 # temporaries, so the sampler's memory is O(CPUs x a few MiB) whatever the
 # trial count.
 BLOCK_TRIALS = 1 << 14
@@ -162,21 +168,23 @@ def _cpu_count() -> int:
 
 
 def _stream_counts(seed: int, start: int, stop: int, selected_cells) -> np.ndarray:
-    """Flat 16-cell counts of trials start..stop-1, one block at a time."""
-    counts = np.zeros(16, dtype=np.int64)
+    """Flat 16-cell counts of the announced trials start..stop-1, one block at a time."""
+    counts = np.zeros(32, dtype=np.int64)
     for lo in range(start, stop, BLOCK_TRIALS):
-        u = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop))
-        counts += np.bincount(selected_cells(u), minlength=16)
-    return counts
+        w = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop))
+        counts += np.bincount(selected_cells(w), minlength=32)
+    return counts[:16]
 
 
 def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
     """Stream trials 0..n_trials-1 into a Tally, one share per allowed CPU.
 
-    ``selected_cells(u)`` maps a block of per-trial uniform rows (rng module)
-    to the flat cell index ((a*2 + b)*2 + x)*2 + y of each announced trial in
-    it.  It is called from several threads at once, so it must be
-    thread-safe: read its captured arrays, never write them.
+    ``selected_cells(w)`` maps a block of per-trial rows of raw Philox words
+    (rng module) to one int64 index per trial: the flat cell
+    ((a*2 + b)*2 + x)*2 + y of an announced trial, and that cell + 16 for a
+    trial Charlie did not announce.  Indices 16..31 are counted and dropped.
+    It is called from several threads at once, so it must be thread-safe:
+    read its captured arrays, never write them.
 
     The range is split into ``max(1, min(CPUs, n_trials // BLOCK_TRIALS))``
     contiguous shares.  The calling thread streams the first share and one
@@ -307,7 +315,7 @@ def check_basis_independence(scheme: PreparationScheme, tol: float) -> tuple[flo
     return distance, distance <= tol
 
 
-# Column layout of a prepare-and-measure trial's uniform row (see
+# Column layout of a prepare-and-measure trial's row of words (see
 # rng.DRAWS_PER_TRIAL): 0 -> a, 1 -> b, 2 -> x, 3 -> y, 4 -> Charlie's
 # acceptance.  Columns 5-7 are reserved so all samplers share one row width.
 _COL_A, _COL_B, _COL_X, _COL_Y, _COL_C = range(5)
@@ -318,17 +326,21 @@ def prepare_and_measure(priors_a: np.ndarray, priors_b: np.ndarray, accept: np.n
 
     The basis bits are fair coins, the state bits follow ``priors_a[a]`` and
     ``priors_b[b]``, and Charlie announces with probability
-    ``accept[a, b, x, y]``.
+    ``accept[a, b, x, y]``.  The transform returns each trial's flat cell,
+    plus 16 when Charlie does not announce it.
     """
-    accept = accept.ravel()
+    cut_a = threshold(priors_a[:, 0])
+    cut_b = threshold(priors_b[:, 0])
+    cut_accept = threshold(accept).ravel()
 
-    def selected_cells(u: np.ndarray) -> np.ndarray:
-        a = (u[:, _COL_A] >= 0.5).astype(np.int64)
-        b = (u[:, _COL_B] >= 0.5).astype(np.int64)
-        x = (u[:, _COL_X] >= priors_a[a, 0]).astype(np.int64)
-        y = (u[:, _COL_Y] >= priors_b[b, 0]).astype(np.int64)
-        flat = ((a * 2 + b) * 2 + x) * 2 + y
-        return flat[u[:, _COL_C] < accept[flat]]
+    def selected_cells(w: np.ndarray) -> np.ndarray:
+        a = (w[:, _COL_A] >> 63).view(np.int64)
+        b = (w[:, _COL_B] >> 63).view(np.int64)
+        x = (w[:, _COL_X] >> 11) >= cut_a.take(a)
+        y = (w[:, _COL_Y] >> 11) >= cut_b.take(b)
+        cell = ((a * 2 + b) * 2 + x) * 2 + y
+        rejected = (w[:, _COL_C] >> 11) >= cut_accept.take(cell)
+        return cell + 16 * rejected
 
     return selected_cells
 

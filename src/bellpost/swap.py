@@ -22,7 +22,6 @@ by exact density-matrix evolution; sampling is used only to produce tallies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +29,10 @@ import numpy as np
 from .qcore import (
     EXACT_TOL,
     STRUCTURAL_TOL,
-    DensityMatrix,
     NumericsError,
     Projector,
     PureState,
     ket_theta,
-    partial_trace,
     phi_plus,
     tensor,
 )
@@ -109,19 +106,6 @@ class SwapConfig:
 def build_initial() -> PureState:
     """Two maximally entangled pairs, qubit order (alpha, beta, alpha', beta')."""
     return tensor(phi_plus(), phi_plus())
-
-
-def local_projectors(basis: int, jitter: float) -> tuple[Projector, Projector]:
-    """Z-like (basis 0) or X-like (basis 1) measurement, offset by jitter.
-
-    Outcome index equals the party's state value: outcome x projects onto the
-    state at angle x*pi (basis 0) or pi/2 + x*pi (basis 1), plus the jitter.
-    """
-    base = 0.0 if basis == 0 else math.pi / 2
-    return (
-        Projector.onto(ket_theta(base + jitter)),
-        Projector.onto(ket_theta(base + math.pi + jitter)),
-    )
 
 
 def scheme_projectors(
@@ -268,22 +252,6 @@ def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
             raise ValueError(f"depolarizing strength {p!r} outside [0, 1]")
         rows.append((p, exact_swap_s(NoiseParams(depol_alice=p, depol_bob=p))))
     return rows
-
-
-def remote_state_check(basis: int, jitter: float) -> DensityMatrix:
-    """Outcome-averaged state remotely prepared by a local measurement.
-
-    Measures one half of a maximally entangled pair with
-    ``local_projectors(basis, jitter)`` and averages the post-measurement
-    reduced states of the other half; the result is I/2 for every basis and
-    jitter, which is the no-signaling guarantee the realization relies on.
-    """
-    rho = np.outer(phi_plus().amps, phi_plus().amps.conj())
-    acc = np.zeros((4, 4), dtype=np.complex128)
-    for p in local_projectors(basis, jitter):
-        m = _embed(p.mat, (0,), 2)
-        acc += m @ rho @ m
-    return partial_trace(DensityMatrix(acc), (1,))
 
 
 def run_swap(cfg: SwapConfig, joint: np.ndarray | None = None) -> Tally:

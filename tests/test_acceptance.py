@@ -14,6 +14,7 @@ import pytest
 from bellpost import cli, lhv, protocol, swap
 from bellpost.rng import trial_uniforms_block
 from conftest import random_deterministic_model, random_response_model
+from test_swap import remote_state_check
 
 TWO_SQRT2 = 2 * math.sqrt(2)
 
@@ -165,7 +166,7 @@ def test_criterion_9_swap_realization():
 
         worst_remote = max(
             worst_remote,
-            trace_distance(swap.remote_state_check(0, j0), swap.remote_state_check(1, j1)),
+            trace_distance(remote_state_check(0, j0), remote_state_check(1, j1)),
         )
 
     order_gap = swap.order_invariance(

@@ -58,6 +58,71 @@ def tally_from_records(records, n_total: int) -> Tally:
     return Tally(counts, n_total)
 
 
+def float_uniforms(seed: int, n: int) -> np.ndarray:
+    """Trials 0..n-1 as the float64 uniforms ``Generator.random`` gives."""
+    return np.random.Generator(np.random.Philox(key=seed)).random((n, 8))
+
+
+def edge_words(probabilities, n: int, seed: int) -> np.ndarray:
+    """(n, 8) words whose top 53 bits k sit on the integer cut of one of the
+    probabilities, one step below it, or at 0, 2**52 or 2**53 - 1.
+
+    The uniform such a word stands for is k * 2**-53, so the float oracles
+    meet every u >= p comparison with u exactly at p's cut and just below it.
+    """
+    tops = {0, 2**52, 2**53 - 1}
+    for p in probabilities:
+        cut = math.ceil(float(p) * 2**53)
+        tops.update(k for k in (cut - 1, cut) if 0 <= k < 2**53)
+    gen = np.random.default_rng(seed)
+    top = gen.choice(np.array(sorted(tops), dtype=np.uint64), size=(n, 8))
+    return (top << 11) | gen.integers(0, 2**11, size=(n, 8), dtype=np.uint64)
+
+
+def words_as_uniforms(words: np.ndarray) -> np.ndarray:
+    """The float64 uniform each word stands for (rng module)."""
+    return (words >> 11) * 2.0**-53
+
+
+def quantum_records(u: np.ndarray, alice: PreparationScheme, bob: PreparationScheme):
+    """Per-trial float oracle of the prepare-and-measure transform."""
+    sel = protocol.selection_probability_table(alice, bob)
+    records = []
+    for row in u:
+        a = int(row[0] >= 0.5)
+        b = int(row[1] >= 0.5)
+        x = int(row[2] >= alice.priors[a, 0])
+        y = int(row[3] >= bob.priors[b, 0])
+        c = int(row[4] < sel[a, b, x, y])
+        records.append(TrialRecord(a, b, x, y, c))
+    return records
+
+
+def lhv_records(u: np.ndarray, m: lhv.LhvSimModel):
+    """Per-trial float oracle of ``simulate_lhv``: hidden values by a float
+    searchsorted, the other cuts by float comparisons (columns: a, b, lambda,
+    lambda', x, y, acceptance)."""
+    cum_lam = np.cumsum(m.lambda_probs)
+    cum_lamp = np.cumsum(m.lambda_prime_probs)
+    records = []
+    for row in u:
+        a = int(row[0] >= 0.5)
+        b = int(row[1] >= 0.5)
+        lam = min(int(np.searchsorted(cum_lam, row[2], side="right")), cum_lam.size - 1)
+        lamp = min(int(np.searchsorted(cum_lamp, row[3], side="right")), cum_lamp.size - 1)
+        x = int(row[4] < m.response_a[a, lam])
+        y = int(row[5] < m.response_b[b, lamp])
+        c = int(row[6] < m.select[lam, lamp])
+        records.append(TrialRecord(a, b, x, y, c))
+    return records
+
+
+def sampled_from_words(monkeypatch, words: np.ndarray, run):
+    """The tally ``run(n)`` gives when the sampler is fed these words."""
+    monkeypatch.setattr(protocol, "trial_uniforms_block", lambda seed, lo, hi: words[lo:hi])
+    return run(words.shape[0])
+
+
 def exact_table_oracle(alice: PreparationScheme, bob: PreparationScheme):
     """Independent post-selection oracle from the acceptance law cos(d/2)^2/2.
 
@@ -283,21 +348,22 @@ class TestRunQuantumMc:
         assert t.counts[:, :, 0, 0].sum() == t.n_selected
 
     def test_matches_per_trial_record_oracle(self):
-        # Same uniforms, accumulated by a plain per-trial loop.
+        # The uniforms of the same Philox stream as floats, cut by float
+        # comparisons in a plain per-trial loop: the integer cuts must agree.
         alice, bob = canonical_schemes()
         n, seed = 5_000, 17
-        sel = protocol.selection_probability_table(alice, bob)
-        u = trial_uniforms_block(seed, 0, n)
-        records = []
-        for i in range(n):
-            a = int(u[i, 0] >= 0.5)
-            b = int(u[i, 1] >= 0.5)
-            x = int(u[i, 2] >= alice.priors[a, 0])
-            y = int(u[i, 3] >= bob.priors[b, 0])
-            c = int(u[i, 4] < sel[a, b, x, y])
-            records.append(TrialRecord(a, b, x, y, c))
-        want = tally_from_records(records, n)
+        want = tally_from_records(quantum_records(float_uniforms(seed, n), alice, bob), n)
         got = run_quantum_mc(alice, bob, n, seed)
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    def test_cut_edges_match_record_oracle(self, monkeypatch):
+        alice = PreparationScheme([[0.0, PI], [PI / 2, 3 * PI / 2]], [[0.3, 0.7], [1.0, 0.0]])
+        bob = PreparationScheme([[PI / 4, 5 * PI / 4], [0.5, 2.0]], [[0.0, 1.0], [0.6, 0.4]])
+        sel = protocol.selection_probability_table(alice, bob)
+        cuts = [0.5, *alice.priors[:, 0], *bob.priors[:, 0], *sel.ravel()]
+        words = edge_words(cuts, 4_000, seed=23)
+        want = tally_from_records(quantum_records(words_as_uniforms(words), alice, bob), 4_000)
+        got = sampled_from_words(monkeypatch, words, lambda n: run_quantum_mc(alice, bob, n, 0))
         np.testing.assert_array_equal(got.counts, want.counts)
 
     def test_reproducible_and_chunk_independent(self):
@@ -324,6 +390,48 @@ def _lhv_model() -> lhv.LhvSimModel:
     )
 
 
+def _edge_lhv_model() -> lhv.LhvSimModel:
+    """Four and three hidden values, each with a zero-probability value, and
+    responses and selection probabilities of exactly 0 and 1.  The cumulative
+    lambda probabilities end at 1 - 2**-53, so the largest uniforms fall past
+    the last cut."""
+    return lhv.LhvSimModel(
+        lambda_values=[0.1, 0.4, 0.6, 0.9],
+        lambda_probs=[0.7, 0.0, 0.2, 0.1],
+        lambda_prime_values=[0.2, 0.5, 0.8],
+        lambda_prime_probs=[0.25, 0.75, 0.0],
+        response_a=[[0.0, 1.0, 0.3, 1.0], [1.0, 0.5, 0.0, 0.7]],
+        response_b=[[0.6, 1.0, 0.0], [0.0, 0.2, 1.0]],
+        select=[[1.0, 0.0, 0.5], [0.3, 1.0, 1.0], [0.0, 0.8, 1.0], [1.0, 0.6, 0.0]],
+    )
+
+
+class TestSimulateLhvOracle:
+    def test_matches_per_trial_record_oracle(self):
+        m = _edge_lhv_model()
+        n, seed = 5_000, 19
+        want = tally_from_records(lhv_records(float_uniforms(seed, n), m), n)
+        got = lhv.simulate_lhv(m, n, seed)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert 0 < got.n_selected < n
+
+    def test_cut_edges_match_record_oracle(self, monkeypatch):
+        m = _edge_lhv_model()
+        assert np.cumsum(m.lambda_probs)[-1] == 1.0 - 2.0**-53
+        cuts = [
+            0.5,
+            *np.cumsum(m.lambda_probs),
+            *np.cumsum(m.lambda_prime_probs),
+            *m.response_a.ravel(),
+            *m.response_b.ravel(),
+            *m.select.ravel(),
+        ]
+        words = edge_words(cuts, 4_000, seed=29)
+        want = tally_from_records(lhv_records(words_as_uniforms(words), m), 4_000)
+        got = sampled_from_words(monkeypatch, words, lambda n: lhv.simulate_lhv(m, n, 0))
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+
 SAMPLED_MODES = {
     "quantum-mc": lambda n: run_quantum_mc(*canonical_schemes(), n, seed=3),
     "lhv-mc": lambda n: lhv.simulate_lhv(_lhv_model(), n, seed=3),
@@ -344,7 +452,7 @@ SHARE_EDGES = (
 class TestSampleTally:
     @pytest.mark.parametrize("mode", sorted(SAMPLED_MODES))
     def test_peak_memory_does_not_grow_with_trials(self, mode):
-        # A whole (1e6, 8) float64 table alone would be 61 MiB.
+        # A whole (1e6, 8) table of uint64 words alone would be 61 MiB.
         tracemalloc.start()
         try:
             tally = SAMPLED_MODES[mode](1_000_000)
@@ -359,12 +467,15 @@ class TestSampleTally:
         "n", [1, protocol.BLOCK_TRIALS, protocol.BLOCK_TRIALS + 1, 65_536, 65_537]
     )
     def test_block_edges_match_whole_range(self, n):
-        # The same transform applied to the whole trial range in one array.
+        # The same transform applied to the whole trial range in one array:
+        # one index per trial, announced cells below 16 and the rest above.
         alice, bob = canonical_schemes()
         cells = protocol.prepare_and_measure(
             alice.priors, bob.priors, protocol.selection_probability_table(alice, bob)
         )
-        want = np.bincount(cells(trial_uniforms_block(4, 0, n)), minlength=16)
+        index = cells(trial_uniforms_block(4, 0, n))
+        assert index.shape == (n,)
+        want = np.bincount(index, minlength=32)[:16]
         got = protocol.sample_tally(4, n, cells)
         np.testing.assert_array_equal(got.counts.ravel(), want)
         assert got.n_total == n

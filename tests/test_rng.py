@@ -1,9 +1,15 @@
 """The per-trial substream contract: values depend only on (seed, trial)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellpost.rng import DRAWS_PER_TRIAL, trial_uniforms_block
+from bellpost.rng import DRAWS_PER_TRIAL, threshold, trial_uniforms_block
+
+STEP = 2.0**-53
 
 
 def test_row_width_is_jumpable():
@@ -34,9 +40,47 @@ def test_chunked_generation_matches_one_shot():
         )
 
 
-def test_values_in_unit_interval():
-    u = trial_uniforms_block(5, 0, 10_000)
-    assert np.all((u >= 0.0) & (u < 1.0))
+def test_words_are_generator_uniforms():
+    # The top 53 bits of each word, scaled, are the float64 uniform that
+    # Generator.random() draws at the same stream position.
+    reference = np.random.Generator(np.random.Philox(key=5)).random((65_538, DRAWS_PER_TRIAL))
+    for trial in (0, 1, 16_383, 16_384, 65_537):
+        w = trial_uniforms_block(5, trial, trial + 1)
+        assert w.dtype == np.uint64 and w.shape == (1, DRAWS_PER_TRIAL)
+        np.testing.assert_array_equal((w >> 11) * STEP, reference[trial : trial + 1])
+
+
+def _assert_cut_exact(p: float) -> None:
+    cut = int(threshold(p))
+    assert 0 <= cut <= 2**53
+    for k in (cut - 1, cut, cut + 1):
+        if 0 <= k < 2**53:
+            assert (k >= cut) == (k * STEP >= p), (p, k)
+
+
+EDGES = [0.0, STEP, 0.5, 1.0 - STEP, 1.0]
+EDGES_AND_NEIGHBOURS = sorted(
+    {q for p in EDGES for q in (p, math.nextafter(p, 0.0), math.nextafter(p, 1.0))}
+)
+
+
+@pytest.mark.parametrize("p", EDGES_AND_NEIGHBOURS)
+def test_threshold_exact_at_edges(p):
+    _assert_cut_exact(p)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_threshold_exact_on_unit_interval(p):
+    _assert_cut_exact(p)
+
+
+def test_threshold_elementwise_and_clipped():
+    cuts = threshold([[-0.25, 0.0], [0.25, 1.5]])
+    assert cuts.dtype == np.uint64
+    np.testing.assert_array_equal(cuts, [[0, 0], [2**51, 2**53]])
+    with pytest.raises(ValueError, match="NaN"):
+        threshold([0.5, math.nan])
 
 
 def test_invalid_range_rejected():

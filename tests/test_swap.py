@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from bellpost import protocol, swap
-from bellpost.qcore import trace_distance
+from bellpost.qcore import (
+    DensityMatrix,
+    Projector,
+    ket_theta,
+    partial_trace,
+    phi_plus,
+    trace_distance,
+)
 from bellpost.swap import (
     NoiseParams,
     SwapConfig,
@@ -15,14 +22,41 @@ from bellpost.swap import (
     exact_postselected_swap,
     exact_swap_s,
     joint_distribution,
-    local_projectors,
     order_invariance,
-    remote_state_check,
     run_swap,
     scheme_projectors,
 )
 
 TWO_SQRT2 = 2 * math.sqrt(2)
+
+
+def local_projectors(basis: int, jitter: float) -> tuple[Projector, Projector]:
+    """Z-like (basis 0) or X-like (basis 1) measurement, offset by jitter.
+
+    Outcome index equals the party's state value: outcome x projects onto the
+    state at angle x*pi (basis 0) or pi/2 + x*pi (basis 1), plus the jitter.
+    """
+    base = 0.0 if basis == 0 else math.pi / 2
+    return (
+        Projector.onto(ket_theta(base + jitter)),
+        Projector.onto(ket_theta(base + math.pi + jitter)),
+    )
+
+
+def remote_state_check(basis: int, jitter: float) -> DensityMatrix:
+    """No-signalling oracle: the outcome-averaged remotely prepared state.
+
+    Measures qubit 0 of a maximally entangled pair with
+    ``local_projectors(basis, jitter)`` and averages the post-measurement
+    reduced states of qubit 1; the result is I/2 for every basis and jitter,
+    which is the guarantee the swap realization relies on.
+    """
+    rho = phi_plus().density().mat
+    acc = np.zeros((4, 4), dtype=np.complex128)
+    for p in local_projectors(basis, jitter):
+        m = np.kron(p.mat, np.eye(2))
+        acc += m @ rho @ m
+    return partial_trace(DensityMatrix(acc), (1,))
 
 
 class TestBuildInitial:
