@@ -38,11 +38,16 @@ MODES = (
     "check-independence",
 )
 
-SCHEMA_VERSION = 1
+# Reports and config documents carry separate versions.  Report schema 2
+# holds closed-form error bars and the violation p-value; config documents
+# stay at version 1, which reports echo.
+REPORT_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 1
 
-# Margins for the task-completed verdict: sampled runs must clear the
-# classical bound by five standard errors, exact runs by 1e-9.
-_SIGMA_MARGIN = 5.0
+# Margins for the task-completed verdict: a sampled run's violation p-value
+# must be below the one-sided five-sigma normal tail, and an exact run must
+# clear the classical bound by 1e-9.
+_P_THRESHOLD = 0.5 * math.erfc(5.0 / math.sqrt(2.0))
 _EXACT_MARGIN = 1e-9
 
 
@@ -61,7 +66,6 @@ class ScenarioConfig:
     mode: str
     seed: int | None = None
     trials: int | None = None
-    bootstrap: int | None = None
     schemes: tuple[protocol.PreparationScheme, protocol.PreparationScheme] | None = None
     lhv_model: lhv.LhvSimModel | None = None
     response_model: lhv.ResponseModel | None = None
@@ -122,14 +126,6 @@ def _integer(lo: int, hi: int | None = None):
         return v
 
     return parse
-
-
-def _bootstrap(v, path: str) -> int:
-    # One resample has no spread, so its se_s = 0 would pass any verdict.
-    n = _integer(0)(v, path)
-    if n == 1 or n > 1_000_000:
-        raise ConfigError(f"{path}: expected 0 or an integer in [2, 1000000], got {n}")
-    return n
 
 
 def _scheme(obj, path: str) -> protocol.PreparationScheme:
@@ -273,7 +269,6 @@ _FIELDS = (
     _Field("seed", dict.fromkeys(MODES, 0), _integer(0, 2**64 - 1)),
     _Field("trials", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000_000),
            _integer(1, 10**10)),
-    _Field("bootstrap", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000), _bootstrap),
     # Absent schemes stay None, which means the canonical pair; quantum-exact
     # then also reports the pair with Bob's basis-1 labels exchanged.
     _Field("schemes", dict.fromkeys(("quantum-exact", "quantum-mc", "check-independence"), None),
@@ -295,10 +290,10 @@ def config_from_doc(doc) -> ScenarioConfig:
     """Validate a decoded config document into a ScenarioConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if type(version) is not int or version != SCHEMA_VERSION:
+    version = doc.get("schema_version", CONFIG_SCHEMA_VERSION)
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
-            f"schema_version: only version {SCHEMA_VERSION} is supported, got {version!r}"
+            f"schema_version: only version {CONFIG_SCHEMA_VERSION} is supported, got {version!r}"
         )
     mode = doc.get("mode")
     if mode not in MODES:
@@ -334,7 +329,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _echo_config(cfg: ScenarioConfig) -> dict:
-    echo: dict = {"schema_version": SCHEMA_VERSION, "mode": cfg.mode}
+    echo: dict = {"schema_version": CONFIG_SCHEMA_VERSION, "mode": cfg.mode}
     for f in _FIELDS:
         if cfg.mode in f.defaults:
             value = f.echo(getattr(cfg, f.attr or f.key))
@@ -351,18 +346,17 @@ def _verdict_exact(s: float) -> str:
     return "task completed" if abs(s) > 2.0 + _EXACT_MARGIN else "no violation"
 
 
-def _verdict_sampled(s: float, se_s: float | None) -> str:
-    if se_s is None:
-        return "not assessed"
-    return "task completed" if abs(s) - _SIGMA_MARGIN * se_s > 2.0 else "no violation"
+def _verdict_sampled(rep: protocol.BellReport) -> str:
+    return "task completed" if rep.p_value < _P_THRESHOLD else "no violation"
 
 
 def _bell_results(rep: protocol.BellReport) -> dict:
     return {
         "e": _e_dict(rep.e),
-        "se_e": _e_dict(rep.se_e) if rep.se_e is not None else "not computed",
+        "se_e": _e_dict(rep.se_e),
         "s": rep.s,
-        "se_s": rep.se_s if rep.se_s is not None else "not computed",
+        "se_s": rep.se_s,
+        "p_value": rep.p_value,
         "n_total": rep.n_total,
         "n_selected": rep.n_selected,
         "selection_rate": rep.n_selected / rep.n_total,
@@ -398,27 +392,21 @@ def _run_quantum_exact(cfg: ScenarioConfig) -> tuple[dict, str]:
 
 def _run_quantum_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
     alice, bob = _scheme_pair(cfg.schemes)
-    tally = protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed)
-    rep = protocol.bell_report(tally, cfg.bootstrap, cfg.seed)
-    return _bell_results(rep), _verdict_sampled(rep.s, rep.se_s)
+    rep = protocol.bell_report(protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed))
+    return _bell_results(rep), _verdict_sampled(rep)
 
 
 def _run_lhv_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
-    tally = lhv.simulate_lhv(cfg.lhv_model, cfg.trials, cfg.seed)
-    rep = protocol.bell_report(tally, cfg.bootstrap, cfg.seed)
+    rep = protocol.bell_report(lhv.simulate_lhv(cfg.lhv_model, cfg.trials, cfg.seed))
     results = _bell_results(rep)
     if cfg.lhv_model.is_deterministic():
         results["s_from_cells"] = lhv.s_from_cells(lhv.cells_from_model(cfg.lhv_model))
-    return results, _verdict_sampled(rep.s, rep.se_s)
+    return results, _verdict_sampled(rep)
 
 
 def _run_lhv_max(cfg: ScenarioConfig) -> tuple[dict, str]:
     max_s, witness = lhv.max_abs_s_deterministic()
-    rng = np.random.default_rng(cfg.seed)
-    random_max = 0.0
-    for _ in range(cfg.samples):
-        w = lhv.CellWeights(rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2))
-        random_max = max(random_max, abs(lhv.s_from_cells(w)))
+    random_max = lhv.random_max_abs_s(np.random.default_rng(cfg.seed), cfg.samples)
     results = {
         "max_abs_s": max_s,
         "witness_cell": list(witness),
@@ -467,14 +455,13 @@ def _run_swap(cfg: ScenarioConfig) -> tuple[dict, str]:
         n_trials=cfg.trials, noise=cfg.noise, seed=cfg.seed, order=cfg.order
     )
     joints = {order: swap.joint_distribution(cfg.noise, order) for order in swap.ORDERS}
-    tally = swap.run_swap(swap_cfg, joints[cfg.order])
-    rep = protocol.bell_report(tally, cfg.bootstrap, cfg.seed)
+    rep = protocol.bell_report(swap.run_swap(swap_cfg, joints[cfg.order]))
     results = _bell_results(rep)
     table, rates = swap.exact_postselected_swap(joints["parties-first"])
     results["exact_s"] = protocol.table_s(table)
     results["selection_rates"] = _e_dict(rates)
     results["order_invariance_gap"] = swap.order_invariance(*joints.values())
-    return results, _verdict_sampled(rep.s, rep.se_s)
+    return results, _verdict_sampled(rep)
 
 
 def _run_check_independence(cfg: ScenarioConfig) -> tuple[dict, str]:
@@ -506,7 +493,7 @@ def run(cfg: ScenarioConfig) -> dict:
     start = time.perf_counter()
     results, verdict = _RUNNERS[cfg.mode](cfg)
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "artifact": f"bellpost {__version__}",
         "mode": cfg.mode,
         "seed": cfg.seed,
@@ -557,7 +544,7 @@ def render_csv(report: dict) -> str:
         lines = ["a,b,E,se"]
         for a in (0, 1):
             for b in (0, 1):
-                se_txt = _fmt(se[f"{a}{b}"]) if isinstance(se, dict) else ""
+                se_txt = _fmt(se[f"{a}{b}"]) if se else ""
                 lines.append(f"{a},{b},{_fmt(results['e'][f'{a}{b}'])},{se_txt}")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"mode {report['mode']} produces no CSV table")
@@ -573,8 +560,15 @@ def _read_config_text(path: str) -> str:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are config errors, reported as JSON (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bellpost",
         description="Post-selected three-party CHSH task: quantum strategies, "
                     "classical bounds, and the detection loophole.",
@@ -595,7 +589,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON config document ('-' for stdin)")
         p.add_argument("--trials", type=int, help="override trial count")
         p.add_argument("--seed", type=int, help="override master seed")
-        p.add_argument("--bootstrap", type=int, help="override bootstrap resample count")
         p.add_argument("--out", metavar="PATH", help="also write the stdout artifact to PATH")
         p.add_argument("--csv", metavar="PATH", help="also write the CSV table to PATH")
         p.add_argument("--format", choices=("json", "csv"), default="json",
@@ -613,8 +606,8 @@ def _error_report(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         doc = _decode(_read_config_text(args.config)) if args.config else {}
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
@@ -623,7 +616,7 @@ def main(argv=None) -> int:
                 f"mode: config says {doc['mode']!r} but the {args.mode!r} subcommand was invoked"
             )
         doc["mode"] = args.mode
-        for flag in ("trials", "seed", "bootstrap", "tol"):
+        for flag in ("trials", "seed", "tol"):
             if getattr(args, flag, None) is not None:
                 doc[flag] = getattr(args, flag)
         if getattr(args, "grid", None) is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import EXACT_TOL
+from .qcore import EXACT_TOL, NumericsError
 from .protocol import Tally, sample_tally
 from .rng import threshold
 
@@ -44,10 +44,10 @@ def _validate_weights(w, shape) -> np.ndarray:
     w = np.array(w, dtype=np.float64)
     if w.shape != shape:
         raise ValueError(f"weights must have shape {shape}, got {w.shape}")
-    if np.any(w < 0.0):
+    if not np.all(w >= 0.0):
         raise ValueError("weights must be nonnegative")
     total = float(w.sum())
-    if abs(total - 1.0) > EXACT_TOL:
+    if not abs(total - 1.0) <= EXACT_TOL:
         raise ValueError(f"weights must sum to 1, got {total!r}")
     w.setflags(write=False)
     return w
@@ -142,6 +142,29 @@ def max_abs_s_deterministic() -> tuple[float, tuple[int, int, int, int]]:
     return best, witness
 
 
+# Rows per block of the random cell-weight sweep: 4 Ki rows of 16 weights is
+# 512 KiB, so the sweep's memory does not grow with its sample count.
+_SWEEP_BLOCK = 1 << 12
+
+
+def random_max_abs_s(rng: np.random.Generator, samples: int) -> float:
+    """Largest |S| over ``samples`` uniformly random cell-weight distributions.
+
+    The rows are Dirichlet(1, ..., 1) draws, made a block at a time; a block
+    call reads the generator's stream exactly as that many single draws
+    would.  Every row is checked for nonnegativity and a sum of 1, as
+    ``CellWeights`` checks its weights.
+    """
+    coeffs = _COEFFS.ravel()
+    best = 0.0
+    for start in range(0, samples, _SWEEP_BLOCK):
+        w = rng.dirichlet(np.ones(16), size=min(_SWEEP_BLOCK, samples - start))
+        if not np.all((w >= 0.0) & (np.abs(w.sum(axis=1, keepdims=True) - 1.0) <= EXACT_TOL)):
+            raise NumericsError("a random cell-weight draw is not a distribution")
+        best = max(best, float(np.abs((w * coeffs).sum(axis=1)).max()))
+    return best
+
+
 @dataclass(frozen=True)
 class ResponseModel:
     """Finite mixture of response atoms for the indeterministic bound.
@@ -170,13 +193,13 @@ class ResponseModel:
             arrays[name] = arr
         if n == 0:
             raise ValueError("response model requires at least one atom")
-        if np.any(arrays["weights"] < 0.0):
+        if not np.all(arrays["weights"] >= 0.0):
             raise ValueError("atom weights must be nonnegative")
         total = float(arrays["weights"].sum())
-        if abs(total - 1.0) > EXACT_TOL:
+        if not abs(total - 1.0) <= EXACT_TOL:
             raise ValueError(f"atom weights must sum to 1, got {total!r}")
         for name in ("f0", "f1", "g0", "g1"):
-            if np.any(np.abs(arrays[name]) > 1.0):
+            if not np.all(np.abs(arrays[name]) <= 1.0):
                 raise ValueError(f"response values in {name} must lie in [-1, 1]")
         for name, arr in arrays.items():
             arr.setflags(write=False)
@@ -201,9 +224,9 @@ def _validate_distribution(values, probs, label: str) -> tuple[np.ndarray, np.nd
     probs = np.array(probs, dtype=np.float64).reshape(-1)
     if values.size == 0 or values.size != probs.size:
         raise ValueError(f"{label}: values and probs must be equal-length and nonempty")
-    if np.any((values < 0.0) | (values > 1.0)):
+    if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValueError(f"{label}: hidden values must lie in [0, 1]")
-    if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > EXACT_TOL:
+    if not (np.all(probs >= 0.0) and abs(float(probs.sum()) - 1.0) <= EXACT_TOL):
         raise ValueError(f"{label}: probabilities must be nonnegative and sum to 1")
     values.setflags(write=False)
     probs.setflags(write=False)
@@ -245,7 +268,7 @@ class LhvSimModel:
         if sel.shape != (lv.size, pv.size):
             raise ValueError(f"select must have shape ({lv.size}, {pv.size}), got {sel.shape}")
         for name, arr in (("response_a", ra), ("response_b", rb), ("select", sel)):
-            if np.any((arr < 0.0) | (arr > 1.0)):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValueError(f"{name} entries must be probabilities in [0, 1]")
             arr.setflags(write=False)
         object.__setattr__(self, "lambda_values", lv)
@@ -318,14 +341,10 @@ def cells_from_model(m: LhvSimModel) -> CellWeights:
     total = float(selected.sum())
     if total <= 0.0:
         raise ZeroSelectionError("selection rule accepts zero probability mass")
-    i_of = m.response_a[0].astype(np.int64)
-    j_of = m.response_a[1].astype(np.int64)
-    k_of = m.response_b[0].astype(np.int64)
-    l_of = m.response_b[1].astype(np.int64)
+    i_of, j_of = m.response_a.astype(np.int64)[:, :, None]
+    k_of, l_of = m.response_b.astype(np.int64)[:, None, :]
     w = np.zeros((2, 2, 2, 2))
-    for ii in range(i_of.size):
-        for jj in range(k_of.size):
-            w[i_of[ii], j_of[ii], k_of[jj], l_of[jj]] += selected[ii, jj]
+    np.add.at(w, (i_of, j_of, k_of, l_of), selected)
     return CellWeights(w / total)
 
 

@@ -10,8 +10,8 @@ and the CHSH combination S = E(0,0) + E(0,1) + E(1,0) - E(1,1).
 This module provides both the sampling path (``sample_tally``, the streaming
 driver through which every seeded Monte Carlo run fills a ``Tally``) and the
 exact path (closed-form post-selected statistics), plus the
-basis-independence check that makes the task nontrivial and bootstrap error
-bars for sampled runs.
+basis-independence check that makes the task nontrivial and the closed-form
+error bars and violation p-value of sampled runs.
 
 ``sample_tally`` splits the trial range into one contiguous share per CPU the
 process may run on and streams each share in blocks of ``BLOCK_TRIALS`` trials
@@ -39,14 +39,12 @@ import numpy as np
 from .qcore import (
     EXACT_TOL,
     DensityMatrix,
-    Projector,
     PureState,
+    acceptance_table,
     canonical_angle,
-    born_prob,
     ket_theta,
     mixture_density,
     phi_plus,
-    tensor,
     trace_distance,
 )
 from .rng import threshold, trial_uniforms_block
@@ -81,11 +79,13 @@ class PreparationScheme:
         priors = np.array(self.priors, dtype=np.float64)
         if angles.shape != (2, 2) or priors.shape != (2, 2):
             raise ValueError("scheme requires 2x2 angle and prior tables (basis x state)")
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("state angles must be finite")
         angles = np.vectorize(canonical_angle)(angles)
-        if np.any(priors < 0.0):
+        if not np.all(priors >= 0.0):
             raise ValueError("state priors must be nonnegative")
         sums = priors.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > EXACT_TOL):
+        if not np.all(np.abs(sums - 1.0) <= EXACT_TOL):
             raise ValueError(f"state priors must sum to 1 per basis, got row sums {sums.tolist()}")
         angles.setflags(write=False)
         priors.setflags(write=False)
@@ -227,10 +227,10 @@ class CondProbTable:
         probs = np.array(self.probs, dtype=np.float64)
         if probs.shape != (2, 2, 2, 2):
             raise ValueError(f"probability table must have shape (2,2,2,2), got {probs.shape}")
-        if np.any(probs < 0.0):
+        if not np.all(probs >= 0.0):
             raise ValueError("conditional probabilities must be nonnegative")
         sums = probs.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > EXACT_TOL):
+        if not np.all(np.abs(sums - 1.0) <= EXACT_TOL):
             raise ValueError(f"p(x,y|a,b) must sum to 1 per basis pair, got {sums.tolist()}")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -255,26 +255,17 @@ def correlation(p: CondProbTable, a: int, b: int) -> float:
 def bell_s(e00: float, e01: float, e10: float, e11: float) -> float:
     """The CHSH combination E(0,0) + E(0,1) + E(1,0) - E(1,1), no absolute value."""
     for name, e in (("E(0,0)", e00), ("E(0,1)", e01), ("E(1,0)", e10), ("E(1,1)", e11)):
-        if abs(e) > 1.0 + EXACT_TOL:
+        if not abs(e) <= 1.0 + EXACT_TOL:
             raise ValueError(f"{name} = {e!r} outside [-1, 1]")
     return float(e00 + e01 + e10 - e11)
-
-
-_PHI_PLUS_PROJ = Projector.onto(phi_plus())
 
 
 def selection_probability_table(
     scheme_a: PreparationScheme, scheme_b: PreparationScheme
 ) -> np.ndarray:
     """Charlie's acceptance probability for each (a, b, x, y) preparation pair."""
-    table = np.zeros((2, 2, 2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            for x in (0, 1):
-                for y in (0, 1):
-                    pair = tensor(scheme_a.state(a, x), scheme_b.state(b, y))
-                    table[a, b, x, y] = born_prob(pair, _PHI_PLUS_PROJ)
-    return table
+    phi = phi_plus().amps
+    return acceptance_table(np.outer(phi, phi.conj()), scheme_a.angles, scheme_b.angles)
 
 
 def exact_postselected(
@@ -309,7 +300,7 @@ def exact_s(scheme_a: PreparationScheme, scheme_b: PreparationScheme) -> float:
 
 def check_basis_independence(scheme: PreparationScheme, tol: float) -> tuple[float, bool]:
     """Trace distance between the two basis ensembles, and whether it passes tol."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     distance = trace_distance(scheme.basis_mixture(0), scheme.basis_mixture(1))
     return distance, distance <= tol
@@ -355,16 +346,13 @@ def run_quantum_mc(
 
 @dataclass(frozen=True)
 class BellReport:
-    """Correlations, the CHSH value, and bootstrap standard errors.
-
-    ``se_e`` / ``se_s`` are None when error estimation was not requested
-    (bootstrap_resamples = 0).
-    """
+    """Correlations, the CHSH value, their standard errors, and the violation p-value."""
 
     e: np.ndarray
     s: float
-    se_e: np.ndarray | None
-    se_s: float | None
+    se_e: np.ndarray
+    se_s: float
+    p_value: float
     n_total: int
     n_selected: int
 
@@ -372,45 +360,43 @@ class BellReport:
         e = np.array(self.e, dtype=np.float64)
         if e.shape != (2, 2):
             raise ValueError(f"correlation table must have shape (2,2), got {e.shape}")
-        if np.any(np.abs(e) > 1.0 + EXACT_TOL):
+        if not np.all(np.abs(e) <= 1.0 + EXACT_TOL):
             raise ValueError("correlations must lie in [-1, 1]")
         if self.s != bell_s(e[0, 0], e[0, 1], e[1, 0], e[1, 1]):
             raise ValueError("stored S does not equal the CHSH combination of stored E values")
+        se_e = np.array(self.se_e, dtype=np.float64)
         e.setflags(write=False)
+        se_e.setflags(write=False)
         object.__setattr__(self, "e", e)
-        if self.se_e is not None:
-            se_e = np.array(self.se_e, dtype=np.float64)
-            se_e.setflags(write=False)
-            object.__setattr__(self, "se_e", se_e)
+        object.__setattr__(self, "se_e", se_e)
 
 
-def bell_report(t: Tally, bootstrap_resamples: int = 1000, seed: int = 0) -> BellReport:
-    """Point estimates from a tally plus nonparametric bootstrap errors.
+def bell_report(t: Tally) -> BellReport:
+    """Point estimates from a tally, with closed-form errors and a p-value.
 
-    Counts are resampled multinomially per basis pair, holding each pair's
-    selected count fixed; the standard errors are the sample deviations of the
-    resampled statistics, so at least 2 resamples are needed.
+    Given the selected count m of a basis pair, its outcome products are
+    i.i.d. in {-1, +1}, so se(E) = sqrt((1 - E^2) / m), which is
+    2 sqrt(n+ n-) / m^(3/2) in the counts n+ and n- of each sign, and
+    se(S) = sqrt(sum se(E)^2).
+
+    ``p_value`` bounds, for any source with |S| <= 2, the chance of an
+    estimate at least as far beyond 2 as the observed one, and uses no
+    variance estimate.  Hoeffding's inequality on the four cell means gives
+    P(|S_hat - S| >= t) <= 2 exp(-t^2 / (2 sum 1/m)); p takes it at
+    t = |S_hat| - 2, capped at 1, and p = 1 when |S_hat| <= 2.
     """
-    if bootstrap_resamples < 0 or bootstrap_resamples == 1:
-        raise ValueError(f"bootstrap_resamples must be 0 or >= 2, got {bootstrap_resamples}")
     table = conditional_probs(t)
     e = np.array([[correlation(table, a, b) for b in (0, 1)] for a in (0, 1)])
     s = bell_s(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
-    if bootstrap_resamples == 0:
-        return BellReport(e, s, None, None, t.n_total, t.n_selected)
-    rng = np.random.default_rng(seed)
-    reps = np.zeros((bootstrap_resamples, 2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            m = int(t.counts[a, b].sum())
-            draws = rng.multinomial(m, t.counts[a, b].ravel() / m, size=bootstrap_resamples)
-            reps[:, a, b] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / m
-    s_reps = reps[:, 0, 0] + reps[:, 0, 1] + reps[:, 1, 0] - reps[:, 1, 1]
+    counts = t.counts.astype(np.float64)
+    agree = counts[:, :, 0, 0] + counts[:, :, 1, 1]
+    differ = counts[:, :, 0, 1] + counts[:, :, 1, 0]
+    m = agree + differ
+    se_e = 2.0 * np.sqrt(agree * differ) / (m * np.sqrt(m))
+    excess = abs(s) - 2.0
+    p_value = 1.0
+    if excess > 0.0:
+        p_value = min(1.0, 2.0 * math.exp(-(excess**2) / (2.0 * float(np.sum(1.0 / m)))))
     return BellReport(
-        e,
-        s,
-        reps.std(axis=0, ddof=1),
-        float(s_reps.std(ddof=1)),
-        t.n_total,
-        t.n_selected,
+        e, s, se_e, float(np.sqrt(np.sum(se_e**2))), p_value, t.n_total, t.n_selected
     )

@@ -42,12 +42,15 @@ def canonical_angle(theta: float) -> float:
     return 0.0 if t >= TWO_PI else t
 
 
-def _clamp_probability(value: float) -> float:
-    # Rounding may push a probability past a boundary by ~machine epsilon;
-    # anything farther out than EXACT_TOL is a logic bug, not rounding.
-    if value < -EXACT_TOL or value > 1.0 + EXACT_TOL:
+def _clamp_probability(value):
+    """Clamp probabilities to [0, 1] elementwise.
+
+    Rounding may push a probability past a boundary by ~machine epsilon;
+    anything farther out than EXACT_TOL, or NaN, is a logic bug, not rounding.
+    """
+    if not np.all((value >= -EXACT_TOL) & (value <= 1.0 + EXACT_TOL)):
         raise NumericsError(f"probability {value!r} outside [0, 1] beyond rounding tolerance")
-    return min(max(value, 0.0), 1.0)
+    return np.clip(value, 0.0, 1.0)
 
 
 def _check_register_dim(dim: int, what: str) -> int:
@@ -76,10 +79,6 @@ class PureState:
     @property
     def n_qubits(self) -> int:
         return self.amps.size.bit_length() - 1
-
-    def density(self) -> "DensityMatrix":
-        """The rank-one density matrix |psi><psi|."""
-        return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
 
 @dataclass(frozen=True)
@@ -158,13 +157,23 @@ def phi_plus() -> PureState:
     return PureState(np.array([inv, 0.0, 0.0, inv], dtype=np.complex128))
 
 
-def born_prob(state: PureState, p: Projector) -> float:
-    """<psi|P|psi>, clamped to [0, 1] within rounding tolerance."""
-    if p.mat.shape[0] != state.amps.size:
-        raise ValueError(
-            f"projector dimension {p.mat.shape[0]} does not match state dimension {state.amps.size}"
-        )
-    return _clamp_probability(float(np.real(np.vdot(state.amps, p.mat @ state.amps))))
+def _real_kets(angles) -> np.ndarray:
+    """Amplitudes (cos(t/2), sin(t/2)) of the real kets at the given angles, on a last axis."""
+    half = np.asarray(angles, dtype=np.float64) / 2.0
+    return np.stack([np.cos(half), np.sin(half)], axis=-1)
+
+
+def acceptance_table(effect: np.ndarray, angles_a, angles_b) -> np.ndarray:
+    """tr[E (|u_ax><u_ax| (x) |v_by><v_by|)] for every (a, x, b, y), as [a, b, x, y].
+
+    ``effect`` is a 4x4 effect E on two qubits; ``angles_a[a, x]`` and
+    ``angles_b[b, y]`` are the angles of the real kets u_ax = ket_theta(...)
+    on the left and v_by on the right qubit.  Values within rounding tolerance
+    of [0, 1] are clamped into it; any other value raises NumericsError.
+    """
+    u, v = _real_kets(angles_a), _real_kets(angles_b)
+    e = np.asarray(effect).reshape(2, 2, 2, 2)
+    return _clamp_probability(np.einsum("axi,byj,ijkl,axk,byl->abxy", u, v, e, u, v).real)
 
 
 def mixture_density(components: list[tuple[float, PureState]]) -> DensityMatrix:
@@ -172,10 +181,10 @@ def mixture_density(components: list[tuple[float, PureState]]) -> DensityMatrix:
     if not components:
         raise ValueError("mixture requires at least one component")
     probs = [float(p) for p, _ in components]
-    if any(p < 0.0 for p in probs):
+    if not all(p >= 0.0 for p in probs):
         raise ValueError(f"mixture probabilities must be nonnegative, got {probs}")
     total = sum(probs)
-    if abs(total - 1.0) > EXACT_TOL:
+    if not abs(total - 1.0) <= EXACT_TOL:
         raise ValueError(f"mixture probabilities sum to {total!r}, expected 1")
     dim = components[0][1].amps.size
     if any(s.amps.size != dim for _, s in components):
@@ -192,21 +201,3 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {rho.mat.shape} vs {sigma.mat.shape}")
     eigs = np.linalg.eigvalsh(rho.mat - sigma.mat)
     return 0.5 * float(np.sum(np.abs(eigs)))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix over the kept qubit indices (ascending order)."""
-    n = rho.n_qubits
-    kept = sorted(set(int(q) for q in keep))
-    if not kept or any(q < 0 or q >= n for q in kept):
-        raise ValueError(f"keep set {sorted(keep)!r} is not a nonempty subset of qubits 0..{n - 1}")
-    if len(kept) == n:
-        return DensityMatrix(rho.mat)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    rows = letters[:n]
-    cols = [letters[n + q] if q in kept else rows[q] for q in range(n)]
-    out = "".join(rows[q] for q in kept) + "".join(letters[n + q] for q in kept)
-    t = rho.mat.reshape([2] * (2 * n))
-    reduced = np.einsum(f"{rows}{''.join(cols)}->{out}", t)
-    dim = 1 << len(kept)
-    return DensityMatrix(reduced.reshape(dim, dim))

@@ -17,11 +17,13 @@ reproduce the canonical assignment (it yields the label-swapped variant whose
 CHSH value is 0), so rotated local measurement is the realization used here.
 
 All property-style quantities (joint distributions, CHSH sweeps) are computed
-by exact density-matrix evolution; sampling is used only to produce tallies.
+exactly, on the two Charlie-bound qubits or by four-qubit density-matrix
+evolution; sampling is used only to produce tallies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,7 @@ from .qcore import (
     NumericsError,
     Projector,
     PureState,
+    acceptance_table,
     ket_theta,
     phi_plus,
     tensor,
@@ -82,8 +85,8 @@ class NoiseParams:
             object.__setattr__(self, name, v)
         for name in ("jitter_alice", "jitter_bob"):
             v = float(getattr(self, name))
-            if v < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {v!r}")
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
             object.__setattr__(self, name, v)
 
 
@@ -177,41 +180,42 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     """Exact p(x, y, c | a, b) as an array indexed [a, b, x, y, c].
 
     ``parties-first`` applies the local measurements, then channel noise, then
-    Charlie's selection effect; ``charlie-first`` applies noise, performs
-    Charlie's (generalized) measurement, and measures the parties on the
-    post-selection state.  The two agree because all three act on disjoint
-    subsystems.
+    Charlie's selection effect.  Measuring a kept half of |phi+> with the real
+    projector onto |u> sends its partner |u> with probability 1/2, and the
+    depolarizing channel is self-adjoint, so this ordering reduces to the two
+    Charlie-bound qubits: p(x, y, 1 | a, b) = 1/4 tr[(D_A (x) D_B)(E_1)
+    (|u_ax><u_ax| (x) |v_by><v_by|)].  ``charlie-first`` evolves all four
+    qubits: it applies noise, performs Charlie's (generalized) measurement,
+    and measures the parties on the post-selection state.  The two agree
+    because all three act on disjoint subsystems, and the second is the
+    independent reference for the first.
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+    if order == "parties-first":
+        effect = _depolarize_qubit(_charlie_effect(noise.charlie_mix), 0, noise.depol_alice, 2)
+        effect = _depolarize_qubit(effect, 1, noise.depol_bob, 2)
+        alice_scheme, bob_scheme = canonical_schemes()
+        accepted = 0.25 * acceptance_table(
+            effect, alice_scheme.angles + noise.jitter_alice, bob_scheme.angles + noise.jitter_bob
+        )
+        return np.stack([0.25 - accepted, accepted], axis=-1)
     rho0 = np.outer(build_initial().amps, build_initial().amps.conj())
     alice, bob = _party_projectors(noise)
     effect1 = _embed(_charlie_effect(noise.charlie_mix), (1, 3), 4)
     effect0 = np.eye(16, dtype=np.complex128) - effect1
     joint = np.zeros((2, 2, 2, 2, 2))
-    if order == "parties-first":
+    rho = _depolarize_qubit(rho0, 1, noise.depol_alice, 4)
+    rho = _depolarize_qubit(rho, 3, noise.depol_bob, 4)
+    for c, effect in ((0, effect0), (1, effect1)):
+        sq = _sqrtm_psd(effect)
+        rho_c = sq @ rho @ sq
         for a in (0, 1):
             for b in (0, 1):
                 for x in (0, 1):
                     for y in (0, 1):
                         m = alice[a][x] @ bob[b][y]
-                        rho = m @ rho0 @ m
-                        rho = _depolarize_qubit(rho, 1, noise.depol_alice, 4)
-                        rho = _depolarize_qubit(rho, 3, noise.depol_bob, 4)
-                        joint[a, b, x, y, 1] = float(np.real(np.trace(effect1 @ rho)))
-                        joint[a, b, x, y, 0] = float(np.real(np.trace(effect0 @ rho)))
-    else:
-        rho = _depolarize_qubit(rho0, 1, noise.depol_alice, 4)
-        rho = _depolarize_qubit(rho, 3, noise.depol_bob, 4)
-        for c, effect in ((0, effect0), (1, effect1)):
-            sq = _sqrtm_psd(effect)
-            rho_c = sq @ rho @ sq
-            for a in (0, 1):
-                for b in (0, 1):
-                    for x in (0, 1):
-                        for y in (0, 1):
-                            m = alice[a][x] @ bob[b][y]
-                            joint[a, b, x, y, c] = float(np.real(np.trace(m @ rho_c)))
+                        joint[a, b, x, y, c] = float(np.real(np.trace(m @ rho_c)))
     return joint
 
 

@@ -1,8 +1,41 @@
-"""Shared builders for randomized property tests."""
+"""Shared builders for randomized property tests, and the exact-QM oracles."""
 
 import numpy as np
 
-from bellpost import lhv
+from bellpost import lhv, qcore
+from bellpost.qcore import DensityMatrix, Projector, PureState
+
+
+def density(state: PureState) -> DensityMatrix:
+    """The rank-one density matrix |psi><psi|."""
+    return DensityMatrix(np.outer(state.amps, state.amps.conj()))
+
+
+def born_prob(state: PureState, p: Projector) -> float:
+    """<psi|P|psi>, clamped to [0, 1] within rounding tolerance."""
+    if p.mat.shape[0] != state.amps.size:
+        raise ValueError(
+            f"projector dimension {p.mat.shape[0]} does not match state dimension {state.amps.size}"
+        )
+    return float(qcore._clamp_probability(float(np.real(np.vdot(state.amps, p.mat @ state.amps)))))
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced density matrix over the kept qubit indices (ascending order)."""
+    n = rho.n_qubits
+    kept = sorted(set(int(q) for q in keep))
+    if not kept or any(q < 0 or q >= n for q in kept):
+        raise ValueError(f"keep set {sorted(keep)!r} is not a nonempty subset of qubits 0..{n - 1}")
+    if len(kept) == n:
+        return DensityMatrix(rho.mat)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    rows = letters[:n]
+    cols = [letters[n + q] if q in kept else rows[q] for q in range(n)]
+    out = "".join(rows[q] for q in kept) + "".join(letters[n + q] for q in kept)
+    t = rho.mat.reshape([2] * (2 * n))
+    reduced = np.einsum(f"{rows}{''.join(cols)}->{out}", t)
+    dim = 1 << len(kept)
+    return DensityMatrix(reduced.reshape(dim, dim))
 
 
 def random_deterministic_model(rng: np.random.Generator) -> lhv.LhvSimModel:

@@ -44,7 +44,7 @@ def test_criterion_1_quantum_violation_exact():
 def test_criterion_2_quantum_violation_sampled():
     start = time.perf_counter()
     tally = protocol.run_quantum_mc(*protocol.canonical_schemes(), n_trials=10**6, seed=42)
-    rep = protocol.bell_report(tally, 1000, seed=42)
+    rep = protocol.bell_report(tally)
     elapsed = time.perf_counter() - start
     ok = abs(rep.s - TWO_SQRT2) <= 5 * rep.se_s and rep.se_s < 0.02 and elapsed < 30.0
     _report(
@@ -93,9 +93,9 @@ def test_criterion_5_pipeline_consistency():
         m = random_deterministic_model(rng)
         exact = lhv.s_from_cells(lhv.cells_from_model(m))
         tally = lhv.simulate_lhv(m, 10**6, seed=int(rng.integers(2**32)))
-        rep = protocol.bell_report(tally, 500, seed=0)
+        rep = protocol.bell_report(tally)
         diff = abs(rep.s - exact)
-        # single-support models yield a point-mass tally with zero bootstrap error
+        # single-support models yield a point-mass tally with a zero error bar
         pull = diff / rep.se_s if rep.se_s > 0 else (0.0 if diff == 0.0 else math.inf)
         worst_pull = max(worst_pull, pull)
     ok = worst_pull <= 5.0
@@ -155,7 +155,7 @@ def test_criterion_8_no_signaling_and_selection_rate():
 
 def test_criterion_9_swap_realization():
     tally = swap.run_swap(swap.SwapConfig(n_trials=10**6, seed=9))
-    rep = protocol.bell_report(tally, 1000, seed=9)
+    rep = protocol.bell_report(tally)
     sampled_ok = abs(rep.s - TWO_SQRT2) <= 5 * rep.se_s
 
     rng = np.random.default_rng(9)

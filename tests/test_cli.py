@@ -60,7 +60,6 @@ class TestParseConfig:
         assert cfg.mode == "quantum-mc"
         assert cfg.trials == 10**6
         assert cfg.seed == 42
-        assert cfg.bootstrap == 1000
 
     def test_unnormalized_priors_name_the_field(self):
         doc = {
@@ -152,9 +151,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"unknown field.*prios"):
             config_from_doc(doc)
 
-    def test_bootstrap_range_edges_accepted(self):
-        for count in (0, 2, 1_000_000):
-            assert config_from_doc({"mode": "swap", "bootstrap": count}).bootstrap == count
+    def test_bootstrap_field_rejected(self):
+        # Report schema 2 computes its error bars in closed form.
+        for mode in ("quantum-mc", "lhv-mc", "swap"):
+            with pytest.raises(ConfigError, match=r"unknown field.*bootstrap"):
+                config_from_doc({"mode": mode, "bootstrap": 1000})
 
     def test_count_upper_limits_accepted(self):
         # Validation only: nothing runs 10^10 trials here.
@@ -213,14 +214,24 @@ class TestRunReports:
     def test_config_echo_contains_defaults(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 1000}))
         echo = report["config"]
-        assert echo["bootstrap"] == 1000
+        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 2
+        assert echo["schema_version"] == cli.CONFIG_SCHEMA_VERSION == 1
         assert echo["seed"] == 0
         assert "alice" in echo["schemes"]
 
-    def test_bootstrap_zero_uses_sentinel(self):
-        report = run(config_from_doc({"mode": "quantum-mc", "trials": 2000, "bootstrap": 0}))
-        assert report["results"]["se_s"] == "not computed"
-        assert report["verdict"] == "not assessed"
+    def test_one_sign_cells_give_no_violation(self):
+        # 13 selected trials, every cell all one sign: S = 4 with se(S) = 0,
+        # which the distribution-free bound does not count as a violation.
+        report = run(config_from_doc({"mode": "quantum-mc", "trials": 40, "seed": 1}))
+        results = report["results"]
+        assert (results["s"], results["se_s"], results["n_selected"]) == (4.0, 0.0, 13)
+        assert results["p_value"] > 0.1
+        assert report["verdict"] == "no violation"
+
+    def test_sampled_verdict_follows_p_value(self):
+        report = run(config_from_doc({"mode": "quantum-mc", "trials": 20_000, "seed": 5}))
+        assert report["results"]["p_value"] < 2.87e-7
+        assert report["verdict"] == "task completed"
 
     def test_report_round_trips(self):
         report = run(config_from_doc({"mode": "quantum-exact"}))
@@ -392,7 +403,8 @@ class TestMain:
 
     @pytest.mark.parametrize("count", ["1", "-1", "1000001", str(2**62)])
     def test_bootstrap_out_of_range_exits_2(self, capsys, count):
-        # Rejected before any resample is drawn, so 2**62 is never allocated.
+        # Report schema 2 has no --bootstrap flag, so every count is a usage
+        # error, reported as a JSON config error.
         assert main(["quantum-mc", "--trials", "1000", "--bootstrap", count]) == 2
         out = _strict_json(capsys.readouterr().out)
         assert out["error"]["type"] == "ConfigError"
@@ -425,7 +437,7 @@ class TestMain:
             return original(noise, order)
 
         monkeypatch.setattr(cli.swap, "joint_distribution", counted)
-        assert main(["swap", "--trials", "2000", "--bootstrap", "0"]) == 0
+        assert main(["swap", "--trials", "2000"]) == 0
         assert sorted(calls) == sorted(cli.swap.ORDERS)
 
     def test_byte_identical_reruns(self, capsys):

@@ -1,9 +1,11 @@
 """Property test: a documented config with one field replaced never crashes the CLI.
 
 Each example in docs/examples has one top-level or nested field (an object
-key or a list entry) replaced by an arbitrary JSON value.  Whatever the
-value, ``main`` must exit with a documented code, print strict JSON, and on
-success report CHSH values within the algebraic bound |S| <= 4.
+key or a list entry) replaced by an arbitrary JSON value, and the command
+line may carry a replaced mode and extra flags, known or not, with arbitrary
+values.  Whatever the input, ``main`` must exit with a documented code, print
+strict JSON, and on success report CHSH values within the algebraic bound
+|S| <= 4.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import re
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellpost.cli import main
@@ -70,6 +72,25 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 
+# Flags a fuzzed command line may add.  --out, --csv and --config name files
+# and --format csv makes stdout CSV, so they are left out; --bootstrap and
+# --trails are not flags of any mode.
+FLAGS = ("--trials", "--seed", "--tol", "--grid", "--bootstrap", "--trails")
+FLAG_VALUES = st.integers(-MAX_COUNT, MAX_COUNT).map(str) | st.text(max_size=8)
+EXTRA_ARGS = st.lists(st.tuples(st.sampled_from(FLAGS), FLAG_VALUES), max_size=2).map(
+    lambda pairs: [arg for pair in pairs for arg in pair]
+)
+MODE_ARGS = st.none() | st.text(max_size=8)
+
+
+def _count(value: str):
+    """The integer argparse would read for a count flag, or None."""
+    try:
+        return int(value)
+    except ValueError:
+        return None
+
+
 # Result keys that hold a CHSH value: s, exact_s, s_exact, max_abs_s, ...
 S_KEY = re.compile(r"(^|_)s($|_)")
 
@@ -91,11 +112,18 @@ def _reject_constant(name):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=st.sampled_from(CASES), value=JSON_VALUES)
-def test_one_replaced_field_never_crashes(case, value):
+@given(case=st.sampled_from(CASES), value=JSON_VALUES, mode=MODE_ARGS, extra=EXTRA_ARGS)
+@example(case=CASES[0], value=None, mode=None, extra=["--trials", "abc"])
+@example(case=CASES[0], value=None, mode=None, extra=["--bootstrap", "200"])
+@example(case=CASES[0], value=None, mode=None, extra=["--trails", "5"])
+@example(case=CASES[0], value=None, mode="teleport", extra=[])
+def test_one_replaced_field_never_crashes(case, value, mode, extra):
     base, path = case
     if path in (("trials",), ("samples",)):
         assume(not (type(value) is int and value > MAX_COUNT))
+    for flag, arg in zip(extra[::2], extra[1::2]):
+        if flag == "--trials":
+            assume((_count(arg) or 0) <= MAX_COUNT)
     doc = copy.deepcopy(base)
     node = doc
     for key in path[:-1]:
@@ -107,7 +135,7 @@ def test_one_replaced_field_never_crashes(case, value):
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(io.StringIO()),
     ):
-        code = main([base["mode"], "--config", "-"])
+        code = main([base["mode"] if mode is None else mode, "--config", "-", *extra])
     assert code in (0, 2, 3, 4)
     report = json.loads(out.getvalue(), parse_constant=_reject_constant)
     if code == 0:

@@ -16,6 +16,7 @@ from bellpost.lhv import (
     cells_from_model,
     loophole_max_example,
     max_abs_s_deterministic,
+    random_max_abs_s,
     s_from_cells,
     s_indeterministic,
     s_with_discards,
@@ -112,6 +113,20 @@ class TestMaxAbsSDeterministic:
         for _ in range(10_000):
             w = CellWeights(rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2))
             assert abs(s_from_cells(w)) <= best + 1e-12
+
+
+class TestRandomMaxAbsS:
+    @pytest.mark.parametrize("samples", [1, 50, 4096, 9000])
+    def test_matches_single_draw_loop(self, samples):
+        # The block draws read the stream as single draws do, and each row's S
+        # sums in the same order, so the sweep's maximum is bit-identical.
+        for seed in (0, 7, 2**40 + 3):
+            rng = np.random.default_rng(seed)
+            want = 0.0
+            for _ in range(samples):
+                w = CellWeights(rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2))
+                want = max(want, abs(s_from_cells(w)))
+            assert random_max_abs_s(np.random.default_rng(seed), samples) == want
 
 
 class TestSIndeterministic:
@@ -216,6 +231,19 @@ class TestCellsFromModel:
         assert w.w[0, 0, 0, 0] == pytest.approx(0.5)
         assert w.w[1, 1, 0, 0] == pytest.approx(0.5)
 
+    def test_matches_pairwise_loop(self):
+        # Pairs (lambda_i, lambda'_j) that share a cell add in row-major order.
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            m = random_deterministic_model(rng)
+            selected = m.lambda_probs[:, None] * m.lambda_prime_probs[None, :] * m.select
+            ra, rb = m.response_a.astype(int), m.response_b.astype(int)
+            want = np.zeros((2, 2, 2, 2))
+            for i in range(ra.shape[1]):
+                for j in range(rb.shape[1]):
+                    want[ra[0, i], ra[1, i], rb[0, j], rb[1, j]] += selected[i, j]
+            np.testing.assert_array_equal(cells_from_model(m).w, want / selected.sum())
+
     def test_matches_full_expectation_oracle(self):
         rng = np.random.default_rng(25)
         for _ in range(50):
@@ -245,7 +273,7 @@ class TestCellsFromModel:
 class TestSimulateLhv:
     def test_deterministic_cell_recovers_its_s(self):
         t = simulate_lhv(_single_cell_model(0, 0, 0, 0), 100_000, seed=30)
-        rep = protocol.bell_report(t, 500, seed=0)
+        rep = protocol.bell_report(t)
         assert rep.s == 2.0  # the only outcome is (x,y)=(0,0) in every cell
 
     def test_zero_selection_gives_empty_tally(self):
@@ -259,7 +287,7 @@ class TestSimulateLhv:
         for _ in range(3):
             m = random_stochastic_model(rng)
             t = simulate_lhv(m, 1_000_000, seed=int(rng.integers(2**32)))
-            rep = protocol.bell_report(t, 500, seed=0)
+            rep = protocol.bell_report(t)
             assert abs(rep.s) <= 2.0 + 5 * rep.se_s
 
     def test_agrees_with_cell_pipeline(self):
@@ -267,7 +295,7 @@ class TestSimulateLhv:
         for _ in range(3):
             m = random_deterministic_model(rng)
             t = simulate_lhv(m, 1_000_000, seed=int(rng.integers(2**32)))
-            rep = protocol.bell_report(t, 1000, seed=0)
+            rep = protocol.bell_report(t)
             assert abs(rep.s - s_from_cells(cells_from_model(m))) <= 5 * rep.se_s
 
     def test_statistical_no_signaling(self):

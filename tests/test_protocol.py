@@ -374,7 +374,7 @@ class TestRunQuantumMc:
     def test_mc_agrees_with_exact(self):
         alice, bob = canonical_schemes()
         t = run_quantum_mc(alice, bob, 1_000_000, seed=42)
-        rep = bell_report(t, 1000, seed=0)
+        rep = bell_report(t)
         assert abs(rep.s - exact_s(alice, bob)) < 5 * rep.se_s
 
 
@@ -525,23 +525,54 @@ class TestBellReport:
         return Tally(counts, int(counts.sum() * 4))
 
     def test_scaled_exact_tally_recovers_s(self):
-        rep = bell_report(self._scaled_tally(), 1000, seed=3)
+        rep = bell_report(self._scaled_tally())
         assert rep.se_s > 0
         assert abs(rep.s - TWO_SQRT2) < 5 * rep.se_s
+        assert rep.p_value < 2.87e-7
 
-    @pytest.mark.parametrize("resamples", [-1, 1])
-    def test_fewer_than_two_resamples_rejected(self, resamples):
-        with pytest.raises(ValueError, match="bootstrap_resamples"):
-            bell_report(self._scaled_tally(), resamples, seed=0)
+    def test_errors_are_the_closed_form(self):
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            counts = rng.integers(1, 500, size=(2, 2, 2, 2))
+            rep = bell_report(Tally(counts, int(counts.sum())))
+            m = counts.sum(axis=(2, 3))
+            se_e = np.sqrt((1.0 - rep.e**2) / m)
+            np.testing.assert_allclose(rep.se_e, se_e, rtol=1e-12, atol=0.0)
+            assert rep.se_s == pytest.approx(math.sqrt(np.sum(se_e**2)), rel=1e-12)
 
-    def test_no_bootstrap_gives_none(self):
-        rep = bell_report(self._scaled_tally(), 0, seed=0)
-        assert rep.se_s is None and rep.se_e is None
+    def test_p_value_is_the_hoeffding_bound(self):
+        # E = +0.8 on three cells and -0.8 on (1, 1): S = 3.2 over 10 + 20 + 40 + 80 trials.
+        counts = np.zeros((2, 2, 2, 2), dtype=int)
+        for (a, b), m in {(0, 0): 10, (0, 1): 20, (1, 0): 40, (1, 1): 80}.items():
+            majority, minority = (0, 0), (0, 1)
+            if (a, b) == (1, 1):
+                majority, minority = minority, majority
+            counts[a, b][majority] = 9 * m // 10
+            counts[a, b][minority] = m // 10
+        rep = bell_report(Tally(counts, 1000))
+        assert rep.s == pytest.approx(3.2, abs=1e-12)
+        bound = 2 * math.exp(-(1.2**2) / (2 * (1 / 10 + 1 / 20 + 1 / 40 + 1 / 80)))
+        assert rep.p_value == pytest.approx(bound, rel=1e-12)
+
+    def test_p_value_is_one_within_the_classical_bound(self):
+        rep = bell_report(Tally(np.full((2, 2, 2, 2), 50), 1000))
+        assert rep.s == 0.0
+        assert rep.p_value == 1.0
+
+    def test_one_sign_cells_get_no_small_p_value(self):
+        # Three selected trials per cell, each cell all one sign: S = 4 with
+        # se(S) = 0, yet the bound still allows such a run from |S| <= 2.
+        counts = np.zeros((2, 2, 2, 2), dtype=int)
+        counts[:, :, 0, 0] = 3
+        counts[1, 1] = [[0, 3], [0, 0]]
+        rep = bell_report(Tally(counts, 40))
+        assert rep.s == 4.0 and rep.se_s == 0.0
+        assert rep.p_value == pytest.approx(2 * math.exp(-1.5), rel=1e-12)
 
     def test_point_mass_tally_has_zero_error(self):
         counts = np.zeros((2, 2, 2, 2), dtype=int)
         counts[:, :, 0, 0] = 100
-        rep = bell_report(Tally(counts, 1000), 200, seed=0)
+        rep = bell_report(Tally(counts, 1000))
         assert rep.s == 2.0  # E = +1 everywhere, so S = 1+1+1-1
         assert rep.se_s == 0.0
 
@@ -549,11 +580,11 @@ class TestBellReport:
         counts = np.zeros((2, 2, 2, 2), dtype=int)
         counts[0, 0, 0, 0] = 5
         with pytest.raises(EmptyCellError):
-            bell_report(Tally(counts, 10), 100, seed=0)
+            bell_report(Tally(counts, 10))
 
     def test_stored_s_consistency_enforced(self):
         with pytest.raises(ValueError, match="CHSH combination"):
-            BellReport(np.zeros((2, 2)), 1.0, None, None, 10, 5)
+            BellReport(np.zeros((2, 2)), 1.0, np.zeros((2, 2)), 0.0, 1.0, 10, 5)
 
 
 class TestTallyTypes:
@@ -575,3 +606,44 @@ class TestTallyTypes:
         bad = np.full((2, 2, 2, 2), 0.2)
         with pytest.raises(ValueError, match="sum to 1"):
             CondProbTable(bad)
+
+
+def _lhv_kwargs(**override) -> dict:
+    kwargs = dict(
+        lambda_values=[0.2, 0.8],
+        lambda_probs=[0.5, 0.5],
+        lambda_prime_values=[0.3],
+        lambda_prime_probs=[1.0],
+        response_a=[[0.1, 0.9], [0.7, 0.2]],
+        response_b=[[0.4], [0.6]],
+        select=[[0.9], [0.4]],
+    )
+    return {**kwargs, **override}
+
+
+NAN, INF = math.nan, math.inf
+ANGLES = [[0.0, PI], [PI / 2, 3 * PI / 2]]
+NONFINITE = {
+    "scheme-angle-nan": lambda: PreparationScheme.uniform([[NAN, PI], [PI / 2, 3 * PI / 2]]),
+    "scheme-angle-inf": lambda: PreparationScheme.uniform([[INF, PI], [PI / 2, 3 * PI / 2]]),
+    "scheme-prior": lambda: PreparationScheme(ANGLES, [[NAN, 0.5], [0.5, 0.5]]),
+    "lhv-value": lambda: lhv.LhvSimModel(**_lhv_kwargs(lambda_values=[NAN, 0.8])),
+    "lhv-prob": lambda: lhv.LhvSimModel(**_lhv_kwargs(lambda_probs=[NAN, 0.5])),
+    "lhv-prime-prob": lambda: lhv.LhvSimModel(**_lhv_kwargs(lambda_prime_probs=[NAN])),
+    "lhv-response": lambda: lhv.LhvSimModel(**_lhv_kwargs(response_b=[[NAN], [0.6]])),
+    "lhv-select": lambda: lhv.LhvSimModel(**_lhv_kwargs(select=[[0.9], [NAN]])),
+    "response-weight": lambda: lhv.ResponseModel([NAN, 0.5], [0, 0], [0, 0], [0, 0], [0, 0]),
+    "response-value": lambda: lhv.ResponseModel([1.0], [NAN], [0.0], [0.0], [0.0]),
+    "cell-weights": lambda: lhv.CellWeights.from_flat([NAN] + [1 / 15] * 15),
+    "trit-cell-weights": lambda: lhv.TritCellWeights.from_flat([NAN] + [1 / 80] * 80),
+    "noise-depol": lambda: swap.NoiseParams(depol_bob=NAN),
+    "noise-mix": lambda: swap.NoiseParams(charlie_mix=NAN),
+    "noise-jitter-nan": lambda: swap.NoiseParams(jitter_alice=NAN),
+    "noise-jitter-inf": lambda: swap.NoiseParams(jitter_bob=INF),
+}
+
+
+@pytest.mark.parametrize("build", NONFINITE.values(), ids=NONFINITE.keys())
+def test_constructor_rejects_nonfinite(build):
+    with pytest.raises(ValueError):
+        build()

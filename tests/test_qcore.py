@@ -11,15 +11,15 @@ from bellpost.qcore import (
     NumericsError,
     Projector,
     PureState,
-    born_prob,
+    acceptance_table,
     canonical_angle,
     ket_theta,
     mixture_density,
-    partial_trace,
     phi_plus,
     tensor,
     trace_distance,
 )
+from conftest import born_prob, density, partial_trace
 
 
 def overlap_prob_oracle(theta_a: float, theta_b: float) -> float:
@@ -91,7 +91,7 @@ class TestPhiPlus:
         assert born_prob(phi_plus(), Projector.onto(phi_plus())) == pytest.approx(1.0, abs=1e-12)
 
     def test_both_marginals_maximally_mixed(self):
-        rho = phi_plus().density()
+        rho = density(phi_plus())
         for keep in ((0,), (1,)):
             np.testing.assert_allclose(partial_trace(rho, keep).mat, np.eye(2) / 2, atol=1e-12)
 
@@ -132,6 +132,41 @@ class TestBornProb:
             born_prob(ket_theta(0.0), Projector.onto(phi_plus()))
 
 
+class TestAcceptanceTable:
+    def _angles(self, rng):
+        return rng.uniform(-2 * math.pi, 4 * math.pi, size=(2, 2))
+
+    def test_matches_born_oracle_for_phi_plus(self):
+        proj = Projector.onto(phi_plus())
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            ta, tb = self._angles(rng), self._angles(rng)
+            table = acceptance_table(proj.mat, ta, tb)
+            for a, b, x, y in np.ndindex(2, 2, 2, 2):
+                pair = tensor(ket_theta(ta[a, x]), ket_theta(tb[b, y]))
+                assert abs(table[a, b, x, y] - born_prob(pair, proj)) <= 1e-15
+
+    def test_matches_born_rule_for_random_effects(self):
+        # tr[E |psi><psi|] = <psi|E|psi> for an effect with eigenvalues in [0, 1].
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            basis = _random_unitary(rng, 4)
+            effect = (basis * rng.uniform(0, 1, size=4)) @ basis.conj().T
+            ta, tb = self._angles(rng), self._angles(rng)
+            table = acceptance_table(effect, ta, tb)
+            for a, b, x, y in np.ndindex(2, 2, 2, 2):
+                psi = tensor(ket_theta(ta[a, x]), ket_theta(tb[b, y])).amps
+                want = float(np.real(np.vdot(psi, effect @ psi)))
+                assert abs(table[a, b, x, y] - want) <= 1e-15
+
+    def test_out_of_range_value_raises(self):
+        angles = np.zeros((2, 2))
+        with pytest.raises(NumericsError):
+            acceptance_table(2 * np.eye(4), angles, angles)
+        with pytest.raises(NumericsError):
+            acceptance_table(np.full((4, 4), np.nan), angles, angles)
+
+
 class TestMixtureDensity:
     def test_z_pair_gives_maximally_mixed(self):
         rho = mixture_density([(0.5, ket_theta(0.0)), (0.5, ket_theta(math.pi))])
@@ -155,11 +190,11 @@ class TestMixtureDensity:
 
 class TestTraceDistance:
     def test_identical_states(self):
-        rho = ket_theta(0.4).density()
+        rho = density(ket_theta(0.4))
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        d = trace_distance(ket_theta(0.0).density(), ket_theta(math.pi).density())
+        d = trace_distance(density(ket_theta(0.0)), density(ket_theta(math.pi)))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_z_and_x_ensembles_indistinguishable(self):
@@ -182,18 +217,18 @@ class TestTraceDistance:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            trace_distance(ket_theta(0.0).density(), phi_plus().density())
+            trace_distance(density(ket_theta(0.0)), density(phi_plus()))
 
 
 class TestPartialTrace:
     def test_entangled_marginal(self):
         np.testing.assert_allclose(
-            partial_trace(phi_plus().density(), (0,)).mat, np.eye(2) / 2, atol=1e-12
+            partial_trace(density(phi_plus()), (0,)).mat, np.eye(2) / 2, atol=1e-12
         )
 
     def test_product_state_keep_second(self):
         plus = ket_theta(math.pi / 2)
-        rho = tensor(ket_theta(0.0), plus).density()
+        rho = density(tensor(ket_theta(0.0), plus))
         np.testing.assert_allclose(
             partial_trace(rho, (1,)).mat, np.outer(plus.amps, plus.amps.conj()), atol=1e-12
         )
@@ -208,9 +243,9 @@ class TestPartialTrace:
 
     def test_invalid_index_set_rejected(self):
         with pytest.raises(ValueError, match="subset"):
-            partial_trace(phi_plus().density(), (2,))
+            partial_trace(density(phi_plus()), (2,))
         with pytest.raises(ValueError, match="subset"):
-            partial_trace(phi_plus().density(), ())
+            partial_trace(density(phi_plus()), ())
 
 
 class TestCompleteness:
@@ -254,8 +289,12 @@ class TestTypeInvariants:
             Projector(np.eye(2) / 2)
 
     def test_probability_clamp_rejects_logic_bugs(self):
-        with pytest.raises(NumericsError):
-            qcore._clamp_probability(1.001)
+        for value in (1.001, -0.001, math.nan, np.array([0.5, 1.001])):
+            with pytest.raises(NumericsError):
+                qcore._clamp_probability(value)
+        np.testing.assert_array_equal(
+            qcore._clamp_probability(np.array([-1e-13, 0.5, 1.0 + 1e-13])), [0.0, 0.5, 1.0]
+        )
         assert qcore._clamp_probability(1.0 + 1e-13) == 1.0
         assert qcore._clamp_probability(-1e-13) == 0.0
 
