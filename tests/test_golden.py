@@ -4,7 +4,7 @@ The reproducibility tests elsewhere compare two runs in one process, so a
 change to the stream-to-trial mapping (which uniforms a trial reads, or how
 it turns them into (a, b, x, y, c)) passes them.  The tallies and report
 digests below were recorded from the samplers and must never move without a
-``schema_version`` bump.
+``schema_version`` bump.  The report digests are those of report schema 2.
 
 Trial counts: 100 000, and 131 075, which is odd and above 8 * 16 384, so
 the sampler's 16 384-trial blocks, its per-CPU shares and any partition of
@@ -131,12 +131,12 @@ PERTURBED_SCHEMES = {
 # or None, sha256 of the rendered report without its duration_s field).
 GOLDEN_REPORTS = {
     "quantum-mc": (
-        ["quantum-mc", "--trials", "100000", "--seed", "5", "--bootstrap", "200"],
+        ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "4f2799e9501ad06b724ba805a9b4c7076178fc16286132d668f7c1fbd4092607",
+        "f5e66c24a96b10e834c48aacdd700a0fcaa5bb4a4f7a561f48dbe1cdd7b77426",
     ),
     "lhv-mc": (
-        ["lhv-mc", "--trials", "100000", "--seed", "7", "--bootstrap", "200"],
+        ["lhv-mc", "--trials", "100000", "--seed", "7"],
         {
             "mode": "lhv-mc",
             "lhv_model": {
@@ -147,12 +147,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "65daa0210d0c7c535bb8d9b0a609a955450353ca80890df6e226982379271b07",
+        "67249a6162da175da4578883d1ab2423b040fd17797d424647e4005d94f5063f",
     ),
     "swap": (
-        ["swap", "--trials", "100000", "--seed", "11", "--bootstrap", "200"],
+        ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "fb2e1792dad34aa93521ad4596e9b62852eed5f6c317cafc65cc44755d966353",
+        "003422e9d3b5e71fd57b579b6c75459ea9347fd2488df1b513a767ae3a25bc65",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -160,15 +160,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "2ff4992a2dd94638a6835e7cb9cfd7829b769f8d5fab091caa0f9a2579e84cdf",
+        "3bc1f63ec016bd17b03d0d167278beb09bf29bd29bf586bfdb04381ae0ea093a",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "07be86dc859666dabd250432f021e0d761e421eb159b33a6c38f602b42ebd127"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "77ecb25f43c938d66d0c57ddaf4f90fd59e8094be7859283551ae6505abedf6b"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "e47dca199e062b105d46d716d4a178238e8be9cb9bc1bd3411984b6a2eebcf87",
+        "2eae8932fb609a071e24af603efab5ea01970a80d48858f0c83b85155195a064",
     ),
-    "loophole": (["loophole"], None, "2e4222c66d5723dddf96b6e36eb002db0a976fd3d0abbc9d839ccdb5f53a20a9"),
+    "loophole": (["loophole"], None, "9424906a1b1edc0d2c7b0cae68e573cdee3f2f8fc16e27afec913ea38044c1fb"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -180,10 +180,10 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "55d32151b9b07426e9a0a2dd05797a6f5c53911885c5224f68a9ae8de710d888",
+        "fc3a1cbc6f2d52229b59f78cbe82740bece4ada9ce9303d141066901d52da459",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "64f644d1dd70641bc523873c11e3be87c4d8d192c9c89d96765a97513c9d4cdd"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "f38c6f3ec5d1ec3a322e1c22143f669a6c5edf1bcd1a913cccd134d2d957b907"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "6b22515dfdab36552c08d4244692658a0cf99f24c3878e3b6792f3d6328964bb"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "ea0e25db05b3ab3c50e732f11fce2fc78286dfe04dd5c40f571e4d1e38137f4a"),
 }
 
 
