@@ -142,9 +142,9 @@ def max_abs_s_deterministic() -> tuple[float, tuple[int, int, int, int]]:
     return best, witness
 
 
-# Rows per block of the random cell-weight sweep: 4 Ki rows of 16 weights is
-# 512 KiB, so the sweep's memory does not grow with its sample count.
-_SWEEP_BLOCK = 1 << 12
+# Rows per block of the random cell-weight sweep: 1 Ki rows of 16 weights is
+# 128 KiB, so the sweep's memory does not grow with its sample count.
+_SWEEP_BLOCK = 1 << 10
 
 
 def random_max_abs_s(rng: np.random.Generator, samples: int) -> float:

@@ -7,7 +7,6 @@ import pytest
 
 from bellpost import protocol, swap
 from bellpost.qcore import DensityMatrix, Projector, ket_theta, phi_plus, trace_distance
-from conftest import density, partial_trace
 from bellpost.swap import (
     NoiseParams,
     SwapConfig,
@@ -20,6 +19,7 @@ from bellpost.swap import (
     run_swap,
     scheme_projectors,
 )
+from conftest import density, partial_trace
 
 TWO_SQRT2 = 2 * math.sqrt(2)
 
