@@ -126,9 +126,10 @@ PERTURBED_SCHEMES = {
     },
 }
 
-# One CLI run per mode, plus the canonical quantum-exact run and the swap
-# sweep, so every branch of the config echo is pinned: (argv, config document
-# or None, sha256 of the rendered report without its duration_s field).
+# One CLI run per mode, plus the canonical quantum-exact run, the swap sweep,
+# a sampled swap in each order and one empty-cell report, so every branch of
+# the config echo is pinned: (argv, config document or None, sha256 of the
+# rendered report without its duration_s field).
 GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
@@ -184,7 +185,31 @@ GOLDEN_REPORTS = {
     ),
     "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "6b22515dfdab36552c08d4244692658a0cf99f24c3878e3b6792f3d6328964bb"),
     "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "ea0e25db05b3ab3c50e732f11fce2fc78286dfe04dd5c40f571e4d1e38137f4a"),
+    "swap-parties-first": (
+        ["swap", "--trials", "100000", "--seed", "13"],
+        {"mode": "swap", "order": "parties-first", "noise": NOISE},
+        "e94046ed6dfffc5b658da01caec30b4b854fb56399f2f60df5b690422a91cbf2",
+    ),
+    # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
+    # (0, 0) and (0, 1) are never announced; the error names the first.
+    "quantum-exact-empty": (
+        ["quantum-exact"],
+        {
+            "mode": "quantum-exact",
+            "schemes": {
+                "alice": {
+                    "basis0": {"angles": [0.0, 0.0]},
+                    "basis1": {"angles": [PI / 2, 3 * PI / 2]},
+                },
+                "bob": {"basis0": {"angles": [PI, PI]}, "basis1": {"angles": [PI, PI]}},
+            },
+        },
+        "9fa885b9e4fe4dc2a2604eeb7d7cf17a580b1cdad1f682beae4c69a5545f6f61",
+    ),
 }
+
+# Exit codes of the pinned runs that do not succeed.
+GOLDEN_EXIT = {"quantum-exact-empty": 3}
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN_REPORTS))
@@ -194,7 +219,7 @@ def test_golden_report(mode, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--config", str(path)]
-    assert main(argv) == 0
+    assert main(argv) == GOLDEN_EXIT.get(mode, 0)
     report = json.loads(capsys.readouterr().out)
-    del report["duration_s"]
+    report.pop("duration_s", None)  # an error report has none
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == want
