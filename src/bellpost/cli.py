@@ -373,8 +373,8 @@ def _no_signaling_gap(table: protocol.CondProbTable) -> float:
 def _run_quantum_exact(cfg: ScenarioConfig) -> tuple[dict, str]:
     alice, bob = _scheme_pair(cfg.schemes)
     table, rates = protocol.exact_postselected(alice, bob)
-    e = np.array([[protocol.correlation(table, a, b) for b in (0, 1)] for a in (0, 1)])
-    s = protocol.bell_s(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
+    e = protocol.correlations(table)
+    s = protocol.bell_s(*e.ravel())
     results = {
         "e": _e_dict(e),
         "s": s,
@@ -457,7 +457,7 @@ def _run_swap(cfg: ScenarioConfig) -> tuple[dict, str]:
     joints = {order: swap.joint_distribution(cfg.noise, order) for order in swap.ORDERS}
     rep = protocol.bell_report(swap.run_swap(swap_cfg, joints[cfg.order]))
     results = _bell_results(rep)
-    table, rates = swap.exact_postselected_swap(joints["parties-first"])
+    table, rates = protocol.postselect(joints["parties-first"][..., 1])
     results["exact_s"] = protocol.table_s(table)
     results["selection_rates"] = _e_dict(rates)
     results["order_invariance_gap"] = swap.order_invariance(*joints.values())
@@ -560,11 +560,22 @@ def _read_config_text(path: str) -> str:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
+class _HelpRequested(Exception):
+    """``-h``/``--help`` was given; the message is the parser's help text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are config errors, reported as JSON (exit 2)."""
+    """Argument parser whose help and usage errors are reported as JSON.
+
+    Usage errors are config errors (exit 2); the help text goes out inside a
+    JSON document (exit 0), so stdout stays strict JSON for every argv.
+    """
 
     def error(self, message):
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -636,6 +647,9 @@ def main(argv=None) -> int:
                     fh.write(text)
             except OSError as exc:
                 raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    except _HelpRequested as exc:
+        sys.stdout.write(render_report({"help": str(exc)}))
+        return 0
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         sys.stdout.write(_error_report(exc))

@@ -72,12 +72,6 @@ class CellWeights:
             raise ValueError(f"expected 16 cell weights, got {values.size}")
         return cls(values.reshape(2, 2, 2, 2))
 
-    @classmethod
-    def point_mass(cls, i: int, j: int, k: int, l: int) -> "CellWeights":
-        w = np.zeros((2, 2, 2, 2))
-        w[i, j, k, l] = 1.0
-        return cls(w)
-
 
 @dataclass(frozen=True)
 class TritCellWeights:
@@ -127,19 +121,12 @@ def max_abs_s_deterministic() -> tuple[float, tuple[int, int, int, int]]:
     """Maximum |S| over all 16 deterministic strategies, with a witness cell.
 
     S is linear in the cell weights, so the extreme points of the weight
-    simplex (the point masses) suffice.  Ties resolve to the lowest cell index.
+    simplex (the point masses) suffice, and a point mass's S is its cell's
+    coefficient.  Ties resolve to the lowest cell index.
     """
-    best = -1.0
-    witness = (0, 0, 0, 0)
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                for l in (0, 1):
-                    s = abs(s_from_cells(CellWeights.point_mass(i, j, k, l)))
-                    if s > best + EXACT_TOL:
-                        best = s
-                        witness = (i, j, k, l)
-    return best, witness
+    magnitudes = np.abs(_COEFFS)
+    witness = np.unravel_index(np.argmax(magnitudes), magnitudes.shape)
+    return float(magnitudes[witness]), tuple(int(v) for v in witness)
 
 
 # Rows per block of the random cell-weight sweep: 1 Ki rows of 16 weights is

@@ -7,6 +7,11 @@ and announces c = 1 on that outcome; only announced trials are tallied.  From
 the tally come conditional probabilities p(x, y | a, b), correlations E(a, b),
 and the CHSH combination S = E(0,0) + E(0,1) + E(1,0) - E(1,1).
 
+``postselect`` is the one reduction from [a, b, x, y] weights (tallied
+counts, exact scheme weights, or a swap joint's c = 1 slice) to
+p(x, y | a, b), and the one place an empty basis pair raises
+EmptyCellError; ``correlations`` turns its table into every E(a, b) at once.
+
 This module provides both the sampling path (``sample_tally``, the streaming
 driver through which every seeded Monte Carlo run fills a ``Tally``) and the
 exact path (closed-form post-selected statistics), plus the
@@ -236,20 +241,26 @@ class CondProbTable:
         object.__setattr__(self, "probs", probs)
 
 
-def conditional_probs(t: Tally) -> CondProbTable:
-    """Normalize tallied counts per basis pair; raises EmptyCellError on zeros."""
-    totals = t.counts.sum(axis=(2, 3))
-    for a in (0, 1):
-        for b in (0, 1):
-            if totals[a, b] == 0:
-                raise EmptyCellError(a, b)
-    return CondProbTable(t.counts / totals[:, :, None, None])
+def postselect(weights) -> tuple[CondProbTable, np.ndarray]:
+    """Condition [a, b, x, y] weights on each basis pair: p(x, y | a, b) and the totals.
+
+    ``weights`` are nonnegative: tallied counts, exact probabilities, or the
+    c = 1 slice of a swap joint.  The first basis pair, in row-major order,
+    whose total is at most EXACT_TOL raises EmptyCellError; for counts that
+    means a total of zero.
+    """
+    weights = np.asarray(weights)
+    totals = weights.sum(axis=(2, 3))
+    empty = np.argwhere(totals <= EXACT_TOL)
+    if empty.size:
+        raise EmptyCellError(*empty[0])
+    return CondProbTable(weights / totals[:, :, None, None]), totals
 
 
-def correlation(p: CondProbTable, a: int, b: int) -> float:
-    """E(a, b) with outcome values 1 - 2x and 1 - 2y."""
-    cell = p.probs[a, b]
-    return float(cell[0, 0] + cell[1, 1] - cell[0, 1] - cell[1, 0])
+def correlations(table: CondProbTable) -> np.ndarray:
+    """The (2, 2) array of E(a, b), with outcome values 1 - 2x and 1 - 2y."""
+    p = table.probs
+    return p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
 
 
 def bell_s(e00: float, e01: float, e10: float, e11: float) -> float:
@@ -279,18 +290,12 @@ def exact_postselected(
     precision of the underlying Born probabilities.
     """
     sel = selection_probability_table(scheme_a, scheme_b)
-    weights = scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel
-    rates = weights.sum(axis=(2, 3))
-    for a in (0, 1):
-        for b in (0, 1):
-            if rates[a, b] <= EXACT_TOL:
-                raise EmptyCellError(a, b)
-    return CondProbTable(weights / rates[:, :, None, None]), rates
+    return postselect(scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel)
 
 
 def table_s(table: CondProbTable) -> float:
     """The CHSH value of a conditional probability table."""
-    return bell_s(*(correlation(table, a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))))
+    return bell_s(*correlations(table).ravel())
 
 
 def exact_s(scheme_a: PreparationScheme, scheme_b: PreparationScheme) -> float:
@@ -385,9 +390,8 @@ def bell_report(t: Tally) -> BellReport:
     P(|S_hat - S| >= t) <= 2 exp(-t^2 / (2 sum 1/m)); p takes it at
     t = |S_hat| - 2, capped at 1, and p = 1 when |S_hat| <= 2.
     """
-    table = conditional_probs(t)
-    e = np.array([[correlation(table, a, b) for b in (0, 1)] for a in (0, 1)])
-    s = bell_s(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
+    e = correlations(postselect(t.counts)[0])
+    s = bell_s(*e.ravel())
     counts = t.counts.astype(np.float64)
     agree = counts[:, :, 0, 0] + counts[:, :, 1, 1]
     differ = counts[:, :, 0, 1] + counts[:, :, 1, 0]

@@ -18,7 +18,9 @@ CHSH value is 0), so rotated local measurement is the realization used here.
 
 All property-style quantities (joint distributions, CHSH sweeps) are computed
 exactly, on the two Charlie-bound qubits or by four-qubit density-matrix
-evolution; sampling is used only to produce tallies.
+evolution; sampling is used only to produce tallies.  A joint's post-selected
+table is ``protocol.postselect`` of its c = 1 slice, the one reduction that
+tallies and scheme pairs go through too.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import (
-    EXACT_TOL,
     STRUCTURAL_TOL,
-    NumericsError,
     Projector,
     PureState,
     acceptance_table,
@@ -40,11 +40,10 @@ from .qcore import (
     tensor,
 )
 from .protocol import (
-    CondProbTable,
-    EmptyCellError,
     PreparationScheme,
     Tally,
     canonical_schemes,
+    postselect,
     prepare_and_measure,
     sample_tally,
     table_s,
@@ -224,27 +223,9 @@ def order_invariance(parties_first: np.ndarray, charlie_first: np.ndarray) -> fl
     return float(np.max(np.abs(parties_first - charlie_first)))
 
 
-def exact_postselected_swap(joint: np.ndarray) -> tuple[CondProbTable, np.ndarray]:
-    """Exact post-selected table and per-(a, b) selection rates of a swap joint.
-
-    ``joint`` is a ``joint_distribution`` result; reports use the
-    parties-first ordering.
-    """
-    selected = joint[..., 1]
-    if float(selected.min()) < -EXACT_TOL:
-        raise NumericsError(f"negative selection weight {float(selected.min())!r}")
-    selected = np.clip(selected, 0.0, None)
-    rates = selected.sum(axis=(2, 3))
-    for a in (0, 1):
-        for b in (0, 1):
-            if rates[a, b] <= EXACT_TOL:
-                raise EmptyCellError(a, b)
-    return CondProbTable(selected / rates[:, :, None, None]), rates
-
-
 def exact_swap_s(noise: NoiseParams) -> float:
     """Exact post-selected CHSH value of the (possibly noisy) swap realization."""
-    return table_s(exact_postselected_swap(joint_distribution(noise, "parties-first"))[0])
+    return table_s(postselect(joint_distribution(noise, "parties-first")[..., 1])[0])
 
 
 def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
@@ -269,6 +250,6 @@ def run_swap(cfg: SwapConfig, joint: np.ndarray | None = None) -> Tally:
     """
     if joint is None:
         joint = joint_distribution(cfg.noise, cfg.order)
-    accept = np.clip(joint[..., 1] * 4.0, 0.0, 1.0)  # p(x,y|a,b) = 1/4 exactly
+    accept = joint[..., 1] * 4.0  # p(x,y|a,b) = 1/4 exactly; threshold clips to [0, 1]
     coins = np.full((2, 2), 0.5)
     return sample_tally(cfg.seed, cfg.n_trials, prepare_and_measure(coins, coins, accept))

@@ -38,6 +38,12 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(dim, dim))
 
 
+def correlation_oracle(table, a: int, b: int) -> float:
+    """E(a, b) of one basis pair, computed cell by cell from a CondProbTable."""
+    cell = table.probs[a, b]
+    return float(cell[0, 0] + cell[1, 1] - cell[0, 1] - cell[1, 0])
+
+
 def random_deterministic_model(rng: np.random.Generator) -> lhv.LhvSimModel:
     """Random finite LHV model with point-mass responses and nonzero selection."""
     n = int(rng.integers(1, 5))

@@ -342,6 +342,18 @@ class TestMain:
         assert out_path.read_text() == stdout
         assert csv_path.read_text().splitlines()[0] == "a,b,E,se"
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["-h"], "usage: bellpost [-h] MODE"),
+         (["quantum-mc", "--help"], "usage: bellpost quantum-mc"),
+         (["swap", "--trials", "10", "-h"], "--grid P0,P1,...")],
+    )
+    def test_help_is_strict_json(self, capsys, argv, usage):
+        assert main(argv) == 0
+        out = _strict_json(capsys.readouterr().out)
+        assert list(out) == ["help"]
+        assert usage in out["help"]
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_side_file_exits_2(self, capsys, tmp_path, flag):
         target = tmp_path / "missing" / "side.txt"

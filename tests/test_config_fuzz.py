@@ -5,7 +5,7 @@ key or a list entry) replaced by an arbitrary JSON value, and the command
 line may carry a replaced mode and extra flags, known or not, with arbitrary
 values.  Whatever the input, ``main`` must exit with a documented code, print
 strict JSON, and on success report CHSH values within the algebraic bound
-|S| <= 4.
+|S| <= 4; a help request succeeds with the help text and no report.
 """
 
 import contextlib
@@ -117,6 +117,8 @@ def _reject_constant(name):
 @example(case=CASES[0], value=None, mode=None, extra=["--bootstrap", "200"])
 @example(case=CASES[0], value=None, mode=None, extra=["--trails", "5"])
 @example(case=CASES[0], value=None, mode="teleport", extra=[])
+@example(case=CASES[0], value=None, mode=None, extra=["-h"])
+@example(case=CASES[0], value=None, mode="-h", extra=[])
 def test_one_replaced_field_never_crashes(case, value, mode, extra):
     base, path = case
     if path in (("trials",), ("samples",)):
@@ -138,5 +140,7 @@ def test_one_replaced_field_never_crashes(case, value, mode, extra):
         code = main([base["mode"] if mode is None else mode, "--config", "-", *extra])
     assert code in (0, 2, 3, 4)
     report = json.loads(out.getvalue(), parse_constant=_reject_constant)
-    if code == 0:
+    if "help" in report:
+        assert code == 0 and list(report) == ["help"]
+    elif code == 0:
         assert all(abs(s) <= 4.0 + 1e-9 for s in _s_values(report["results"]))

@@ -64,7 +64,9 @@ class TestCellCoefficient:
 
 class TestSFromCells:
     def test_point_mass(self):
-        assert s_from_cells(CellWeights.point_mass(0, 0, 0, 0)) == 2.0
+        w = np.zeros((2, 2, 2, 2))
+        w[0, 0, 0, 0] = 1.0
+        assert s_from_cells(CellWeights(w)) == 2.0
 
     def test_uniform_cancels(self):
         assert s_from_cells(CellWeights(np.full((2, 2, 2, 2), 1 / 16))) == pytest.approx(
@@ -99,9 +101,17 @@ class TestSFromCells:
 
 class TestMaxAbsSDeterministic:
     def test_maximum_is_two(self):
+        # Reference: |S| of every point mass; the first largest one is the witness.
+        cells = list(np.ndindex(2, 2, 2, 2))
+        values = []
+        for cell in cells:
+            w = np.zeros((2, 2, 2, 2))
+            w[cell] = 1.0
+            values.append(abs(s_from_cells(CellWeights(w))))
         best, witness = max_abs_s_deterministic()
-        assert best == 2.0
-        assert witness == (0, 0, 0, 0)  # lowest-index maximizer
+        assert best == max(values) == 2.0
+        assert witness == cells[values.index(best)] == (0, 0, 0, 0)
+        assert type(best) is float and all(type(v) is int for v in witness)  # JSON-ready
 
     def test_witness_coefficient_has_magnitude_two(self):
         _, witness = max_abs_s_deterministic()
@@ -280,7 +290,7 @@ class TestSimulateLhv:
         t = simulate_lhv(_single_cell_model(0, 0, 0, 0, select=0.0), 10_000, seed=31)
         assert t.n_selected == 0
         with pytest.raises(protocol.EmptyCellError):
-            protocol.conditional_probs(t)
+            protocol.postselect(t.counts)
 
     def test_bound_holds_with_sampling_slack(self):
         rng = np.random.default_rng(32)
@@ -304,7 +314,7 @@ class TestSimulateLhv:
         rng = np.random.default_rng(34)
         m = random_stochastic_model(rng)
         t = simulate_lhv(m, 1_000_000, seed=35)
-        p = protocol.conditional_probs(t).probs
+        p = protocol.postselect(t.counts)[0].probs
         counts_ab = t.counts.sum(axis=(2, 3))
         for a in (0, 1):
             for x in (0, 1):

@@ -21,13 +21,15 @@ from bellpost.protocol import (
     bob_labels_swapped,
     canonical_schemes,
     check_basis_independence,
-    conditional_probs,
-    correlation,
+    correlations,
     exact_postselected,
     exact_s,
+    postselect,
     run_quantum_mc,
+    table_s,
 )
 from bellpost.rng import trial_uniforms_block
+from conftest import correlation_oracle
 
 PI = math.pi
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -246,20 +248,48 @@ class TestExactPostselected:
 class TestConditionalProbs:
     def test_uniform_counts(self):
         t = Tally(np.ones((2, 2, 2, 2), dtype=int), 64)
-        np.testing.assert_allclose(conditional_probs(t).probs, 0.25)
+        np.testing.assert_allclose(postselect(t.counts)[0].probs, 0.25)
 
     def test_simple_ratio(self):
         counts = np.ones((2, 2, 2, 2), dtype=int)
         counts[0, 0] = [[3, 0], [0, 1]]
         t = Tally(counts, 100)
-        assert conditional_probs(t).probs[0, 0, 0, 0] == pytest.approx(0.75)
+        assert postselect(t.counts)[0].probs[0, 0, 0, 0] == pytest.approx(0.75)
 
     def test_empty_cell_raises_with_location(self):
         counts = np.ones((2, 2, 2, 2), dtype=int)
         counts[1, 1] = 0
         with pytest.raises(EmptyCellError) as err:
-            conditional_probs(Tally(counts, 100))
+            postselect(counts)
         assert (err.value.a, err.value.b) == (1, 1)
+
+    def test_first_empty_pair_in_row_major_order(self):
+        counts = np.ones((2, 2, 2, 2), dtype=int)
+        counts[1, 0] = 0
+        counts[0, 1] = 0
+        with pytest.raises(EmptyCellError) as err:
+            postselect(counts)
+        assert (err.value.a, err.value.b) == (0, 1)
+
+    def test_totals_are_the_per_pair_sums(self):
+        counts = np.arange(16).reshape(2, 2, 2, 2) + 1
+        _, totals = postselect(counts)
+        np.testing.assert_array_equal(totals, counts.sum(axis=(2, 3)))
+
+    def test_weight_at_rounding_level_is_empty(self):
+        # Exact weights count a pair as empty when its total is at most
+        # EXACT_TOL, zero up to the precision of the Born probabilities.
+        weights = np.full((2, 2, 2, 2), 0.25)
+        weights[1, 0] = 2.5e-13
+        with pytest.raises(EmptyCellError) as err:
+            postselect(weights)
+        assert (err.value.a, err.value.b) == (1, 0)
+        weights[1, 0] = 2.5e-12
+        np.testing.assert_allclose(postselect(weights)[0].probs[1, 0], 0.25)
+
+
+def _random_scheme(rng: np.random.Generator) -> PreparationScheme:
+    return PreparationScheme(rng.uniform(0, 2 * PI, size=(2, 2)), rng.dirichlet([1, 1], size=2))
 
 
 class TestCorrelation:
@@ -267,15 +297,30 @@ class TestCorrelation:
         p = np.zeros((2, 2, 2, 2))
         p[:, :, 0, 0] = 0.5
         p[:, :, 1, 1] = 0.5
-        assert correlation(CondProbTable(p), 0, 0) == pytest.approx(1.0)
+        assert correlations(CondProbTable(p))[0, 0] == pytest.approx(1.0)
 
     def test_uniform_is_zero(self):
-        assert correlation(CondProbTable(np.full((2, 2, 2, 2), 0.25)), 1, 0) == 0.0
+        assert correlations(CondProbTable(np.full((2, 2, 2, 2), 0.25)))[1, 0] == 0.0
 
     def test_canonical_cell_value(self):
         # Weights cos^2(pi/8)/2 on the diagonal, sin^2(pi/8)/2 off it.
         table, _ = exact_postselected(*canonical_schemes())
-        assert correlation(table, 0, 0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert correlations(table)[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+    def test_matches_per_cell_formula_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        tables = [postselect(rng.integers(1, 1000, size=(2, 2, 2, 2)))[0] for _ in range(200)]
+        tables += [
+            exact_postselected(_random_scheme(rng), _random_scheme(rng))[0] for _ in range(200)
+        ]
+        for table in tables:
+            e = correlations(table)
+            assert e.shape == (2, 2)
+            for a in (0, 1):
+                for b in (0, 1):
+                    assert e[a, b] == correlation_oracle(table, a, b)
+            oracle = [correlation_oracle(table, a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+            assert table_s(table) == bell_s(*oracle)
 
 
 class TestBellS:

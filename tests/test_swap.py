@@ -12,7 +12,6 @@ from bellpost.swap import (
     SwapConfig,
     build_initial,
     depolarizing_sweep,
-    exact_postselected_swap,
     exact_swap_s,
     joint_distribution,
     order_invariance,
@@ -129,7 +128,8 @@ class TestJointDistribution:
     def test_zero_noise_matches_direct_preparation(self):
         # The swap's exact post-selected table must equal the canonical
         # send-the-states table: remote preparation realizes the same scheme.
-        table, rates = exact_postselected_swap(joint_distribution(NoiseParams(), "parties-first"))
+        joint = joint_distribution(NoiseParams(), "parties-first")
+        table, rates = protocol.postselect(joint[..., 1])
         direct, direct_rates = protocol.exact_postselected(*protocol.canonical_schemes())
         np.testing.assert_allclose(table.probs, direct.probs, atol=1e-12)
         np.testing.assert_allclose(rates, direct_rates, atol=1e-12)
