@@ -27,21 +27,12 @@ import numpy as np
 from . import __version__, lhv, protocol, swap
 from .qcore import NumericsError
 
-MODES = (
-    "quantum-exact",
-    "quantum-mc",
-    "lhv-mc",
-    "lhv-max",
-    "lhv-indet",
-    "loophole",
-    "swap",
-    "check-independence",
-)
-
 # Reports and config documents carry separate versions.  Report schema 2
-# holds closed-form error bars and the violation p-value; config documents
-# stay at version 1, which reports echo.
-REPORT_SCHEMA_VERSION = 2
+# holds closed-form error bars and the violation p-value; schema 3 computes
+# the basis-independence distance in closed form and the loophole through
+# ``protocol.postselect``.  Config documents stay at version 1, which reports
+# echo.
+REPORT_SCHEMA_VERSION = 3
 CONFIG_SCHEMA_VERSION = 1
 
 # Margins for the task-completed verdict: a sampled run's violation p-value
@@ -244,100 +235,6 @@ def _tol(v, path: str) -> float:
     return tol
 
 
-_REQUIRED = object()
-
-
-class _Field(NamedTuple):
-    """One config field.
-
-    ``defaults`` maps each mode that accepts the field to the value it takes
-    when the document leaves it out, or to ``_REQUIRED``.  ``parse(value,
-    path)`` validates the document's value; ``echo(value)`` renders the
-    resolved value for the report, and a None echo leaves the field out.
-    ``attr`` names the ScenarioConfig attribute when it is not ``key``.
-    """
-
-    key: str
-    defaults: dict
-    parse: Callable
-    echo: Callable = lambda value: value
-    attr: str | None = None
-
-
-# Every config field, in the order the report echoes them.
-_FIELDS = (
-    _Field("seed", dict.fromkeys(MODES, 0), _integer(0, 2**64 - 1)),
-    _Field("trials", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000_000),
-           _integer(1, 10**10)),
-    # Absent schemes stay None, which means the canonical pair; quantum-exact
-    # then also reports the pair with Bob's basis-1 labels exchanged.
-    _Field("schemes", dict.fromkeys(("quantum-exact", "quantum-mc", "check-independence"), None),
-           _schemes, _schemes_echo),
-    _Field("lhv_model", {"lhv-mc": _REQUIRED}, _lhv_model, _lhv_model_echo),
-    _Field("response_model", {"lhv-indet": None}, _response_model, _response_model_echo),
-    _Field("samples", {"lhv-max": 10_000, "lhv-indet": 1_000}, _integer(1, 10**6)),
-    _Field("trit_weights", {"loophole": lhv.loophole_max_example()}, _trit_weights,
-           lambda w: w.w.ravel().tolist()),
-    _Field("noise", {"swap": swap.NoiseParams()}, _noise, dataclasses.asdict),
-    _Field("order", {"swap": "parties-first"}, _order),
-    _Field("sweep", {"swap": None}, _sweep,
-           lambda grid: None if grid is None else {"grid": grid}, "sweep_grid"),
-    _Field("tol", {"check-independence": 1e-12}, _tol),
-)
-
-
-def config_from_doc(doc) -> ScenarioConfig:
-    """Validate a decoded config document into a ScenarioConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    version = doc.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: only version {CONFIG_SCHEMA_VERSION} is supported, got {version!r}"
-        )
-    mode = doc.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode: unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-    fields = [f for f in _FIELDS if mode in f.defaults]
-    _object(doc, (), ["schema_version", "mode"] + [f.key for f in fields], f"mode {mode}")
-    values = {}
-    for f in fields:
-        if f.key in doc:
-            try:
-                value = f.parse(doc[f.key], f.key)
-            except ValueError as exc:  # a model's own validation
-                raise ConfigError(f"{f.key}: {exc}") from exc
-        elif f.defaults[mode] is _REQUIRED:
-            raise ConfigError(f"{f.key}: required for mode {mode}")
-        else:
-            value = f.defaults[mode]
-        values[f.attr or f.key] = value
-    return ScenarioConfig(mode, **values)
-
-
-def _decode(text: str):
-    """Decode a JSON config document; malformed JSON is a ConfigError."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON config document."""
-    return config_from_doc(_decode(text))
-
-
-def _echo_config(cfg: ScenarioConfig) -> dict:
-    echo: dict = {"schema_version": CONFIG_SCHEMA_VERSION, "mode": cfg.mode}
-    for f in _FIELDS:
-        if cfg.mode in f.defaults:
-            value = f.echo(getattr(cfg, f.attr or f.key))
-            if value is not None:
-                echo[f.key] = value
-    return echo
-
-
 def _e_dict(e: np.ndarray) -> dict:
     return {f"{a}{b}": float(e[a, b]) for a in (0, 1) for b in (0, 1)}
 
@@ -476,22 +373,124 @@ def _run_check_independence(cfg: ScenarioConfig) -> tuple[dict, str]:
     return results, "condition satisfied" if all_pass else "condition violated"
 
 
-_RUNNERS = {
-    "quantum-exact": _run_quantum_exact,
-    "quantum-mc": _run_quantum_mc,
-    "lhv-mc": _run_lhv_mc,
-    "lhv-max": _run_lhv_max,
-    "lhv-indet": _run_lhv_indet,
-    "loophole": _run_loophole,
-    "swap": _run_swap,
-    "check-independence": _run_check_independence,
+class _Mode(NamedTuple):
+    """A mode's runner, which returns (results, verdict), and its help line."""
+
+    run: Callable
+    help: str
+
+
+# Every mode, in the order the help text lists them.
+_MODES = {
+    "quantum-exact": _Mode(
+        _run_quantum_exact, "closed-form post-selected statistics of a scheme pair"
+    ),
+    "quantum-mc": _Mode(_run_quantum_mc, "seeded Monte Carlo of the quantum task"),
+    "lhv-mc": _Mode(_run_lhv_mc, "seeded Monte Carlo of a local-hidden-variable model"),
+    "lhv-max": _Mode(_run_lhv_max, "enumerate deterministic strategies (classical bound)"),
+    "lhv-indet": _Mode(_run_lhv_indet, "indeterministic response-model bound"),
+    "loophole": _Mode(_run_loophole, "trit-valued discard variant (detection loophole)"),
+    "swap": _Mode(_run_swap, "entanglement-swapping realization (add --grid for a sweep)"),
+    "check-independence": _Mode(
+        _run_check_independence, "trace distance between basis ensembles"
+    ),
 }
+MODES = tuple(_MODES)
+
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One config field.
+
+    ``defaults`` maps each mode that accepts the field to the value it takes
+    when the document leaves it out, or to ``_REQUIRED``.  ``parse(value,
+    path)`` validates the document's value; ``echo(value)`` renders the
+    resolved value for the report, and a None echo leaves the field out.
+    ``attr`` names the ScenarioConfig attribute when it is not ``key``.
+    """
+
+    key: str
+    defaults: dict
+    parse: Callable
+    echo: Callable = lambda value: value
+    attr: str | None = None
+
+
+# Every config field, in the order the report echoes them.
+_FIELDS = (
+    _Field("seed", dict.fromkeys(MODES, 0), _integer(0, 2**64 - 1)),
+    _Field("trials", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000_000),
+           _integer(1, 10**10)),
+    # Absent schemes stay None, which means the canonical pair; quantum-exact
+    # then also reports the pair with Bob's basis-1 labels exchanged.
+    _Field("schemes", dict.fromkeys(("quantum-exact", "quantum-mc", "check-independence"), None),
+           _schemes, _schemes_echo),
+    _Field("lhv_model", {"lhv-mc": _REQUIRED}, _lhv_model, _lhv_model_echo),
+    _Field("response_model", {"lhv-indet": None}, _response_model, _response_model_echo),
+    _Field("samples", {"lhv-max": 10_000, "lhv-indet": 1_000}, _integer(1, 10**6)),
+    _Field("trit_weights", {"loophole": lhv.loophole_max_example()}, _trit_weights,
+           lambda w: w.w.ravel().tolist()),
+    _Field("noise", {"swap": swap.NoiseParams()}, _noise, dataclasses.asdict),
+    _Field("order", {"swap": "parties-first"}, _order),
+    _Field("sweep", {"swap": None}, _sweep,
+           lambda grid: None if grid is None else {"grid": grid}, "sweep_grid"),
+    _Field("tol", {"check-independence": 1e-12}, _tol),
+)
+
+
+def config_from_doc(doc) -> ScenarioConfig:
+    """Validate a decoded config document into a ScenarioConfig."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    version = doc.get("schema_version", CONFIG_SCHEMA_VERSION)
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(
+            f"schema_version: only version {CONFIG_SCHEMA_VERSION} is supported, got {version!r}"
+        )
+    mode = doc.get("mode")
+    if mode not in MODES:
+        raise ConfigError(f"mode: unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+    fields = [f for f in _FIELDS if mode in f.defaults]
+    _object(doc, (), ["schema_version", "mode"] + [f.key for f in fields], f"mode {mode}")
+    values = {}
+    for f in fields:
+        if f.key in doc:
+            try:
+                value = f.parse(doc[f.key], f.key)
+            except ValueError as exc:  # a model's own validation
+                raise ConfigError(f"{f.key}: {exc}") from exc
+        elif f.defaults[mode] is _REQUIRED:
+            raise ConfigError(f"{f.key}: required for mode {mode}")
+        else:
+            value = f.defaults[mode]
+        values[f.attr or f.key] = value
+    return ScenarioConfig(mode, **values)
+
+
+def _decode(text: str):
+    """Decode a JSON config document; malformed JSON is a ConfigError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
+def _echo_config(cfg: ScenarioConfig) -> dict:
+    echo: dict = {"schema_version": CONFIG_SCHEMA_VERSION, "mode": cfg.mode}
+    for f in _FIELDS:
+        if cfg.mode in f.defaults:
+            value = f.echo(getattr(cfg, f.attr or f.key))
+            if value is not None:
+                echo[f.key] = value
+    return echo
 
 
 def run(cfg: ScenarioConfig) -> dict:
     """Execute a validated scenario and return the report document."""
     start = time.perf_counter()
-    results, verdict = _RUNNERS[cfg.mode](cfg)
+    results, verdict = _MODES[cfg.mode].run(cfg)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "artifact": f"bellpost {__version__}",
@@ -564,12 +563,27 @@ class _HelpRequested(Exception):
     """``-h``/``--help`` was given; the message is the parser's help text."""
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Help wrapped at 78 columns whatever the terminal, so its bytes never vary.
+
+    argparse otherwise wraps to the ``COLUMNS`` width; 78 is what it uses
+    when neither ``COLUMNS`` nor a terminal gives one.
+    """
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument parser whose help and usage errors are reported as JSON.
 
     Usage errors are config errors (exit 2); the help text goes out inside a
-    JSON document (exit 0), so stdout stays strict JSON for every argv.
+    JSON document (exit 0), so stdout stays strict JSON for every argv.  The
+    parser and every subparser wrap their help at one fixed width.
     """
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -585,18 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "classical bounds, and the detection loophole.",
     )
     sub = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
-    helps = {
-        "quantum-exact": "closed-form post-selected statistics of a scheme pair",
-        "quantum-mc": "seeded Monte Carlo of the quantum task",
-        "lhv-mc": "seeded Monte Carlo of a local-hidden-variable model",
-        "lhv-max": "enumerate deterministic strategies (classical bound)",
-        "lhv-indet": "indeterministic response-model bound",
-        "loophole": "trit-valued discard variant (detection loophole)",
-        "swap": "entanglement-swapping realization (add --grid for a sweep)",
-        "check-independence": "trace distance between basis ensembles",
-    }
-    for mode in MODES:
-        p = sub.add_parser(mode, help=helps[mode])
+    for mode, spec in _MODES.items():
+        p = sub.add_parser(mode, help=spec.help)
         p.add_argument("--config", metavar="PATH", help="JSON config document ('-' for stdin)")
         p.add_argument("--trials", type=int, help="override trial count")
         p.add_argument("--seed", type=int, help="override master seed")
@@ -654,7 +658,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         sys.stdout.write(_error_report(exc))
         return 2
-    except (protocol.EmptyCellError, lhv.AllDiscardedError, lhv.ZeroSelectionError) as exc:
+    except (protocol.EmptyCellError, lhv.ZeroSelectionError) as exc:
         sys.stderr.write(f"undefined statistic: {exc}\n")
         sys.stdout.write(_error_report(exc))
         return 3

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import EXACT_TOL, NumericsError
-from .protocol import Tally, sample_tally
+from .protocol import Tally, correlations, postselect, sample_tally, table_s
 from .rng import threshold
 
 
@@ -29,15 +29,6 @@ class NondeterministicModelError(Exception):
 
 class ZeroSelectionError(Exception):
     """The selection rule accepts no hidden-value mass at all."""
-
-
-class AllDiscardedError(Exception):
-    """A basis pair retains zero weight after discarding trit-valued outcomes."""
-
-    def __init__(self, a: int, b: int):
-        self.a = int(a)
-        self.b = int(b)
-        super().__init__(f"all selected weight discarded for basis pair (a={self.a}, b={self.b})")
 
 
 def _validate_weights(w, shape) -> np.ndarray:
@@ -338,27 +329,17 @@ def cells_from_model(m: LhvSimModel) -> CellWeights:
 def s_with_discards(w: TritCellWeights) -> tuple[float, np.ndarray, np.ndarray]:
     """CHSH value when state value 2 means "discard after selection".
 
-    For each basis pair, cells whose effective state (Alice: i if a = 0 else j;
-    Bob: k if b = 0 else l) equals 2 are dropped and the rest renormalized.
-    Returns (S, e, retained), where e[a, b] is the renormalized correlation
-    E(a, b) and retained[a, b] is the surviving weight fraction.
+    Basis pair (a, b) sees Alice's value i if a = 0 else j and Bob's value k
+    if b = 0 else l; summing out the other index per party gives its
+    [a, b, x, y] weights, and cells with value 2 are dropped.  These go
+    through ``protocol.postselect``, so a pair with no weight left raises
+    EmptyCellError.  Returns (S, e, retained), where e[a, b] is the
+    renormalized correlation E(a, b) and retained[a, b] is the surviving
+    weight fraction.
     """
-    i, j, k, l = np.indices((3, 3, 3, 3))
-    e = np.zeros((2, 2))
-    retained = np.zeros((2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            xa = i if a == 0 else j
-            yb = k if b == 0 else l
-            mask = (xa != 2) & (yb != 2)
-            kept = float(w.w[mask].sum())
-            if kept <= 0.0:
-                raise AllDiscardedError(a, b)
-            values = (1 - 2 * xa) * (1 - 2 * yb)
-            e[a, b] = float((values * w.w)[mask].sum()) / kept
-            retained[a, b] = kept
-    s = float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
-    return s, e, retained
+    marginals = np.array([[w.w.sum(axis=(1 - a, 3 - b)) for b in (0, 1)] for a in (0, 1)])
+    table, retained = postselect(marginals[..., :2, :2])
+    return table_s(table), correlations(table), retained
 
 
 def loophole_max_example() -> TritCellWeights:

@@ -41,17 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (
-    EXACT_TOL,
-    DensityMatrix,
-    PureState,
-    acceptance_table,
-    canonical_angle,
-    ket_theta,
-    mixture_density,
-    phi_plus,
-    trace_distance,
-)
+from .qcore import EXACT_TOL, PHI_PLUS, acceptance_table, canonical_angle
 from .rng import threshold, trial_uniforms_block
 
 PI = math.pi
@@ -101,13 +91,6 @@ class PreparationScheme:
     def uniform(cls, angles) -> "PreparationScheme":
         """Scheme with the given angles and priors 1/2 for every state."""
         return cls(np.array(angles, dtype=np.float64), np.full((2, 2), 0.5))
-
-    def state(self, a: int, x: int) -> PureState:
-        return ket_theta(float(self.angles[a, x]))
-
-    def basis_mixture(self, a: int) -> DensityMatrix:
-        """The ensemble an observer sees when basis ``a`` was drawn."""
-        return mixture_density([(float(self.priors[a, x]), self.state(a, x)) for x in (0, 1)])
 
 
 def canonical_schemes() -> tuple[PreparationScheme, PreparationScheme]:
@@ -275,8 +258,7 @@ def selection_probability_table(
     scheme_a: PreparationScheme, scheme_b: PreparationScheme
 ) -> np.ndarray:
     """Charlie's acceptance probability for each (a, b, x, y) preparation pair."""
-    phi = phi_plus().amps
-    return acceptance_table(np.outer(phi, phi.conj()), scheme_a.angles, scheme_b.angles)
+    return acceptance_table(np.outer(PHI_PLUS, PHI_PLUS), scheme_a.angles, scheme_b.angles)
 
 
 def exact_postselected(
@@ -304,10 +286,17 @@ def exact_s(scheme_a: PreparationScheme, scheme_b: PreparationScheme) -> float:
 
 
 def check_basis_independence(scheme: PreparationScheme, tol: float) -> tuple[float, bool]:
-    """Trace distance between the two basis ensembles, and whether it passes tol."""
+    """Trace distance between the two basis ensembles, and whether it passes tol.
+
+    The real ket at angle t has Bloch vector (sin t, cos t), so basis a's
+    ensemble has r_a = sum_x p_ax (sin t_ax, cos t_ax), and the trace distance
+    between two qubit states is half the distance between their Bloch vectors.
+    """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    distance = trace_distance(scheme.basis_mixture(0), scheme.basis_mixture(1))
+    t = scheme.angles
+    r = np.sum(scheme.priors[..., None] * np.stack([np.sin(t), np.cos(t)], axis=-1), axis=1)
+    distance = 0.5 * math.hypot(*(r[0] - r[1]))
     return distance, distance <= tol
 
 

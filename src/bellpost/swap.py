@@ -30,15 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (
-    STRUCTURAL_TOL,
-    Projector,
-    PureState,
-    acceptance_table,
-    ket_theta,
-    phi_plus,
-    tensor,
-)
+from .qcore import PHI_PLUS, STRUCTURAL_TOL, _real_kets, acceptance_table
 from .protocol import (
     PreparationScheme,
     Tally,
@@ -58,6 +50,10 @@ _PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
+
+# Two maximally entangled pairs, qubit order (alpha, beta, alpha', beta').
+_TWO_PAIRS = np.kron(PHI_PLUS, PHI_PLUS)
+_TWO_PAIRS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -105,24 +101,18 @@ class SwapConfig:
             raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
 
 
-def build_initial() -> PureState:
-    """Two maximally entangled pairs, qubit order (alpha, beta, alpha', beta')."""
-    return tensor(phi_plus(), phi_plus())
-
-
-def scheme_projectors(
-    scheme: PreparationScheme, basis: int, jitter: float
-) -> tuple[Projector, Projector]:
+def scheme_projectors(scheme: PreparationScheme, basis: int, jitter: float) -> np.ndarray:
     """Measurement whose outcome x projects onto the scheme's state (basis, x).
 
-    Valid only when the scheme's two states in this basis are antipodal
-    (angles differing by pi), so the projectors resolve the identity.
+    Returns the two 2x2 projectors as an array indexed [x, row, col].  Valid
+    only when the scheme's two states in this basis are antipodal (angles
+    differing by pi), so the projectors resolve the identity.
     """
-    p0 = Projector.onto(ket_theta(float(scheme.angles[basis, 0]) + jitter))
-    p1 = Projector.onto(ket_theta(float(scheme.angles[basis, 1]) + jitter))
-    if not np.allclose(p0.mat + p1.mat, _I2, rtol=0.0, atol=STRUCTURAL_TOL):
+    kets = _real_kets(scheme.angles[basis] + jitter)
+    projectors = kets[:, :, None] * kets[:, None, :]
+    if not np.allclose(projectors.sum(axis=0), _I2, rtol=0.0, atol=STRUCTURAL_TOL):
         raise ValueError(f"scheme basis {basis} states are not orthogonal")
-    return p0, p1
+    return projectors
 
 
 def _embed(op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -152,8 +142,7 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def _charlie_effect(charlie_mix: float) -> np.ndarray:
-    phi = phi_plus().amps
-    return (1.0 - charlie_mix) * np.outer(phi, phi.conj()) + (charlie_mix / 4.0) * np.eye(
+    return (1.0 - charlie_mix) * np.outer(PHI_PLUS, PHI_PLUS) + (charlie_mix / 4.0) * np.eye(
         4, dtype=np.complex128
     )
 
@@ -162,14 +151,11 @@ def _party_projectors(noise: NoiseParams) -> tuple[list, list]:
     """Embedded local projectors for Alice (qubit 0) and Bob (qubit 2), per basis."""
     alice_scheme, bob_scheme = canonical_schemes()
     alice = [
-        [
-            _embed(p.mat, (0,), 4)
-            for p in scheme_projectors(alice_scheme, a, noise.jitter_alice)
-        ]
+        [_embed(p, (0,), 4) for p in scheme_projectors(alice_scheme, a, noise.jitter_alice)]
         for a in (0, 1)
     ]
     bob = [
-        [_embed(p.mat, (2,), 4) for p in scheme_projectors(bob_scheme, b, noise.jitter_bob)]
+        [_embed(p, (2,), 4) for p in scheme_projectors(bob_scheme, b, noise.jitter_bob)]
         for b in (0, 1)
     ]
     return alice, bob
@@ -199,7 +185,7 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
             effect, alice_scheme.angles + noise.jitter_alice, bob_scheme.angles + noise.jitter_bob
         )
         return np.stack([0.25 - accepted, accepted], axis=-1)
-    rho0 = np.outer(build_initial().amps, build_initial().amps.conj())
+    rho0 = np.outer(_TWO_PAIRS, _TWO_PAIRS)
     alice, bob = _party_projectors(noise)
     effect1 = _embed(_charlie_effect(noise.charlie_mix), (1, 3), 4)
     effect0 = np.eye(16, dtype=np.complex128) - effect1

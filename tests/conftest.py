@@ -1,41 +1,60 @@
-"""Shared builders for randomized property tests, and the exact-QM oracles."""
+"""Shared builders for randomized property tests, and the exact-QM oracles.
+
+The oracles work on plain numpy arrays: kets are amplitude vectors, density
+matrices and projectors are square matrices.
+"""
 
 import numpy as np
 
 from bellpost import lhv, qcore
-from bellpost.qcore import DensityMatrix, Projector, PureState
 
 
-def density(state: PureState) -> DensityMatrix:
+def density(amps) -> np.ndarray:
     """The rank-one density matrix |psi><psi|."""
-    return DensityMatrix(np.outer(state.amps, state.amps.conj()))
+    amps = np.asarray(amps)
+    return np.outer(amps, amps.conj())
 
 
-def born_prob(state: PureState, p: Projector) -> float:
+def mixture(probs, kets) -> np.ndarray:
+    """The statistical mixture sum_i p_i |psi_i><psi_i| of the given kets."""
+    return sum(p * density(k) for p, k in zip(probs, kets))
+
+
+def born_prob(amps, proj) -> float:
     """<psi|P|psi>, clamped to [0, 1] within rounding tolerance."""
-    if p.mat.shape[0] != state.amps.size:
+    amps, proj = np.asarray(amps), np.asarray(proj)
+    if proj.shape[0] != amps.size:
         raise ValueError(
-            f"projector dimension {p.mat.shape[0]} does not match state dimension {state.amps.size}"
+            f"projector dimension {proj.shape[0]} does not match state dimension {amps.size}"
         )
-    return float(qcore._clamp_probability(float(np.real(np.vdot(state.amps, p.mat @ state.amps)))))
+    return float(qcore._clamp_probability(float(np.real(np.vdot(amps, proj @ amps)))))
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+def trace_distance(rho, sigma) -> float:
+    """Half the sum of absolute eigenvalues of rho - sigma."""
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
+
+
+def partial_trace(rho, keep) -> np.ndarray:
     """Reduced density matrix over the kept qubit indices (ascending order)."""
-    n = rho.n_qubits
+    rho = np.asarray(rho)
+    n = rho.shape[0].bit_length() - 1
     kept = sorted(set(int(q) for q in keep))
     if not kept or any(q < 0 or q >= n for q in kept):
         raise ValueError(f"keep set {sorted(keep)!r} is not a nonempty subset of qubits 0..{n - 1}")
     if len(kept) == n:
-        return DensityMatrix(rho.mat)
+        return rho
     letters = "abcdefghijklmnopqrstuvwxyz"
     rows = letters[:n]
     cols = [letters[n + q] if q in kept else rows[q] for q in range(n)]
     out = "".join(rows[q] for q in kept) + "".join(letters[n + q] for q in kept)
-    t = rho.mat.reshape([2] * (2 * n))
+    t = rho.reshape([2] * (2 * n))
     reduced = np.einsum(f"{rows}{''.join(cols)}->{out}", t)
     dim = 1 << len(kept)
-    return DensityMatrix(reduced.reshape(dim, dim))
+    return reduced.reshape(dim, dim)
 
 
 def correlation_oracle(table, a: int, b: int) -> float:

@@ -13,7 +13,7 @@ import pytest
 
 from bellpost import cli, lhv, protocol, swap
 from bellpost.rng import trial_uniforms_block
-from conftest import random_deterministic_model, random_response_model
+from conftest import random_deterministic_model, random_response_model, trace_distance
 from test_swap import remote_state_check
 
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -162,8 +162,6 @@ def test_criterion_9_swap_realization():
     worst_remote = 0.0
     for _ in range(100):
         j0, j1 = rng.uniform(0, 2 * math.pi, size=2)
-        from bellpost.qcore import trace_distance
-
         worst_remote = max(
             worst_remote,
             trace_distance(remote_state_check(0, j0), remote_state_check(1, j1)),

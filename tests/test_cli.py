@@ -2,14 +2,17 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellpost import cli
-from bellpost.cli import ConfigError, config_from_doc, main, parse_config, render_csv, render_report, run
+from bellpost.cli import ConfigError, config_from_doc, main, render_csv, render_report, run
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -52,11 +55,11 @@ class TestParseConfig:
         paths = sorted(EXAMPLES.glob("*.json"))
         assert len(paths) == 9  # one per mode plus the sweep variant
         for path in paths:
-            cfg = parse_config(path.read_text())
+            cfg = config_from_doc(json.loads(path.read_text()))
             assert cfg.mode in cli.MODES
 
     def test_documented_quantum_mc_example(self):
-        cfg = parse_config((EXAMPLES / "quantum_mc.json").read_text())
+        cfg = config_from_doc(json.loads((EXAMPLES / "quantum_mc.json").read_text()))
         assert cfg.mode == "quantum-mc"
         assert cfg.trials == 10**6
         assert cfg.seed == 42
@@ -94,9 +97,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lhv_model"):
             config_from_doc({"mode": "lhv-mc"})
 
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigError, match="JSON"):
-            parse_config("{not json")
+    def test_invalid_json_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        assert main(["lhv-max", "--config", str(cfg)]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+        assert "not valid JSON" in out["error"]["message"]
 
     def test_bad_schema_version(self):
         for version in (2, True, 1.0, "1"):
@@ -110,7 +117,7 @@ class TestParseConfig:
     def test_nonfinite_constants_rejected(self):
         for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
             with pytest.raises(ConfigError, match="non-finite"):
-                parse_config(f'{{"mode": "check-independence", "tol": {literal}}}')
+                config_from_doc(json.loads(f'{{"mode": "check-independence", "tol": {literal}}}'))
 
     def test_nonfinite_tol_rejected(self):
         for tol in (math.nan, math.inf):
@@ -214,7 +221,7 @@ class TestRunReports:
     def test_config_echo_contains_defaults(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 1000}))
         echo = report["config"]
-        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 2
+        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 3
         assert echo["schema_version"] == cli.CONFIG_SCHEMA_VERSION == 1
         assert echo["seed"] == 0
         assert "alice" in echo["schemes"]
@@ -317,6 +324,18 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["error"]["type"] == "EmptyCellError"
 
+    def test_all_discarded_loophole_exits_3(self, capsys, tmp_path):
+        # Alice keeps i = 0 under basis 0 and discards under basis 1, so
+        # pairs (1, 0) and (1, 1) keep no weight; the error names the first.
+        weights = np.zeros((3, 3, 3, 3))
+        weights[0, 2, 0, 0] = 1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "loophole", "trit_weights": weights.ravel().tolist()}))
+        assert main(["loophole", "--config", str(cfg)]) == 3
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "EmptyCellError"
+        assert "(a=1, b=0)" in out["error"]["message"]
+
     def test_csv_format_stdout(self, capsys):
         assert main(["swap", "--grid", "0,1", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -353,6 +372,15 @@ class TestMain:
         out = _strict_json(capsys.readouterr().out)
         assert list(out) == ["help"]
         assert usage in out["help"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["quantum-mc", "-h"], ["swap", "--help"]])
+    def test_help_does_not_depend_on_columns(self, capsys, monkeypatch, argv):
+        outputs = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_side_file_exits_2(self, capsys, tmp_path, flag):
@@ -458,6 +486,20 @@ class TestMain:
         assert main(["lhv-mc", "--config", str(EXAMPLES / "lhv_mc.json"), "--trials", "20000"]) == 0
         second = capsys.readouterr().out
         assert json.dumps(_strip_duration(first)) == json.dumps(_strip_duration(second))
+
+
+def test_import_loads_no_logging_or_executor():
+    """Importing the CLI stays cheap: neither logging nor concurrent.futures loads."""
+    code = (
+        "import sys, bellpost.cli; "
+        "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))"
+    )
+    src = str(ROOT / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_readme_schema_table_lists_the_config_fields():

@@ -5,7 +5,6 @@ import pytest
 
 from bellpost import protocol
 from bellpost.lhv import (
-    AllDiscardedError,
     CellWeights,
     LhvSimModel,
     NondeterministicModelError,
@@ -352,6 +351,28 @@ def discard_oracle(weights: dict) -> tuple[float, dict]:
     return e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)], retained
 
 
+def per_pair_discard_oracle(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(S, e, retained) of trit weights, one basis pair at a time.
+
+    Each pair keeps the cells whose effective values (Alice: i if a = 0 else
+    j; Bob: k if b = 0 else l) are both bits, and renormalizes by their
+    total weight.
+    """
+    i, j, k, l = np.indices((3, 3, 3, 3))
+    e = np.zeros((2, 2))
+    retained = np.zeros((2, 2))
+    for a in (0, 1):
+        for b in (0, 1):
+            xa = i if a == 0 else j
+            yb = k if b == 0 else l
+            mask = (xa != 2) & (yb != 2)
+            kept = float(w[mask].sum())
+            values = (1 - 2 * xa) * (1 - 2 * yb)
+            e[a, b] = float((values * w)[mask].sum()) / kept
+            retained[a, b] = kept
+    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]), e, retained
+
+
 class TestSWithDiscards:
     def test_max_example_reaches_four(self):
         s, e, retained = s_with_discards(loophole_max_example())
@@ -384,8 +405,17 @@ class TestSWithDiscards:
     def test_all_discarded_raises(self):
         w = np.zeros((3, 3, 3, 3))
         w[2, 2, 0, 0] = 1.0  # Alice discards under both bases
-        with pytest.raises(AllDiscardedError):
+        with pytest.raises(protocol.EmptyCellError) as excinfo:
             s_with_discards(TritCellWeights(w))
+        assert (excinfo.value.a, excinfo.value.b) == (0, 0)
+
+    def test_matches_per_pair_oracle(self):
+        rng = np.random.default_rng(42)
+        for _ in range(1_000):
+            weights = TritCellWeights.from_flat(rng.dirichlet(np.ones(81)))
+            got = s_with_discards(weights)
+            for g, want in zip(got, per_pair_discard_oracle(weights.w)):
+                np.testing.assert_allclose(g, want, rtol=0.0, atol=1e-15)
 
     def test_never_four_without_discards(self):
         # Binary-supported distributions are the no-discard case; their S is

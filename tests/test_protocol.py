@@ -29,7 +29,8 @@ from bellpost.protocol import (
     table_s,
 )
 from bellpost.rng import trial_uniforms_block
-from conftest import correlation_oracle
+from bellpost.qcore import _real_kets
+from conftest import correlation_oracle, mixture
 
 PI = math.pi
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -179,8 +180,9 @@ class TestPreparationScheme:
 
     def test_basis_mixture_of_antipodal_pair_is_mixed(self):
         alice, _ = canonical_schemes()
-        np.testing.assert_allclose(alice.basis_mixture(0).mat, np.eye(2) / 2, atol=1e-12)
-        np.testing.assert_allclose(alice.basis_mixture(1).mat, np.eye(2) / 2, atol=1e-12)
+        for a in (0, 1):
+            rho = mixture(alice.priors[a], _real_kets(alice.angles[a]))
+            np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 class TestCanonicalSchemes:
@@ -357,18 +359,28 @@ class TestCheckBasisIndependence:
         d, ok = check_basis_independence(scheme, 1e-6)
         assert not ok
         assert d > 0.01
-        assert d == pytest.approx(_perturbed_distance_oracle(0.2), abs=1e-12)
+        assert d == pytest.approx(_distance_oracle(angles, np.full((2, 2), 0.5)), abs=1e-12)
         assert d == pytest.approx(math.sin(0.1) / 2, abs=1e-12)
 
+    def test_matches_eigvalsh_oracle_on_random_schemes(self):
+        rng = np.random.default_rng(60)
+        for _ in range(200):
+            angles = rng.uniform(-2 * PI, 4 * PI, size=(2, 2))
+            priors = rng.dirichlet(np.ones(2), size=2)
+            d, _ = check_basis_independence(PreparationScheme(angles, priors), 1e-12)
+            assert abs(d - _distance_oracle(angles, priors)) <= 1e-15
 
-def _perturbed_distance_oracle(shift: float) -> float:
-    def proj(theta):
-        v = np.array([math.cos(theta / 2), math.sin(theta / 2)])
-        return np.outer(v, v)
 
-    rho0 = 0.5 * (proj(0.0) + proj(PI))
-    rho1 = 0.5 * (proj(PI / 2 + shift) + proj(3 * PI / 2))
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho1 - rho0))))
+def _distance_oracle(angles, priors) -> float:
+    """Trace distance of the two basis ensembles, from explicit 2x2 mixtures."""
+    rho = []
+    for a in (0, 1):
+        m = np.zeros((2, 2))
+        for x in (0, 1):
+            v = np.array([math.cos(angles[a][x] / 2), math.sin(angles[a][x] / 2)])
+            m += priors[a][x] * np.outer(v, v)
+        rho.append(m)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho[0] - rho[1]))))
 
 
 class TestRunQuantumMc:

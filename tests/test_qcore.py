@@ -1,4 +1,4 @@
-"""Unit and property tests for the exact quantum kernel."""
+"""Unit and property tests for the exact quantum kernel and the test oracles."""
 
 import math
 
@@ -6,20 +6,15 @@ import numpy as np
 import pytest
 
 from bellpost import qcore
-from bellpost.qcore import (
-    DensityMatrix,
-    NumericsError,
-    Projector,
-    PureState,
-    acceptance_table,
-    canonical_angle,
-    ket_theta,
-    mixture_density,
-    phi_plus,
-    tensor,
-    trace_distance,
-)
-from conftest import born_prob, density, partial_trace
+from bellpost.qcore import PHI_PLUS, NumericsError, _real_kets, acceptance_table, canonical_angle
+from conftest import born_prob, density, mixture, partial_trace, trace_distance
+
+PHI_PLUS_PROJ = np.outer(PHI_PLUS, PHI_PLUS)
+
+
+def pair(theta_a: float, theta_b: float) -> np.ndarray:
+    """Amplitudes of the product of the real kets at theta_a (left) and theta_b."""
+    return np.kron(_real_kets(theta_a), _real_kets(theta_b))
 
 
 def overlap_prob_oracle(theta_a: float, theta_b: float) -> float:
@@ -50,86 +45,73 @@ class TestCanonicalAngle:
 
 class TestKetTheta:
     def test_theta_zero_is_ket0(self):
-        np.testing.assert_allclose(ket_theta(0.0).amps, [1, 0], atol=1e-12)
+        np.testing.assert_allclose(_real_kets(0.0), [1, 0], atol=1e-12)
 
     def test_theta_pi_is_ket1(self):
-        np.testing.assert_allclose(ket_theta(math.pi).amps, [0, 1], atol=1e-12)
+        np.testing.assert_allclose(_real_kets(math.pi), [0, 1], atol=1e-12)
 
     def test_theta_half_pi_is_plus(self):
         inv = 1 / math.sqrt(2)
-        np.testing.assert_allclose(ket_theta(math.pi / 2).amps, [inv, inv], atol=1e-12)
+        np.testing.assert_allclose(_real_kets(math.pi / 2), [inv, inv], atol=1e-12)
 
     def test_unit_norm_for_random_angles(self):
         rng = np.random.default_rng(1)
         for theta in rng.uniform(-10, 10, size=50):
-            s = ket_theta(theta)
-            assert np.sum(np.abs(s.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(_real_kets(theta) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTensor:
+    # Qubit 0 is the leftmost factor and the most significant index bit.
     def test_basis_products(self):
-        k0, k1 = ket_theta(0.0), ket_theta(math.pi)
-        np.testing.assert_allclose(tensor(k0, k1).amps, [0, 1, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(tensor(k0, k0).amps, [1, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(pair(0.0, math.pi), [0, 1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(pair(0.0, 0.0), [1, 0, 0, 0], atol=1e-12)
 
     def test_plus_plus_is_uniform(self):
-        p = ket_theta(math.pi / 2)
-        np.testing.assert_allclose(tensor(p, p).amps, [0.5] * 4, atol=1e-12)
-
-    def test_dimension_overflow_rejected(self):
-        four = tensor(phi_plus(), phi_plus())
-        with pytest.raises(ValueError, match="qubits"):
-            tensor(four, ket_theta(0.0))
+        np.testing.assert_allclose(pair(math.pi / 2, math.pi / 2), [0.5] * 4, atol=1e-12)
 
 
 class TestPhiPlus:
     def test_amplitudes(self):
         inv = 1 / math.sqrt(2)
-        np.testing.assert_allclose(phi_plus().amps, [inv, 0, 0, inv], atol=1e-12)
+        np.testing.assert_allclose(PHI_PLUS, [inv, 0, 0, inv], atol=1e-12)
 
     def test_projects_onto_itself(self):
-        assert born_prob(phi_plus(), Projector.onto(phi_plus())) == pytest.approx(1.0, abs=1e-12)
+        assert born_prob(PHI_PLUS, PHI_PLUS_PROJ) == pytest.approx(1.0, abs=1e-12)
 
     def test_both_marginals_maximally_mixed(self):
-        rho = density(phi_plus())
+        rho = density(PHI_PLUS)
         for keep in ((0,), (1,)):
-            np.testing.assert_allclose(partial_trace(rho, keep).mat, np.eye(2) / 2, atol=1e-12)
+            np.testing.assert_allclose(partial_trace(rho, keep), np.eye(2) / 2, atol=1e-12)
 
 
 class TestBornProb:
     def test_equal_angles_give_half(self):
-        proj = Projector.onto(phi_plus())
         for a in (0.0, 0.3, 2.2, 5.9):
-            pair = tensor(ket_theta(a), ket_theta(a))
-            assert born_prob(pair, proj) == pytest.approx(0.5, abs=1e-12)
+            assert born_prob(pair(a, a), PHI_PLUS_PROJ) == pytest.approx(0.5, abs=1e-12)
 
     def test_opposite_angles_give_zero(self):
-        proj = Projector.onto(phi_plus())
-        pair = tensor(ket_theta(0.7), ket_theta(0.7 + math.pi))
-        assert born_prob(pair, proj) == pytest.approx(0.0, abs=1e-12)
+        assert born_prob(pair(0.7, 0.7 + math.pi), PHI_PLUS_PROJ) == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_turn_gives_quarter(self):
         # Frozen from overlap_prob_oracle(0.4, 0.4 + pi/2) = 0.25.
-        proj = Projector.onto(phi_plus())
-        pair = tensor(ket_theta(0.4), ket_theta(0.4 + math.pi / 2))
         assert overlap_prob_oracle(0.4, 0.4 + math.pi / 2) == pytest.approx(0.25, abs=1e-12)
-        assert born_prob(pair, proj) == pytest.approx(0.25, abs=1e-12)
+        got = born_prob(pair(0.4, 0.4 + math.pi / 2), PHI_PLUS_PROJ)
+        assert got == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_half_cos_squared_law(self):
         # The acceptance-rate law p = cos(delta/2)^2 / 2, against the raw
         # inner-product oracle, over 100 random angle pairs.
-        proj = Projector.onto(phi_plus())
         rng = np.random.default_rng(2)
         for _ in range(100):
             a = rng.uniform(0, 2 * math.pi)
             d = rng.uniform(-2 * math.pi, 2 * math.pi)
-            got = born_prob(tensor(ket_theta(a), ket_theta(a + d)), proj)
+            got = born_prob(pair(a, a + d), PHI_PLUS_PROJ)
             assert got == pytest.approx(0.5 * math.cos(d / 2) ** 2, abs=1e-12)
             assert got == pytest.approx(overlap_prob_oracle(a, a + d), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            born_prob(ket_theta(0.0), Projector.onto(phi_plus()))
+            born_prob(_real_kets(0.0), PHI_PLUS_PROJ)
 
 
 class TestAcceptanceTable:
@@ -137,14 +119,13 @@ class TestAcceptanceTable:
         return rng.uniform(-2 * math.pi, 4 * math.pi, size=(2, 2))
 
     def test_matches_born_oracle_for_phi_plus(self):
-        proj = Projector.onto(phi_plus())
         rng = np.random.default_rng(12)
         for _ in range(100):
             ta, tb = self._angles(rng), self._angles(rng)
-            table = acceptance_table(proj.mat, ta, tb)
+            table = acceptance_table(PHI_PLUS_PROJ, ta, tb)
             for a, b, x, y in np.ndindex(2, 2, 2, 2):
-                pair = tensor(ket_theta(ta[a, x]), ket_theta(tb[b, y]))
-                assert abs(table[a, b, x, y] - born_prob(pair, proj)) <= 1e-15
+                want = born_prob(pair(ta[a, x], tb[b, y]), PHI_PLUS_PROJ)
+                assert abs(table[a, b, x, y] - want) <= 1e-15
 
     def test_matches_born_rule_for_random_effects(self):
         # tr[E |psi><psi|] = <psi|E|psi> for an effect with eigenvalues in [0, 1].
@@ -155,7 +136,7 @@ class TestAcceptanceTable:
             ta, tb = self._angles(rng), self._angles(rng)
             table = acceptance_table(effect, ta, tb)
             for a, b, x, y in np.ndindex(2, 2, 2, 2):
-                psi = tensor(ket_theta(ta[a, x]), ket_theta(tb[b, y])).amps
+                psi = pair(ta[a, x], tb[b, y])
                 want = float(np.real(np.vdot(psi, effect @ psi)))
                 assert abs(table[a, b, x, y] - want) <= 1e-15
 
@@ -169,39 +150,30 @@ class TestAcceptanceTable:
 
 class TestMixtureDensity:
     def test_z_pair_gives_maximally_mixed(self):
-        rho = mixture_density([(0.5, ket_theta(0.0)), (0.5, ket_theta(math.pi))])
-        np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-12)
+        rho = mixture([0.5, 0.5], _real_kets([0.0, math.pi]))
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_x_pair_gives_maximally_mixed(self):
-        rho = mixture_density(
-            [(0.5, ket_theta(math.pi / 2)), (0.5, ket_theta(3 * math.pi / 2))]
-        )
-        np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-12)
+        rho = mixture([0.5, 0.5], _real_kets([math.pi / 2, 3 * math.pi / 2]))
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_single_component_is_pure(self):
-        psi = ket_theta(1.1)
-        rho = mixture_density([(1.0, psi)])
-        np.testing.assert_allclose(rho.mat, np.outer(psi.amps, psi.amps.conj()), atol=1e-12)
-
-    def test_unnormalized_probs_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            mixture_density([(0.7, ket_theta(0.0)), (0.2, ket_theta(math.pi))])
+        psi = _real_kets(1.1)
+        np.testing.assert_allclose(mixture([1.0], [psi]), np.outer(psi, psi), atol=1e-12)
 
 
 class TestTraceDistance:
     def test_identical_states(self):
-        rho = density(ket_theta(0.4))
+        rho = density(_real_kets(0.4))
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        d = trace_distance(density(ket_theta(0.0)), density(ket_theta(math.pi)))
+        d = trace_distance(density(_real_kets(0.0)), density(_real_kets(math.pi)))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_z_and_x_ensembles_indistinguishable(self):
-        rho0 = mixture_density([(0.5, ket_theta(0.0)), (0.5, ket_theta(math.pi))])
-        rho1 = mixture_density(
-            [(0.5, ket_theta(math.pi / 2)), (0.5, ket_theta(3 * math.pi / 2))]
-        )
+        rho0 = mixture([0.5, 0.5], _real_kets([0.0, math.pi]))
+        rho1 = mixture([0.5, 0.5], _real_kets([math.pi / 2, 3 * math.pi / 2]))
         assert trace_distance(rho0, rho1) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry_and_triangle_inequality(self):
@@ -217,21 +189,18 @@ class TestTraceDistance:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            trace_distance(density(ket_theta(0.0)), density(phi_plus()))
+            trace_distance(density(_real_kets(0.0)), density(PHI_PLUS))
 
 
 class TestPartialTrace:
     def test_entangled_marginal(self):
-        np.testing.assert_allclose(
-            partial_trace(density(phi_plus()), (0,)).mat, np.eye(2) / 2, atol=1e-12
-        )
+        rho = partial_trace(density(PHI_PLUS), (0,))
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_product_state_keep_second(self):
-        plus = ket_theta(math.pi / 2)
-        rho = density(tensor(ket_theta(0.0), plus))
-        np.testing.assert_allclose(
-            partial_trace(rho, (1,)).mat, np.outer(plus.amps, plus.amps.conj()), atol=1e-12
-        )
+        plus = _real_kets(math.pi / 2)
+        rho = density(pair(0.0, math.pi / 2))
+        np.testing.assert_allclose(partial_trace(rho, (1,)), np.outer(plus, plus), atol=1e-12)
 
     def test_trace_preserved_on_random_inputs(self):
         rng = np.random.default_rng(4)
@@ -239,13 +208,13 @@ class TestPartialTrace:
             rho = _random_density(rng, 8)  # three qubits
             for keep in ((0,), (1, 2), (0, 2)):
                 reduced = partial_trace(rho, keep)
-                assert np.trace(reduced.mat).real == pytest.approx(1.0, abs=1e-9)
+                assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_index_set_rejected(self):
         with pytest.raises(ValueError, match="subset"):
-            partial_trace(density(phi_plus()), (2,))
+            partial_trace(density(PHI_PLUS), (2,))
         with pytest.raises(ValueError, match="subset"):
-            partial_trace(density(phi_plus()), ())
+            partial_trace(density(PHI_PLUS), ())
 
 
 class TestCompleteness:
@@ -255,39 +224,13 @@ class TestCompleteness:
             dim = 2**n_qubits
             for _ in range(20):
                 basis = _random_unitary(rng, dim)
-                projs = [Projector.onto(PureState(basis[:, k])) for k in range(dim)]
+                projs = [density(basis[:, k]) for k in range(dim)]
                 state = _random_state(rng, dim)
                 total = sum(born_prob(state, p) for p in projs)
                 assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTypeInvariants:
-    def test_unnormalized_state_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            PureState(np.array([1.0, 1.0]))
-
-    def test_bad_register_size_rejected(self):
-        with pytest.raises(ValueError):
-            PureState(np.ones(3) / math.sqrt(3))
-        with pytest.raises(ValueError):
-            PureState(np.ones(32) / math.sqrt(32))
-
-    def test_non_hermitian_density_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
-
-    def test_wrong_trace_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2))
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix(np.diag([1.5, -0.5]))
-
-    def test_non_idempotent_projector_rejected(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            Projector(np.eye(2) / 2)
-
     def test_probability_clamp_rejects_logic_bugs(self):
         for value in (1.001, -0.001, math.nan, np.array([0.5, 1.001])):
             with pytest.raises(NumericsError):
@@ -299,14 +242,14 @@ class TestTypeInvariants:
         assert qcore._clamp_probability(-1e-13) == 0.0
 
     def test_values_immutable_after_construction(self):
-        s = ket_theta(0.3)
+        # PHI_PLUS is shared module state, so no caller may write to it.
         with pytest.raises(ValueError):
-            s.amps[0] = 0.0
+            PHI_PLUS[0] = 0.0
 
 
-def _random_state(rng: np.random.Generator, dim: int) -> PureState:
+def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -315,7 +258,7 @@ def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = m @ m.conj().T
-    return DensityMatrix(mat / np.trace(mat))
+    return mat / np.trace(mat)

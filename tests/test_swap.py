@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from bellpost import protocol, swap
-from bellpost.qcore import DensityMatrix, Projector, ket_theta, phi_plus, trace_distance
+from bellpost.qcore import PHI_PLUS, _real_kets
 from bellpost.swap import (
     NoiseParams,
     SwapConfig,
-    build_initial,
     depolarizing_sweep,
     exact_swap_s,
     joint_distribution,
@@ -18,25 +17,23 @@ from bellpost.swap import (
     run_swap,
     scheme_projectors,
 )
-from conftest import density, partial_trace
+from conftest import density, partial_trace, trace_distance
 
 TWO_SQRT2 = 2 * math.sqrt(2)
 
 
-def local_projectors(basis: int, jitter: float) -> tuple[Projector, Projector]:
+def local_projectors(basis: int, jitter: float) -> np.ndarray:
     """Z-like (basis 0) or X-like (basis 1) measurement, offset by jitter.
 
     Outcome index equals the party's state value: outcome x projects onto the
     state at angle x*pi (basis 0) or pi/2 + x*pi (basis 1), plus the jitter.
+    Returns the two projectors as an array indexed [x, row, col].
     """
     base = 0.0 if basis == 0 else math.pi / 2
-    return (
-        Projector.onto(ket_theta(base + jitter)),
-        Projector.onto(ket_theta(base + math.pi + jitter)),
-    )
+    return np.array([density(_real_kets(base + x * math.pi + jitter)) for x in (0, 1)])
 
 
-def remote_state_check(basis: int, jitter: float) -> DensityMatrix:
+def remote_state_check(basis: int, jitter: float) -> np.ndarray:
     """No-signalling oracle: the outcome-averaged remotely prepared state.
 
     Measures qubit 0 of a maximally entangled pair with
@@ -44,51 +41,49 @@ def remote_state_check(basis: int, jitter: float) -> DensityMatrix:
     reduced states of qubit 1; the result is I/2 for every basis and jitter,
     which is the guarantee the swap realization relies on.
     """
-    rho = density(phi_plus()).mat
-    acc = np.zeros((4, 4), dtype=np.complex128)
+    rho = density(PHI_PLUS)
+    acc = np.zeros((4, 4))
     for p in local_projectors(basis, jitter):
-        m = np.kron(p.mat, np.eye(2))
+        m = np.kron(p, np.eye(2))
         acc += m @ rho @ m
-    return partial_trace(DensityMatrix(acc), (1,))
+    return partial_trace(acc, (1,))
 
 
 class TestBuildInitial:
     def test_corner_amplitudes(self):
-        amps = build_initial().amps
+        amps = swap._TWO_PAIRS
         assert amps[0b0000] == pytest.approx(0.5)
         assert amps[0b0100] == pytest.approx(0.0)
         assert amps[0b1111] == pytest.approx(0.5)
 
     def test_charlie_bound_marginal_is_mixed(self):
-        rho = partial_trace(density(build_initial()), (1, 3))
-        np.testing.assert_allclose(rho.mat, np.eye(4) / 4, atol=1e-12)
+        rho = partial_trace(density(swap._TWO_PAIRS), (1, 3))
+        np.testing.assert_allclose(rho, np.eye(4) / 4, atol=1e-12)
 
 
 class TestLocalProjectors:
     def test_basis0_is_z_pair(self):
         p0, p1 = local_projectors(0, 0.0)
-        np.testing.assert_allclose(p0.mat, np.diag([1, 0]), atol=1e-12)
-        np.testing.assert_allclose(p1.mat, np.diag([0, 1]), atol=1e-12)
+        np.testing.assert_allclose(p0, np.diag([1, 0]), atol=1e-12)
+        np.testing.assert_allclose(p1, np.diag([0, 1]), atol=1e-12)
 
     def test_basis1_is_x_pair(self):
         p0, p1 = local_projectors(1, 0.0)
-        np.testing.assert_allclose(p0.mat, np.full((2, 2), 0.5), atol=1e-12)
-        np.testing.assert_allclose(p1.mat, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(p0, np.full((2, 2), 0.5), atol=1e-12)
+        np.testing.assert_allclose(p1, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_sum_to_identity_for_random_jitter(self):
         rng = np.random.default_rng(50)
         for _ in range(20):
             basis = int(rng.integers(2))
             p0, p1 = local_projectors(basis, rng.uniform(0, 2 * math.pi))
-            np.testing.assert_allclose(p0.mat + p1.mat, np.eye(2), atol=1e-12)
+            np.testing.assert_allclose(p0 + p1, np.eye(2), atol=1e-12)
 
     def test_alice_scheme_projectors_match(self):
         alice, _ = protocol.canonical_schemes()
         for basis in (0, 1):
             want = local_projectors(basis, 0.1)
-            got = scheme_projectors(alice, basis, 0.1)
-            for w, g in zip(want, got):
-                np.testing.assert_allclose(w.mat, g.mat, atol=1e-12)
+            np.testing.assert_allclose(scheme_projectors(alice, basis, 0.1), want, atol=1e-12)
 
     def test_non_antipodal_scheme_rejected(self):
         crooked = protocol.PreparationScheme.uniform([[0.0, 1.0], [0.0, math.pi]])
@@ -98,10 +93,10 @@ class TestLocalProjectors:
 
 class TestRemoteStateCheck:
     def test_z_measurement_average(self):
-        np.testing.assert_allclose(remote_state_check(0, 0.0).mat, np.eye(2) / 2, atol=1e-12)
+        np.testing.assert_allclose(remote_state_check(0, 0.0), np.eye(2) / 2, atol=1e-12)
 
     def test_jittered_x_measurement_average(self):
-        np.testing.assert_allclose(remote_state_check(1, 0.3).mat, np.eye(2) / 2, atol=1e-12)
+        np.testing.assert_allclose(remote_state_check(1, 0.3), np.eye(2) / 2, atol=1e-12)
 
     def test_basis_independent_across_random_jitters(self):
         rng = np.random.default_rng(51)
@@ -151,7 +146,7 @@ class TestOrderInvariance:
 
     def test_random_noise_configs(self):
         rng = np.random.default_rng(53)
-        for _ in range(10):
+        for _ in range(50):
             noise = NoiseParams(
                 depol_alice=rng.uniform(),
                 depol_bob=rng.uniform(),
