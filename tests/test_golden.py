@@ -4,7 +4,7 @@ The reproducibility tests elsewhere compare two runs in one process, so a
 change to the stream-to-trial mapping (which uniforms a trial reads, or how
 it turns them into (a, b, x, y, c)) passes them.  The tallies and report
 digests below were recorded from the samplers and must never move without a
-``schema_version`` bump.  The report digests are those of report schema 2.
+``schema_version`` bump.  The report digests are those of report schema 3.
 
 Trial counts: 100 000, and 131 075, which is odd and above 8 * 16 384, so
 the sampler's 16 384-trial blocks, its per-CPU shares and any partition of
@@ -134,7 +134,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "f5e66c24a96b10e834c48aacdd700a0fcaa5bb4a4f7a561f48dbe1cdd7b77426",
+        "39ab320350bfa5e077dab4b0a2e1d75729c138f2a9892c39bc57e71bf498a258",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -148,12 +148,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "67249a6162da175da4578883d1ab2423b040fd17797d424647e4005d94f5063f",
+        "bbbba0c8676755ac360455ddf9a86d114f677ab192afde2878f70a08293a89c1",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "003422e9d3b5e71fd57b579b6c75459ea9347fd2488df1b513a767ae3a25bc65",
+        "85081d4c407e351784ba05f4bcf2c9f239e25362fc62a2cd07adb5bccc3c0a81",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -161,15 +161,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "3bc1f63ec016bd17b03d0d167278beb09bf29bd29bf586bfdb04381ae0ea093a",
+        "a1886681d8e424fbb2b5b55efbc06a5c45a4d1e062ef88db08f52641d439727f",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "77ecb25f43c938d66d0c57ddaf4f90fd59e8094be7859283551ae6505abedf6b"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "c57eaa0dc45b62d63aac0a320ab128da1d29d640007936fb368a7c554dd60733"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "2eae8932fb609a071e24af603efab5ea01970a80d48858f0c83b85155195a064",
+        "473b48a51511b69c36df17bc678d1fe48975dc466d293e1a162dff484b730f2f",
     ),
-    "loophole": (["loophole"], None, "9424906a1b1edc0d2c7b0cae68e573cdee3f2f8fc16e27afec913ea38044c1fb"),
+    "loophole": (["loophole"], None, "be50e3abe76eb41b7e391cf902b84b98ea301b98d7cb79f47f9998e3540bc5d1"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -181,14 +181,14 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "fc3a1cbc6f2d52229b59f78cbe82740bece4ada9ce9303d141066901d52da459",
+        "0a5a521566a7a7ba23426f69068920221f1ca21364fc00b2462f4c7fef20494b",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "6b22515dfdab36552c08d4244692658a0cf99f24c3878e3b6792f3d6328964bb"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "ea0e25db05b3ab3c50e732f11fce2fc78286dfe04dd5c40f571e4d1e38137f4a"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "f77c44f5c63ca0cdf6de2f7757026fcfbb70c4e4a0aa3680eeaec1b71ffcec64"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "64a890bd979da737e861e7caa71867058d0923bcda55befc4d11dcbd9781f776"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "e94046ed6dfffc5b658da01caec30b4b854fb56399f2f60df5b690422a91cbf2",
+        "64f5eb2afc5988fce477f1d4dad4fb33f3f8069660f122a8ff938e8fc1a15871",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
