@@ -30,9 +30,10 @@ from .qcore import NumericsError
 # Reports and config documents carry separate versions.  Report schema 2
 # holds closed-form error bars and the violation p-value; schema 3 computes
 # the basis-independence distance in closed form and the loophole through
-# ``protocol.postselect``.  Config documents stay at version 1, which reports
-# echo.
-REPORT_SCHEMA_VERSION = 3
+# ``protocol.postselect``; schema 4 draws 3 or 5 words per sampled trial,
+# reports ``exact_s`` in every sampled mode and draws the ``lhv-indet`` sweep
+# in blocks.  Config documents stay at version 1, which reports echo.
+REPORT_SCHEMA_VERSION = 4
 CONFIG_SCHEMA_VERSION = 1
 
 # Margins for the task-completed verdict: a sampled run's violation p-value
@@ -289,13 +290,19 @@ def _run_quantum_exact(cfg: ScenarioConfig) -> tuple[dict, str]:
 
 def _run_quantum_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
     alice, bob = _scheme_pair(cfg.schemes)
-    rep = protocol.bell_report(protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed))
-    return _bell_results(rep), _verdict_sampled(rep)
+    sel = protocol.selection_probability_table(alice, bob)
+    exact = protocol.table_s(protocol.exact_postselected(alice, bob, sel)[0])
+    rep = protocol.bell_report(protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed, sel))
+    results = _bell_results(rep)
+    results["exact_s"] = exact
+    return results, _verdict_sampled(rep)
 
 
 def _run_lhv_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
+    exact = protocol.table_s(lhv.exact_postselected(cfg.lhv_model)[0])
     rep = protocol.bell_report(lhv.simulate_lhv(cfg.lhv_model, cfg.trials, cfg.seed))
     results = _bell_results(rep)
+    results["exact_s"] = exact
     if cfg.lhv_model.is_deterministic():
         results["s_from_cells"] = lhv.s_from_cells(lhv.cells_from_model(cfg.lhv_model))
     return results, _verdict_sampled(rep)
@@ -313,20 +320,10 @@ def _run_lhv_max(cfg: ScenarioConfig) -> tuple[dict, str]:
     return results, "classical bound"
 
 
-def _random_response_model(rng: np.random.Generator) -> lhv.ResponseModel:
-    n = int(rng.integers(1, 6))
-    weights = rng.dirichlet(np.ones(n))
-    vals = rng.uniform(-1.0, 1.0, size=(4, n))
-    return lhv.ResponseModel(weights, vals[0], vals[1], vals[2], vals[3])
-
-
 def _run_lhv_indet(cfg: ScenarioConfig) -> tuple[dict, str]:
     if cfg.response_model is not None:
         return {"s": lhv.s_indeterministic(cfg.response_model)}, "classical bound"
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(cfg.samples):
-        worst = max(worst, abs(lhv.s_indeterministic(_random_response_model(rng))))
+    worst = lhv.random_max_abs_s_indeterministic(np.random.default_rng(cfg.seed), cfg.samples)
     return {"random_samples": cfg.samples, "max_abs_s": worst}, "classical bound"
 
 

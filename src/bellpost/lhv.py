@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import EXACT_TOL, NumericsError
-from .protocol import Tally, correlations, postselect, sample_tally, table_s
+from .protocol import CondProbTable, Tally, correlations, postselect, sample_tally, table_s
 from .rng import threshold
 
 
@@ -197,6 +197,45 @@ def s_indeterministic(m: ResponseModel) -> float:
     return float(np.sum(m.weights * (m.f0 * (m.g0 + m.g1) + m.f1 * (m.g0 - m.g1))))
 
 
+# Most atoms of a random response model in the indeterministic sweep.
+_MAX_ATOMS = 5
+
+
+def random_indeterministic_s(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """CHSH values of ``rows`` random response mixtures, drawn as one block.
+
+    Row r has n_r atoms, n_r uniform in 1..5 (``integers``); its weights are
+    Dirichlet(1, ..., 1), drawn as standard exponentials that are zeroed past
+    n_r and normalized; its f0, f1, g0 and g1 columns are ``uniform(-1, 1)``
+    draws, shape (rows, 4, 5).  S is ``s_indeterministic``'s sum along the
+    atom axis, to which the zero-weight atoms add nothing.  Every row is
+    checked as ``ResponseModel`` checks its fields.
+    """
+    atoms = rng.integers(1, _MAX_ATOMS + 1, size=rows)
+    weights = rng.standard_exponential((rows, _MAX_ATOMS))
+    weights[np.arange(_MAX_ATOMS) >= atoms[:, None]] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    values = rng.uniform(-1.0, 1.0, size=(rows, 4, _MAX_ATOMS))
+    valid = (
+        np.all(weights >= 0.0, axis=1)
+        & (np.abs(weights.sum(axis=1) - 1.0) <= EXACT_TOL)
+        & np.all(np.abs(values) <= 1.0, axis=(1, 2))
+    )
+    if not np.all(valid):
+        raise NumericsError("a random response model is not a valid mixture")
+    f0, f1, g0, g1 = values.transpose(1, 0, 2)
+    return np.sum(weights * (f0 * (g0 + g1) + f1 * (g0 - g1)), axis=1)
+
+
+def random_max_abs_s_indeterministic(rng: np.random.Generator, samples: int) -> float:
+    """Largest |S| over ``samples`` random response mixtures, ``_SWEEP_BLOCK`` rows at a time."""
+    best = 0.0
+    for start in range(0, samples, _SWEEP_BLOCK):
+        s = random_indeterministic_s(rng, min(_SWEEP_BLOCK, samples - start))
+        best = max(best, float(np.abs(s).max()))
+    return best
+
+
 def _validate_distribution(values, probs, label: str) -> tuple[np.ndarray, np.ndarray]:
     values = np.array(values, dtype=np.float64).reshape(-1)
     probs = np.array(probs, dtype=np.float64).reshape(-1)
@@ -265,21 +304,23 @@ class LhvSimModel:
         )
 
 
-# Per-trial row layout of words (rng.DRAWS_PER_TRIAL columns):
-# 0 -> a, 1 -> b, 2 -> lambda, 3 -> lambda', 4 -> x, 5 -> y, 6 -> acceptance.
-_COL_A, _COL_B, _COL_LAM, _COL_LAMP, _COL_X, _COL_Y, _COL_C = range(7)
+# Row layout of an LHV trial: 0 -> x, with a = bit 0; 1 -> y, with b = bit 0;
+# 2 -> lambda; 3 -> lambda'; 4 -> Charlie's acceptance.
+_COL_X, _COL_Y, _COL_LAM, _COL_LAMP, _COL_C = range(5)
+LHV_WIDTH = 5
 
 
 def simulate_lhv(m: LhvSimModel, n_trials: int, seed: int) -> Tally:
     """Sample the classical task; feeds the same tally pipeline as the quantum path.
 
-    Hidden value i is drawn when its uniform u has cum[i-1] <= u < cum[i] in
-    the cumulative probabilities, the last value taking any u past the end;
-    x = 1 when u < response_a[a, i], likewise y, and Charlie announces when
-    u < select[i, j].  Every cut runs on integer thresholds (rng module): the
-    hidden-value index counts the cumulative thresholds at or below the
-    word's top 53 bits, and the response and selection thresholds are read
-    from flat tables.
+    Each trial draws ``LHV_WIDTH`` words.  The basis bits a and b are fair
+    coins, bit 0 of the x and y words.  Hidden value i is drawn when its
+    uniform u has cum[i-1] <= u < cum[i] in the cumulative probabilities, the
+    last value taking any u past the end; x = 1 when u < response_a[a, i],
+    likewise y, and Charlie announces when u < select[i, j].  Every cut runs
+    on integer thresholds (rng module): the hidden-value index counts the
+    cumulative thresholds at or below the word's top 53 bits, and the
+    response and selection thresholds are read from flat tables.
     """
     n_lam = m.lambda_probs.size
     n_lamp = m.lambda_prime_probs.size
@@ -291,17 +332,32 @@ def simulate_lhv(m: LhvSimModel, n_trials: int, seed: int) -> Tally:
     cut_select = threshold(m.select).ravel()
 
     def selected_cells(w: np.ndarray) -> np.ndarray:
-        a = (w[:, _COL_A] >> 63).view(np.int64)
-        b = (w[:, _COL_B] >> 63).view(np.int64)
+        wx, wy = w[:, _COL_X], w[:, _COL_Y]
+        a = (wx & 1).view(np.int64)
+        b = (wy & 1).view(np.int64)
         lam = np.searchsorted(cut_lam, w[:, _COL_LAM] >> 11, side="right")
         lamp = np.searchsorted(cut_lamp, w[:, _COL_LAMP] >> 11, side="right")
-        x = (w[:, _COL_X] >> 11) < cut_x.take(a * n_lam + lam)
-        y = (w[:, _COL_Y] >> 11) < cut_y.take(b * n_lamp + lamp)
+        x = (wx >> 11) < cut_x.take(a * n_lam + lam)
+        y = (wy >> 11) < cut_y.take(b * n_lamp + lamp)
         cell = ((a * 2 + b) * 2 + x) * 2 + y
         rejected = (w[:, _COL_C] >> 11) >= cut_select.take(lam * n_lamp + lamp)
         return cell + 16 * rejected
 
-    return sample_tally(seed, n_trials, selected_cells)
+    return sample_tally(seed, n_trials, selected_cells, LHV_WIDTH)
+
+
+def exact_postselected(m: LhvSimModel) -> tuple[CondProbTable, np.ndarray]:
+    """Closed-form post-selected statistics of a model, no sampling.
+
+    The [a, b, x, y] weight is sum_ij p_i p'_j select_ij P(x | a, i)
+    P(y | b, j), reduced by ``protocol.postselect``; it returns the
+    conditional table and the per-(a, b) selection rates, and raises
+    EmptyCellError when the selected mass is at most 1e-12.
+    """
+    px = np.stack([1.0 - m.response_a, m.response_a], axis=1)  # [a, x, i]
+    py = np.stack([1.0 - m.response_b, m.response_b], axis=1)  # [b, y, j]
+    selected = m.lambda_probs[:, None] * m.lambda_prime_probs[None, :] * m.select
+    return postselect(np.einsum("ij,axi,byj->abxy", selected, px, py))
 
 
 def cells_from_model(m: LhvSimModel) -> CellWeights:

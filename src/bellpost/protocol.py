@@ -26,10 +26,12 @@ count, and since a trial's words depend only on (seed, trial index), the
 tally does not depend on the CPU count.
 
 The transforms cut the raw Philox words of each trial directly (rng module):
-a fair coin is a word's top bit, and ``u >= p`` on the uniform a word stands
+a fair coin is bit 0 of a word, and ``u >= p`` on the uniform a word stands
 for is ``(w >> 11) >= threshold(p)``, with every threshold computed once per
 run.  No word is converted to a float, and the tally is the one the float
-comparisons give, bit for bit.
+comparisons give, bit for bit.  Each transform's module states its row width
+next to its column layout, and a trial draws only the words its transform
+cuts: ``PM_WIDTH`` = 3 for a prepare-and-measure trial here.
 """
 
 from __future__ import annotations
@@ -140,8 +142,8 @@ class Tally:
         return int(self.counts.sum())
 
 
-# Trials per block of the streaming sampler: 16 Ki rows of DRAWS_PER_TRIAL
-# uint64 words is 1 MiB.  Each thread holds one block and the transform's
+# Trials per block of the streaming sampler: 16 Ki rows of 3 or 5 uint64
+# words is 384 or 640 KiB.  Each thread holds one block and the transform's
 # temporaries, so the sampler's memory is O(CPUs x a few MiB) whatever the
 # trial count.
 BLOCK_TRIALS = 1 << 14
@@ -155,20 +157,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stream_counts(seed: int, start: int, stop: int, selected_cells) -> np.ndarray:
+def _stream_counts(seed: int, start: int, stop: int, selected_cells, width: int) -> np.ndarray:
     """Flat 16-cell counts of the announced trials start..stop-1, one block at a time."""
     counts = np.zeros(32, dtype=np.int64)
     for lo in range(start, stop, BLOCK_TRIALS):
-        w = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop))
+        w = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop), width)
         counts += np.bincount(selected_cells(w), minlength=32)
     return counts[:16]
 
 
-def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
+def sample_tally(seed: int, n_trials: int, selected_cells, width: int) -> Tally:
     """Stream trials 0..n_trials-1 into a Tally, one share per allowed CPU.
 
-    ``selected_cells(w)`` maps a block of per-trial rows of raw Philox words
-    (rng module) to one int64 index per trial: the flat cell
+    ``selected_cells(w)`` maps a block of per-trial rows of ``width`` raw
+    Philox words (rng module) to one int64 index per trial: the flat cell
     ((a*2 + b)*2 + x)*2 + y of an announced trial, and that cell + 16 for a
     trial Charlie did not announce.  Indices 16..31 are counted and dropped.
     It is called from several threads at once, so it must be thread-safe:
@@ -189,7 +191,7 @@ def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
 
     def stream(i: int) -> None:
         try:
-            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], selected_cells)
+            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], selected_cells, width)
         except BaseException as exc:  # handed to the caller, which re-raises it
             results[i] = exc
 
@@ -262,16 +264,19 @@ def selection_probability_table(
 
 
 def exact_postselected(
-    scheme_a: PreparationScheme, scheme_b: PreparationScheme
+    scheme_a: PreparationScheme, scheme_b: PreparationScheme, sel: np.ndarray | None = None
 ) -> tuple[CondProbTable, np.ndarray]:
     """Closed-form post-selected statistics, no sampling.
 
     Returns the exact conditional table and the per-(a, b) selection rates
     (probability that a trial with that basis pair is announced).  Rates at
     rounding-noise level (below 1e-12) count as empty: they are zero up to the
-    precision of the underlying Born probabilities.
+    precision of the underlying Born probabilities.  A caller that already
+    holds ``selection_probability_table(scheme_a, scheme_b)`` passes it as
+    ``sel``.
     """
-    sel = selection_probability_table(scheme_a, scheme_b)
+    if sel is None:
+        sel = selection_probability_table(scheme_a, scheme_b)
     return postselect(scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel)
 
 
@@ -300,14 +305,14 @@ def check_basis_independence(scheme: PreparationScheme, tol: float) -> tuple[flo
     return distance, distance <= tol
 
 
-# Column layout of a prepare-and-measure trial's row of words (see
-# rng.DRAWS_PER_TRIAL): 0 -> a, 1 -> b, 2 -> x, 3 -> y, 4 -> Charlie's
-# acceptance.  Columns 5-7 are reserved so all samplers share one row width.
-_COL_A, _COL_B, _COL_X, _COL_Y, _COL_C = range(5)
+# Row layout of a prepare-and-measure trial: 0 -> x, with a = bit 0;
+# 1 -> y, with b = bit 0; 2 -> Charlie's acceptance.
+_COL_X, _COL_Y, _COL_C = range(3)
+PM_WIDTH = 3
 
 
 def prepare_and_measure(priors_a: np.ndarray, priors_b: np.ndarray, accept: np.ndarray):
-    """The ``sample_tally`` transform of a prepare-and-measure trial.
+    """The ``sample_tally`` transform of a prepare-and-measure trial (``PM_WIDTH`` words).
 
     The basis bits are fair coins, the state bits follow ``priors_a[a]`` and
     ``priors_b[b]``, and Charlie announces with probability
@@ -319,10 +324,11 @@ def prepare_and_measure(priors_a: np.ndarray, priors_b: np.ndarray, accept: np.n
     cut_accept = threshold(accept).ravel()
 
     def selected_cells(w: np.ndarray) -> np.ndarray:
-        a = (w[:, _COL_A] >> 63).view(np.int64)
-        b = (w[:, _COL_B] >> 63).view(np.int64)
-        x = (w[:, _COL_X] >> 11) >= cut_a.take(a)
-        y = (w[:, _COL_Y] >> 11) >= cut_b.take(b)
+        wx, wy = w[:, _COL_X], w[:, _COL_Y]
+        a = (wx & 1).view(np.int64)
+        b = (wy & 1).view(np.int64)
+        x = (wx >> 11) >= cut_a.take(a)
+        y = (wy >> 11) >= cut_b.take(b)
         cell = ((a * 2 + b) * 2 + x) * 2 + y
         rejected = (w[:, _COL_C] >> 11) >= cut_accept.take(cell)
         return cell + 16 * rejected
@@ -331,11 +337,21 @@ def prepare_and_measure(priors_a: np.ndarray, priors_b: np.ndarray, accept: np.n
 
 
 def run_quantum_mc(
-    scheme_a: PreparationScheme, scheme_b: PreparationScheme, n_trials: int, seed: int
+    scheme_a: PreparationScheme,
+    scheme_b: PreparationScheme,
+    n_trials: int,
+    seed: int,
+    sel: np.ndarray | None = None,
 ) -> Tally:
-    """Sample the quantum task; deterministic in (schemes, n_trials, seed)."""
-    sel = selection_probability_table(scheme_a, scheme_b)
-    return sample_tally(seed, n_trials, prepare_and_measure(scheme_a.priors, scheme_b.priors, sel))
+    """Sample the quantum task; deterministic in (schemes, n_trials, seed).
+
+    A caller that already holds ``selection_probability_table(scheme_a,
+    scheme_b)`` passes it as ``sel``.
+    """
+    if sel is None:
+        sel = selection_probability_table(scheme_a, scheme_b)
+    cells = prepare_and_measure(scheme_a.priors, scheme_b.priors, sel)
+    return sample_tally(seed, n_trials, cells, PM_WIDTH)
 
 
 @dataclass(frozen=True)

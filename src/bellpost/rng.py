@@ -1,42 +1,49 @@
-"""Counter-based random words with a fixed-width block per trial.
+"""Counter-based random words with a fixed-width row per trial.
 
 Every sampler in this package draws a fixed number of raw 64-bit Philox words
-per trial.  Trial ``i`` owns stream positions
-``[i*DRAWS_PER_TRIAL, (i+1)*DRAWS_PER_TRIAL)`` of the Philox stream keyed by
-the master seed, so the words a trial sees depend only on ``(seed, i)``.  Any
+per trial, its row width: 3 for a prepare-and-measure trial (``protocol``),
+5 for a local-hidden-variable trial (``lhv``).  At width ``k``, trial ``i``
+owns stream positions ``[i*k, (i+1)*k)`` of the Philox stream keyed by the
+master seed, so the words a trial sees depend only on ``(seed, i)``.  Any
 partition of the trial range — the sampler's fixed-size blocks, or parallel
 workers handing out disjoint ranges — reproduces bit-identical samples.
 
 The samplers never convert a word to a float.  The uniform that
 ``Generator(Philox(key=seed)).random()`` would return at the same stream
 position is ``u = (w >> 11) * 2**-53``, so every cut ``u >= p`` on it has the
-exact integer form ``(w >> 11) >= threshold(p)``, and ``u < 0.5`` is the top
-bit of ``w`` being clear.
-
-DRAWS_PER_TRIAL is 8 because Philox emits four 64-bit words per counter
-increment and ``advance()`` counts counter increments: an 8-wide row is
-exactly two counter blocks, so every trial boundary is jumpable.
+exact integer form ``(w >> 11) >= threshold(p)``.  A fair coin is bit 0 of a
+word, which no such cut reads, so one word carries a coin and an independent
+53-bit cut: Philox4x64 passes BigCrush (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DRAWS_PER_TRIAL = 8
+# The widest row a sampler draws (``lhv.simulate_lhv``).  The benchmark's
+# Philox reference, bench/worker.py::philox_reference, reads it.
+DRAWS_PER_TRIAL = 5
 
 
-def trial_uniforms_block(seed: int, start: int, stop: int) -> np.ndarray:
-    """Raw uint64 Philox words of trials start..stop-1, shape (n, DRAWS_PER_TRIAL).
+def trial_uniforms_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Raw uint64 Philox words of trials start..stop-1, shape (n, width).
 
-    Word ``w`` stands for the uniform ``(w >> 11) * 2**-53``; cut it with
-    ``threshold``.
+    Philox emits four words per counter increment and ``advance()`` counts
+    increments, so the stream is jumped to the last 4-word boundary at or
+    before word ``start*width`` and the few words before the first trial's
+    row are drawn and dropped.  Word ``w`` stands for the uniform
+    ``(w >> 11) * 2**-53``; cut it with ``threshold``.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"invalid trial range [{start}, {stop})")
+    if width < 1:
+        raise ValueError(f"row width must be >= 1, got {width}")
     bitgen = np.random.Philox(key=seed)
-    if start:
-        bitgen.advance(start * DRAWS_PER_TRIAL // 4)
-    return bitgen.random_raw((stop - start, DRAWS_PER_TRIAL))
+    first, skip = divmod(start * width, 4)
+    if first:
+        bitgen.advance(first)
+    return bitgen.random_raw(skip + (stop - start) * width)[skip:].reshape(-1, width)
 
 
 def threshold(p) -> np.ndarray:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .qcore import PHI_PLUS, STRUCTURAL_TOL, _real_kets, acceptance_table
 from .protocol import (
+    PM_WIDTH,
     PreparationScheme,
     Tally,
     canonical_schemes,
@@ -238,4 +239,5 @@ def run_swap(cfg: SwapConfig, joint: np.ndarray | None = None) -> Tally:
         joint = joint_distribution(cfg.noise, cfg.order)
     accept = joint[..., 1] * 4.0  # p(x,y|a,b) = 1/4 exactly; threshold clips to [0, 1]
     coins = np.full((2, 2), 0.5)
-    return sample_tally(cfg.seed, cfg.n_trials, prepare_and_measure(coins, coins, accept))
+    cells = prepare_and_measure(coins, coins, accept)
+    return sample_tally(cfg.seed, cfg.n_trials, cells, PM_WIDTH)

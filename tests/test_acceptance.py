@@ -217,12 +217,18 @@ def test_criterion_10_reproducibility():
     identical = all(rendered(doc) == rendered(doc) for doc in docs)
 
     # Chunked generation is the execution-order/thread-count independence
-    # guarantee: any partition of the trial range yields the same substreams.
-    full = trial_uniforms_block(123, 0, 10_000)
-    chunked = np.vstack(
-        [trial_uniforms_block(123, lo, hi) for lo, hi in ((0, 2500), (2500, 9000), (9000, 10_000))]
-    )
-    chunks_match = bool(np.array_equal(full, chunked))
+    # guarantee: any partition of the trial range yields the same substreams,
+    # at every sampler's row width.
+    chunks_match = True
+    for width in (protocol.PM_WIDTH, lhv.LHV_WIDTH):
+        full = trial_uniforms_block(123, 0, 10_000, width)
+        chunked = np.vstack(
+            [
+                trial_uniforms_block(123, lo, hi, width)
+                for lo, hi in ((0, 2500), (2500, 9001), (9001, 10_000))
+            ]
+        )
+        chunks_match = chunks_match and bool(np.array_equal(full, chunked))
 
     ok = identical and chunks_match
     _report(

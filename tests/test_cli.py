@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellpost import cli
+from bellpost import cli, protocol
 from bellpost.cli import ConfigError, config_from_doc, main, render_csv, render_report, run
+from conftest import exact_s_of_sim_model
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -221,19 +222,44 @@ class TestRunReports:
     def test_config_echo_contains_defaults(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 1000}))
         echo = report["config"]
-        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 3
+        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 4
         assert echo["schema_version"] == cli.CONFIG_SCHEMA_VERSION == 1
         assert echo["seed"] == 0
         assert "alice" in echo["schemes"]
 
+    def test_sampled_modes_report_exact_s(self):
+        report = run(config_from_doc({"mode": "quantum-mc", "trials": 1000}))
+        assert report["results"]["exact_s"] == protocol.exact_s(*protocol.canonical_schemes())
+        doc = json.loads((EXAMPLES / "lhv_mc.json").read_text())
+        doc["trials"] = 1000
+        cfg = config_from_doc(doc)
+        want = exact_s_of_sim_model(cfg.lhv_model)
+        assert run(cfg)["results"]["exact_s"] == pytest.approx(want, abs=1e-12)
+
+    def test_lhv_indet_sweep_is_the_block_sweep(self):
+        report = run(config_from_doc({"mode": "lhv-indet", "samples": 1500, "seed": 9}))
+        want = cli.lhv.random_max_abs_s_indeterministic(np.random.default_rng(9), 1500)
+        assert report["results"] == {"random_samples": 1500, "max_abs_s": want}
+        assert 0.0 < want <= 2.0
+
     def test_one_sign_cells_give_no_violation(self):
-        # 13 selected trials, every cell all one sign: S = 4 with se(S) = 0,
+        # 15 selected trials, every cell all one sign: S = 4 with se(S) = 0,
         # which the distribution-free bound does not count as a violation.
-        report = run(config_from_doc({"mode": "quantum-mc", "trials": 40, "seed": 1}))
+        report = run(config_from_doc({"mode": "quantum-mc", "trials": 40, "seed": 18}))
         results = report["results"]
-        assert (results["s"], results["se_s"], results["n_selected"]) == (4.0, 0.0, 13)
+        assert (results["s"], results["se_s"], results["n_selected"]) == (4.0, 0.0, 15)
         assert results["p_value"] > 0.1
         assert report["verdict"] == "no violation"
+
+    def test_one_sign_tally_gives_no_violation(self):
+        # The same case built by hand, so it does not depend on the stream.
+        counts = np.zeros((2, 2, 2, 2), dtype=int)
+        counts[:, :, 0, 0] = [[4, 4], [3, 0]]
+        counts[1, 1, 0, 1] = 4
+        rep = protocol.bell_report(protocol.Tally(counts, 40))
+        assert (rep.s, rep.se_s, rep.n_selected) == (4.0, 0.0, 15)
+        assert rep.p_value > 0.1
+        assert cli._verdict_sampled(rep) == "no violation"
 
     def test_sampled_verdict_follows_p_value(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 20_000, "seed": 5}))
@@ -479,6 +505,34 @@ class TestMain:
         monkeypatch.setattr(cli.swap, "joint_distribution", counted)
         assert main(["swap", "--trials", "2000"]) == 0
         assert sorted(calls) == sorted(cli.swap.ORDERS)
+
+    def test_quantum_mc_builds_one_selection_table(self, capsys, monkeypatch):
+        calls = []
+        original = cli.protocol.selection_probability_table
+
+        def counted(scheme_a, scheme_b):
+            calls.append(1)
+            return original(scheme_a, scheme_b)
+
+        monkeypatch.setattr(cli.protocol, "selection_probability_table", counted)
+        assert main(["quantum-mc", "--trials", "2000"]) == 0
+        assert len(calls) == 1
+
+    def test_quantum_mc_zero_rate_exits_3_before_sampling(self, capsys, monkeypatch, tmp_path):
+        # Alice sends |0> in basis 0 and Bob always sends |1>, so the exact
+        # rates of pairs (0, 0) and (0, 1) are zero; the error names the first.
+        def never(*args):
+            raise AssertionError("sampled a run whose exact table is undefined")
+
+        monkeypatch.setattr(cli.protocol, "run_quantum_mc", never)
+        schemes = _schemes_doc(angles=[0.0, 0.0])
+        schemes["bob"] = {f"basis{b}": {"angles": [math.pi, math.pi]} for b in (0, 1)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "quantum-mc", "schemes": schemes}))
+        assert main(["quantum-mc", "--config", str(cfg)]) == 3
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "EmptyCellError"
+        assert "(a=0, b=0)" in out["error"]["message"]
 
     def test_byte_identical_reruns(self, capsys):
         assert main(["lhv-mc", "--config", str(EXAMPLES / "lhv_mc.json"), "--trials", "20000"]) == 0

@@ -61,68 +61,82 @@ def tally_from_records(records, n_total: int) -> Tally:
     return Tally(counts, n_total)
 
 
-def float_uniforms(seed: int, n: int) -> np.ndarray:
-    """Trials 0..n-1 as the float64 uniforms ``Generator.random`` gives."""
-    return np.random.Generator(np.random.Philox(key=seed)).random((n, 8))
+def raw_words(seed: int, n: int, width: int) -> np.ndarray:
+    """Trials 0..n-1 as rows of ``width`` words of one long raw Philox draw.
+
+    The oracles read coins from bit 0 of these words, which a ``Generator``
+    drops along with the other low 11 bits.
+    """
+    return np.random.Philox(key=seed).random_raw(n * width).reshape(n, width)
 
 
-def edge_words(probabilities, n: int, seed: int) -> np.ndarray:
-    """(n, 8) words whose top 53 bits k sit on the integer cut of one of the
-    probabilities, one step below it, or at 0, 2**52 or 2**53 - 1.
+def edge_words(probabilities, n: int, width: int, seed: int) -> np.ndarray:
+    """(n, width) words whose top 53 bits k sit on the integer cut of one of
+    the probabilities, one step below it, or at 0, 2**52 or 2**53 - 1.
 
     The uniform such a word stands for is k * 2**-53, so the float oracles
     meet every u >= p comparison with u exactly at p's cut and just below it.
+    The low 11 bits, bit 0 (a coin) among them, are random.
     """
     tops = {0, 2**52, 2**53 - 1}
     for p in probabilities:
         cut = math.ceil(float(p) * 2**53)
         tops.update(k for k in (cut - 1, cut) if 0 <= k < 2**53)
     gen = np.random.default_rng(seed)
-    top = gen.choice(np.array(sorted(tops), dtype=np.uint64), size=(n, 8))
-    return (top << 11) | gen.integers(0, 2**11, size=(n, 8), dtype=np.uint64)
+    top = gen.choice(np.array(sorted(tops), dtype=np.uint64), size=(n, width))
+    return (top << 11) | gen.integers(0, 2**11, size=(n, width), dtype=np.uint64)
 
 
-def words_as_uniforms(words: np.ndarray) -> np.ndarray:
-    """The float64 uniform each word stands for (rng module)."""
-    return (words >> 11) * 2.0**-53
+def coin_and_uniform(word) -> tuple[int, float]:
+    """Bit 0 of a word, and the float64 uniform its top 53 bits stand for (rng module)."""
+    word = int(word)
+    return word & 1, (word >> 11) * 2.0**-53
 
 
-def quantum_records(u: np.ndarray, alice: PreparationScheme, bob: PreparationScheme):
-    """Per-trial float oracle of the prepare-and-measure transform."""
+def quantum_records(words: np.ndarray, alice: PreparationScheme, bob: PreparationScheme):
+    """Per-trial float oracle of the prepare-and-measure transform (columns:
+    x with the coin a, y with the coin b, acceptance)."""
     sel = protocol.selection_probability_table(alice, bob)
     records = []
-    for row in u:
-        a = int(row[0] >= 0.5)
-        b = int(row[1] >= 0.5)
-        x = int(row[2] >= alice.priors[a, 0])
-        y = int(row[3] >= bob.priors[b, 0])
-        c = int(row[4] < sel[a, b, x, y])
+    for row in words:
+        a, ux = coin_and_uniform(row[0])
+        b, uy = coin_and_uniform(row[1])
+        _, uc = coin_and_uniform(row[2])
+        x = int(ux >= alice.priors[a, 0])
+        y = int(uy >= bob.priors[b, 0])
+        c = int(uc < sel[a, b, x, y])
         records.append(TrialRecord(a, b, x, y, c))
     return records
 
 
-def lhv_records(u: np.ndarray, m: lhv.LhvSimModel):
+def lhv_records(words: np.ndarray, m: lhv.LhvSimModel):
     """Per-trial float oracle of ``simulate_lhv``: hidden values by a float
-    searchsorted, the other cuts by float comparisons (columns: a, b, lambda,
-    lambda', x, y, acceptance)."""
+    searchsorted, the other cuts by float comparisons (columns: x with the
+    coin a, y with the coin b, lambda, lambda', acceptance)."""
     cum_lam = np.cumsum(m.lambda_probs)
     cum_lamp = np.cumsum(m.lambda_prime_probs)
     records = []
-    for row in u:
-        a = int(row[0] >= 0.5)
-        b = int(row[1] >= 0.5)
-        lam = min(int(np.searchsorted(cum_lam, row[2], side="right")), cum_lam.size - 1)
-        lamp = min(int(np.searchsorted(cum_lamp, row[3], side="right")), cum_lamp.size - 1)
-        x = int(row[4] < m.response_a[a, lam])
-        y = int(row[5] < m.response_b[b, lamp])
-        c = int(row[6] < m.select[lam, lamp])
+    for row in words:
+        a, ux = coin_and_uniform(row[0])
+        b, uy = coin_and_uniform(row[1])
+        u_lam, u_lamp, uc = (coin_and_uniform(w)[1] for w in row[2:])
+        lam = min(int(np.searchsorted(cum_lam, u_lam, side="right")), cum_lam.size - 1)
+        lamp = min(int(np.searchsorted(cum_lamp, u_lamp, side="right")), cum_lamp.size - 1)
+        x = int(ux < m.response_a[a, lam])
+        y = int(uy < m.response_b[b, lamp])
+        c = int(uc < m.select[lam, lamp])
         records.append(TrialRecord(a, b, x, y, c))
     return records
 
 
 def sampled_from_words(monkeypatch, words: np.ndarray, run):
     """The tally ``run(n)`` gives when the sampler is fed these words."""
-    monkeypatch.setattr(protocol, "trial_uniforms_block", lambda seed, lo, hi: words[lo:hi])
+
+    def block(seed, lo, hi, width):
+        assert width == words.shape[1]
+        return words[lo:hi]
+
+    monkeypatch.setattr(protocol, "trial_uniforms_block", block)
     return run(words.shape[0])
 
 
@@ -409,7 +423,9 @@ class TestRunQuantumMc:
         # comparisons in a plain per-trial loop: the integer cuts must agree.
         alice, bob = canonical_schemes()
         n, seed = 5_000, 17
-        want = tally_from_records(quantum_records(float_uniforms(seed, n), alice, bob), n)
+        want = tally_from_records(
+            quantum_records(raw_words(seed, n, protocol.PM_WIDTH), alice, bob), n
+        )
         got = run_quantum_mc(alice, bob, n, seed)
         np.testing.assert_array_equal(got.counts, want.counts)
 
@@ -418,8 +434,8 @@ class TestRunQuantumMc:
         bob = PreparationScheme([[PI / 4, 5 * PI / 4], [0.5, 2.0]], [[0.0, 1.0], [0.6, 0.4]])
         sel = protocol.selection_probability_table(alice, bob)
         cuts = [0.5, *alice.priors[:, 0], *bob.priors[:, 0], *sel.ravel()]
-        words = edge_words(cuts, 4_000, seed=23)
-        want = tally_from_records(quantum_records(words_as_uniforms(words), alice, bob), 4_000)
+        words = edge_words(cuts, 4_000, protocol.PM_WIDTH, seed=23)
+        want = tally_from_records(quantum_records(words, alice, bob), 4_000)
         got = sampled_from_words(monkeypatch, words, lambda n: run_quantum_mc(alice, bob, n, 0))
         np.testing.assert_array_equal(got.counts, want.counts)
 
@@ -467,7 +483,7 @@ class TestSimulateLhvOracle:
     def test_matches_per_trial_record_oracle(self):
         m = _edge_lhv_model()
         n, seed = 5_000, 19
-        want = tally_from_records(lhv_records(float_uniforms(seed, n), m), n)
+        want = tally_from_records(lhv_records(raw_words(seed, n, lhv.LHV_WIDTH), m), n)
         got = lhv.simulate_lhv(m, n, seed)
         np.testing.assert_array_equal(got.counts, want.counts)
         assert 0 < got.n_selected < n
@@ -483,8 +499,8 @@ class TestSimulateLhvOracle:
             *m.response_b.ravel(),
             *m.select.ravel(),
         ]
-        words = edge_words(cuts, 4_000, seed=29)
-        want = tally_from_records(lhv_records(words_as_uniforms(words), m), 4_000)
+        words = edge_words(cuts, 4_000, lhv.LHV_WIDTH, seed=29)
+        want = tally_from_records(lhv_records(words, m), 4_000)
         got = sampled_from_words(monkeypatch, words, lambda n: lhv.simulate_lhv(m, n, 0))
         np.testing.assert_array_equal(got.counts, want.counts)
 
@@ -509,7 +525,7 @@ SHARE_EDGES = (
 class TestSampleTally:
     @pytest.mark.parametrize("mode", sorted(SAMPLED_MODES))
     def test_peak_memory_does_not_grow_with_trials(self, mode):
-        # A whole (1e6, 8) table of uint64 words alone would be 61 MiB.
+        # A whole (1e6, 3) table of uint64 words alone would be 23 MiB.
         tracemalloc.start()
         try:
             tally = SAMPLED_MODES[mode](1_000_000)
@@ -517,7 +533,7 @@ class TestSampleTally:
         finally:
             tracemalloc.stop()
         assert tally.n_total == 1_000_000
-        assert peak < 32 * 2**20
+        assert peak < 16 * 2**20
 
     # 65 536 is four blocks: an edge several blocks in, and one trial past it.
     @pytest.mark.parametrize(
@@ -530,10 +546,10 @@ class TestSampleTally:
         cells = protocol.prepare_and_measure(
             alice.priors, bob.priors, protocol.selection_probability_table(alice, bob)
         )
-        index = cells(trial_uniforms_block(4, 0, n))
+        index = cells(trial_uniforms_block(4, 0, n, protocol.PM_WIDTH))
         assert index.shape == (n,)
         want = np.bincount(index, minlength=32)[:16]
-        got = protocol.sample_tally(4, n, cells)
+        got = protocol.sample_tally(4, n, cells, protocol.PM_WIDTH)
         np.testing.assert_array_equal(got.counts.ravel(), want)
         assert got.n_total == n
 
@@ -571,7 +587,9 @@ class TestSampleTally:
         monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="in a helper"):
-            protocol.sample_tally(1, 3 * protocol.BLOCK_TRIALS, failing_in_helpers)
+            protocol.sample_tally(
+                1, 3 * protocol.BLOCK_TRIALS, failing_in_helpers, protocol.PM_WIDTH
+            )
         assert threading.active_count() == before
 
 
