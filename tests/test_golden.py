@@ -4,7 +4,7 @@ The reproducibility tests elsewhere compare two runs in one process, so a
 change to the stream-to-trial mapping (which uniforms a trial reads, or how
 it turns them into (a, b, x, y, c)) passes them.  The tallies and report
 digests below were recorded from the samplers and must never move without a
-``schema_version`` bump.  The report digests are those of report schema 3.
+``schema_version`` bump.  The report digests are those of report schema 4.
 
 Trial counts: 100 000, and 131 075, which is odd and above 8 * 16 384, so
 the sampler's 16 384-trial blocks, its per-CPU shares and any partition of
@@ -72,26 +72,26 @@ SAMPLERS = {
 # counts[a, b, x, y] flattened in C order, keyed by (sampler, seed, trials).
 # The two swap orderings agree because their joints agree to rounding.
 GOLDEN_COUNTS = {
-    ("quantum-canonical", 2024, 100000): [2727, 446, 440, 2607, 2754, 481, 438, 2681, 2702, 447, 450, 2696, 450, 2649, 2633, 451],
-    ("quantum-canonical", 2024, 131075): [3595, 603, 592, 3417, 3609, 612, 589, 3436, 3534, 589, 602, 3525, 575, 3466, 3440, 584],
-    ("quantum-canonical", 9223372036854775813, 100000): [2653, 444, 429, 2665, 2621, 500, 454, 2682, 2644, 446, 438, 2683, 466, 2628, 2677, 476],
-    ("quantum-canonical", 9223372036854775813, 131075): [3513, 596, 590, 3542, 3463, 638, 587, 3523, 3475, 592, 573, 3490, 577, 3422, 3493, 637],
-    ("quantum-priors", 2024, 100000): [1945, 219, 776, 2919, 835, 434, 295, 5641, 5148, 593, 229, 842, 360, 6319, 565, 269],
-    ("quantum-priors", 2024, 131075): [2589, 310, 1030, 3856, 1088, 558, 402, 7277, 6766, 759, 302, 1106, 450, 8265, 715, 357],
-    ("quantum-priors", 9223372036854775813, 100000): [1948, 204, 735, 3006, 760, 443, 315, 5617, 5113, 590, 186, 821, 359, 6350, 561, 300],
-    ("quantum-priors", 9223372036854775813, 131075): [2533, 286, 1004, 3974, 1018, 569, 406, 7344, 6739, 761, 251, 1087, 444, 8269, 737, 406],
-    ("lhv-stochastic", 2024, 100000): [3560, 3935, 2963, 3855, 4789, 2633, 4809, 2118, 3535, 4657, 3102, 3169, 5728, 2424, 4083, 2306],
-    ("lhv-stochastic", 2024, 131075): [4707, 5155, 3876, 5140, 6299, 3463, 6265, 2778, 4640, 6015, 4087, 4209, 7501, 3208, 5301, 3005],
-    ("lhv-stochastic", 9223372036854775813, 100000): [3521, 4008, 2997, 3915, 4920, 2530, 4835, 2153, 3430, 4637, 3132, 3202, 5656, 2410, 4002, 2400],
-    ("lhv-stochastic", 9223372036854775813, 131075): [4653, 5233, 3935, 5179, 6440, 3301, 6319, 2797, 4495, 6092, 4116, 4204, 7380, 3135, 5255, 3106],
-    ("swap-parties-first", 2024, 100000): [2491, 656, 659, 2411, 2563, 657, 626, 2495, 2523, 659, 644, 2516, 672, 2455, 2415, 676],
-    ("swap-parties-first", 2024, 131075): [3292, 885, 866, 3158, 3354, 836, 845, 3190, 3292, 849, 857, 3293, 865, 3210, 3165, 867],
-    ("swap-parties-first", 9223372036854775813, 100000): [2463, 656, 637, 2448, 2423, 707, 633, 2490, 2448, 626, 665, 2476, 681, 2428, 2481, 676],
-    ("swap-parties-first", 9223372036854775813, 131075): [3258, 875, 867, 3262, 3200, 912, 817, 3270, 3224, 830, 864, 3233, 870, 3155, 3248, 901],
-    ("swap-charlie-first", 2024, 100000): [2491, 656, 659, 2411, 2563, 657, 626, 2495, 2523, 659, 644, 2516, 672, 2455, 2415, 676],
-    ("swap-charlie-first", 2024, 131075): [3292, 885, 866, 3158, 3354, 836, 845, 3190, 3292, 849, 857, 3293, 865, 3210, 3165, 867],
-    ("swap-charlie-first", 9223372036854775813, 100000): [2463, 656, 637, 2448, 2423, 707, 633, 2490, 2448, 626, 665, 2476, 681, 2428, 2481, 676],
-    ("swap-charlie-first", 9223372036854775813, 131075): [3258, 875, 867, 3262, 3200, 912, 817, 3270, 3224, 830, 864, 3233, 870, 3155, 3248, 901],
+    ("quantum-canonical", 2024, 100000): [2696, 444, 416, 2667, 2685, 482, 446, 2703, 2706, 487, 449, 2641, 455, 2718, 2716, 460],
+    ("quantum-canonical", 2024, 131075): [3533, 581, 573, 3524, 3507, 623, 589, 3499, 3520, 638, 582, 3443, 593, 3542, 3514, 604],
+    ("quantum-canonical", 9223372036854775813, 100000): [2635, 429, 457, 2703, 2679, 447, 471, 2660, 2697, 473, 461, 2622, 404, 2649, 2694, 426],
+    ("quantum-canonical", 9223372036854775813, 131075): [3499, 545, 586, 3603, 3492, 584, 592, 3435, 3551, 611, 620, 3462, 534, 3431, 3470, 563],
+    ("quantum-priors", 2024, 100000): [1929, 201, 700, 3029, 808, 416, 332, 5579, 5059, 621, 203, 859, 337, 6521, 562, 282],
+    ("quantum-priors", 2024, 131075): [2537, 258, 961, 3971, 1051, 556, 437, 7296, 6599, 800, 271, 1111, 431, 8543, 719, 376],
+    ("quantum-priors", 9223372036854775813, 100000): [1844, 201, 762, 3020, 834, 407, 328, 5588, 5076, 575, 243, 828, 347, 6233, 538, 269],
+    ("quantum-priors", 9223372036854775813, 131075): [2433, 261, 997, 4011, 1092, 526, 417, 7309, 6700, 766, 311, 1110, 452, 8127, 692, 338],
+    ("lhv-stochastic", 2024, 100000): [3564, 3881, 3024, 3950, 4853, 2575, 4880, 2134, 3509, 4619, 3065, 3300, 5697, 2485, 3993, 2302],
+    ("lhv-stochastic", 2024, 131075): [4607, 5062, 4001, 5210, 6333, 3410, 6398, 2790, 4628, 5965, 4035, 4340, 7451, 3222, 5251, 3013],
+    ("lhv-stochastic", 9223372036854775813, 100000): [3560, 4055, 3030, 3958, 4726, 2537, 4915, 2109, 3599, 4725, 3119, 3249, 5664, 2447, 4021, 2285],
+    ("lhv-stochastic", 9223372036854775813, 131075): [4558, 5255, 3988, 5177, 6249, 3359, 6395, 2792, 4649, 6103, 4132, 4283, 7427, 3191, 5272, 2996],
+    ("swap-parties-first", 2024, 100000): [2482, 653, 629, 2466, 2490, 645, 636, 2542, 2513, 663, 646, 2449, 680, 2529, 2502, 662],
+    ("swap-parties-first", 2024, 131075): [3250, 855, 859, 3276, 3258, 846, 843, 3279, 3259, 866, 844, 3192, 879, 3296, 3233, 886],
+    ("swap-parties-first", 9223372036854775813, 100000): [2419, 653, 664, 2468, 2477, 625, 631, 2473, 2504, 676, 660, 2437, 615, 2455, 2477, 605],
+    ("swap-parties-first", 9223372036854775813, 131075): [3218, 828, 860, 3301, 3232, 829, 808, 3187, 3297, 876, 881, 3208, 822, 3191, 3197, 808],
+    ("swap-charlie-first", 2024, 100000): [2482, 653, 629, 2466, 2490, 645, 636, 2542, 2513, 663, 646, 2449, 680, 2529, 2502, 662],
+    ("swap-charlie-first", 2024, 131075): [3250, 855, 859, 3276, 3258, 846, 843, 3279, 3259, 866, 844, 3192, 879, 3296, 3233, 886],
+    ("swap-charlie-first", 9223372036854775813, 100000): [2419, 653, 664, 2468, 2477, 625, 631, 2473, 2504, 676, 660, 2437, 615, 2455, 2477, 605],
+    ("swap-charlie-first", 9223372036854775813, 131075): [3218, 828, 860, 3301, 3232, 829, 808, 3187, 3297, 876, 881, 3208, 822, 3191, 3197, 808],
 }
 
 
@@ -127,14 +127,14 @@ PERTURBED_SCHEMES = {
 }
 
 # One CLI run per mode, plus the canonical quantum-exact run, the swap sweep,
-# a sampled swap in each order and one empty-cell report, so every branch of
-# the config echo is pinned: (argv, config document or None, sha256 of the
-# rendered report without its duration_s field).
+# the lhv-indet random sweep, a sampled swap in each order and one empty-cell
+# report, so every branch of the config echo is pinned: (argv, config document
+# or None, sha256 of the rendered report without its duration_s field).
 GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "39ab320350bfa5e077dab4b0a2e1d75729c138f2a9892c39bc57e71bf498a258",
+        "78deeb3cf5ab33f622817409ebb7f6c51c416ec01840aa22cd18eaf67ec810af",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -148,12 +148,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "bbbba0c8676755ac360455ddf9a86d114f677ab192afde2878f70a08293a89c1",
+        "a92c4a6f0731c8b9c4a98906a046cc450a32306e9e70870b86255c355a7d9055",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "85081d4c407e351784ba05f4bcf2c9f239e25362fc62a2cd07adb5bccc3c0a81",
+        "658e473f5b129656bf20ef38181a80009cff33cde653cbb8b182dc4ad45024c2",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -161,15 +161,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "a1886681d8e424fbb2b5b55efbc06a5c45a4d1e062ef88db08f52641d439727f",
+        "79f406d33dddd1eccdf5f309d0cb60e0c12c86fad366438ad99ee1726a8780e7",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "c57eaa0dc45b62d63aac0a320ab128da1d29d640007936fb368a7c554dd60733"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "7cd110005d06785f4a82162f1f5cdfed1c26c2742af3685da34a19244d68eb11"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "473b48a51511b69c36df17bc678d1fe48975dc466d293e1a162dff484b730f2f",
+        "a201db572a8126557d9454b2170843df9d44377d4367ee674cfb689ad5869cf8",
     ),
-    "loophole": (["loophole"], None, "be50e3abe76eb41b7e391cf902b84b98ea301b98d7cb79f47f9998e3540bc5d1"),
+    "loophole": (["loophole"], None, "6c339e23ba298686ca08363b0640bb76c87cf725649df58af93fa8602f2dbd94"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -181,14 +181,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "0a5a521566a7a7ba23426f69068920221f1ca21364fc00b2462f4c7fef20494b",
+        "4235c8c5f609a6548bd56415bd10fed46885813e82734b01f5bd4d23c1678d3a",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "f77c44f5c63ca0cdf6de2f7757026fcfbb70c4e4a0aa3680eeaec1b71ffcec64"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "64a890bd979da737e861e7caa71867058d0923bcda55befc4d11dcbd9781f776"),
+    "lhv-indet-sweep": (
+        ["lhv-indet", "--seed", "3"],
+        {"mode": "lhv-indet", "samples": 2500},
+        "167a278ca34ed7b6ff9e73aafa5b750e985a92ef5d6776d582dea472a766138f",
+    ),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "552c787e5c9b1850855fe40d62ab3b5bcf66c0b33fd135ae20f96f88347591f0"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3fce5bd21008238e448309344f7cb6cbe19a82315df47fd005c46b536922bec6"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "64f5eb2afc5988fce477f1d4dad4fb33f3f8069660f122a8ff938e8fc1a15871",
+        "170a452524dcd207d501cc440007fa110fd321912c733706f361d58ff314629f",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
