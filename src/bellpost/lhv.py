@@ -197,45 +197,6 @@ def s_indeterministic(m: ResponseModel) -> float:
     return float(np.sum(m.weights * (m.f0 * (m.g0 + m.g1) + m.f1 * (m.g0 - m.g1))))
 
 
-# Most atoms of a random response model in the indeterministic sweep.
-_MAX_ATOMS = 5
-
-
-def random_indeterministic_s(rng: np.random.Generator, rows: int) -> np.ndarray:
-    """CHSH values of ``rows`` random response mixtures, drawn as one block.
-
-    Row r has n_r atoms, n_r uniform in 1..5 (``integers``); its weights are
-    Dirichlet(1, ..., 1), drawn as standard exponentials that are zeroed past
-    n_r and normalized; its f0, f1, g0 and g1 columns are ``uniform(-1, 1)``
-    draws, shape (rows, 4, 5).  S is ``s_indeterministic``'s sum along the
-    atom axis, to which the zero-weight atoms add nothing.  Every row is
-    checked as ``ResponseModel`` checks its fields.
-    """
-    atoms = rng.integers(1, _MAX_ATOMS + 1, size=rows)
-    weights = rng.standard_exponential((rows, _MAX_ATOMS))
-    weights[np.arange(_MAX_ATOMS) >= atoms[:, None]] = 0.0
-    weights /= weights.sum(axis=1, keepdims=True)
-    values = rng.uniform(-1.0, 1.0, size=(rows, 4, _MAX_ATOMS))
-    valid = (
-        np.all(weights >= 0.0, axis=1)
-        & (np.abs(weights.sum(axis=1) - 1.0) <= EXACT_TOL)
-        & np.all(np.abs(values) <= 1.0, axis=(1, 2))
-    )
-    if not np.all(valid):
-        raise NumericsError("a random response model is not a valid mixture")
-    f0, f1, g0, g1 = values.transpose(1, 0, 2)
-    return np.sum(weights * (f0 * (g0 + g1) + f1 * (g0 - g1)), axis=1)
-
-
-def random_max_abs_s_indeterministic(rng: np.random.Generator, samples: int) -> float:
-    """Largest |S| over ``samples`` random response mixtures, ``_SWEEP_BLOCK`` rows at a time."""
-    best = 0.0
-    for start in range(0, samples, _SWEEP_BLOCK):
-        s = random_indeterministic_s(rng, min(_SWEEP_BLOCK, samples - start))
-        best = max(best, float(np.abs(s).max()))
-    return best
-
-
 def _validate_distribution(values, probs, label: str) -> tuple[np.ndarray, np.ndarray]:
     values = np.array(values, dtype=np.float64).reshape(-1)
     probs = np.array(probs, dtype=np.float64).reshape(-1)

@@ -236,12 +236,6 @@ class TestRunReports:
         want = exact_s_of_sim_model(cfg.lhv_model)
         assert run(cfg)["results"]["exact_s"] == pytest.approx(want, abs=1e-12)
 
-    def test_lhv_indet_sweep_is_the_block_sweep(self):
-        report = run(config_from_doc({"mode": "lhv-indet", "samples": 1500, "seed": 9}))
-        want = cli.lhv.random_max_abs_s_indeterministic(np.random.default_rng(9), 1500)
-        assert report["results"] == {"random_samples": 1500, "max_abs_s": want}
-        assert 0.0 < want <= 2.0
-
     def test_one_sign_cells_give_no_violation(self):
         # 15 selected trials, every cell all one sign: S = 4 with se(S) = 0,
         # which the distribution-free bound does not count as a violation.

@@ -186,7 +186,7 @@ GOLDEN_REPORTS = {
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "167a278ca34ed7b6ff9e73aafa5b750e985a92ef5d6776d582dea472a766138f",
+        "37125d82286b94c7f2dcf946a798f7f8c2775cdbc346660af41ecfdf6e7659ca",
     ),
     "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "552c787e5c9b1850855fe40d62ab3b5bcf66c0b33fd135ae20f96f88347591f0"),
     "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3fce5bd21008238e448309344f7cb6cbe19a82315df47fd005c46b536922bec6"),

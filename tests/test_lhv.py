@@ -5,7 +5,6 @@ import pytest
 
 from bellpost import protocol
 from bellpost.lhv import (
-    _SWEEP_BLOCK,
     CellWeights,
     LhvSimModel,
     NondeterministicModelError,
@@ -17,15 +16,12 @@ from bellpost.lhv import (
     exact_postselected,
     loophole_max_example,
     max_abs_s_deterministic,
-    random_indeterministic_s,
     random_max_abs_s,
-    random_max_abs_s_indeterministic,
     s_from_cells,
     s_indeterministic,
     s_with_discards,
     simulate_lhv,
 )
-from bellpost.qcore import NumericsError
 from conftest import (
     exact_s_of_sim_model,
     random_deterministic_model,
@@ -179,62 +175,6 @@ class TestSIndeterministic:
     def test_out_of_range_response_rejected(self):
         with pytest.raises(ValueError, match="-1, 1"):
             ResponseModel.from_atoms([(1.0, 1.5, 0.0, 0.0, 0.0)])
-
-
-def replayed_response_models(rng: np.random.Generator, rows: int) -> list[ResponseModel]:
-    """The block's response models, one ``ResponseModel`` per row, built from
-    the same three generator calls ``random_indeterministic_s`` makes."""
-    atoms = rng.integers(1, 6, size=rows)
-    exponentials = rng.standard_exponential((rows, 5))
-    values = rng.uniform(-1.0, 1.0, size=(rows, 4, 5))
-    models = []
-    for n, e, v in zip(atoms, exponentials, values):
-        models.append(ResponseModel(e[:n] / e[:n].sum(), *v[:, :n]))
-    return models
-
-
-class _StubGenerator:
-    """Hands out fixed draws in place of a ``Generator``'s three sweep calls."""
-
-    def __init__(self, atoms, exponentials, values):
-        self._draws = {"integers": atoms, "standard_exponential": exponentials, "uniform": values}
-
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: np.array(self._draws[name], dtype=float)
-
-
-class TestRandomIndeterministicSweep:
-    @pytest.mark.parametrize("rows", [1, 7, _SWEEP_BLOCK])
-    def test_rows_match_response_model_oracle(self, rows):
-        for seed in (0, 4, 2**40 + 3):
-            got = random_indeterministic_s(np.random.default_rng(seed), rows)
-            models = replayed_response_models(np.random.default_rng(seed), rows)
-            assert got.shape == (rows,)
-            for s, m in zip(got, models):
-                assert abs(s - s_indeterministic(m)) <= 1e-15
-
-    @pytest.mark.parametrize("samples", [1, 1000, _SWEEP_BLOCK + 1])
-    def test_maximum_over_blocks(self, samples):
-        rng = np.random.default_rng(5)
-        want = 0.0
-        for start in range(0, samples, _SWEEP_BLOCK):
-            rows = min(_SWEEP_BLOCK, samples - start)
-            models = replayed_response_models(rng, rows)
-            want = max(want, max(abs(s_indeterministic(m)) for m in models))
-        got = random_max_abs_s_indeterministic(np.random.default_rng(5), samples)
-        assert abs(got - want) <= 1e-15
-        assert got <= 2.0 + 1e-12
-
-    def test_invalid_rows_raise(self):
-        atoms = np.array([2])
-        values = np.zeros((1, 4, 5))
-        bad_weights = _StubGenerator(atoms, [[1.0, np.nan, 1.0, 1.0, 1.0]], values)
-        with pytest.raises(NumericsError, match="response model"):
-            random_indeterministic_s(bad_weights, 1)
-        bad_values = values.copy()
-        bad_values[0, 2, 1] = 1.5
-        with pytest.raises(NumericsError, match="response model"):
-            random_indeterministic_s(_StubGenerator(atoms, np.ones((1, 5)), bad_values), 1)
 
 
 class TestLhvSimModel:
