@@ -33,7 +33,7 @@ from .qcore import NumericsError
 # ``protocol.postselect``; schema 4 draws 3 or 5 words per sampled trial and
 # reports ``exact_s`` in every sampled mode.  Config documents stay at
 # version 1, which reports echo.
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 CONFIG_SCHEMA_VERSION = 1
 
 # Margins for the task-completed verdict: a sampled run's violation p-value
@@ -355,11 +355,11 @@ def _run_swap(cfg: ScenarioConfig) -> tuple[dict, str]:
         best = max(abs(s) for _, s in rows)
         results = {"sweep": [{"p": p, "s_exact": s} for p, s in rows]}
         return results, _verdict_exact(best)
-    swap_cfg = swap.SwapConfig(
-        n_trials=cfg.trials, noise=cfg.noise, seed=cfg.seed, order=cfg.order
-    )
     joints = {order: swap.joint_distribution(cfg.noise, order) for order in swap.ORDERS}
-    rep = protocol.bell_report(swap.run_swap(swap_cfg, joints[cfg.order]))
+    accept = 4.0 * joints[cfg.order][..., 1]  # p(x, y | a, b) = 1/4 exactly
+    rep = protocol.bell_report(
+        protocol.run_quantum_mc(*protocol.canonical_schemes(), cfg.trials, cfg.seed, accept)
+    )
     results = _bell_results(rep)
     table, rates = protocol.postselect(joints["parties-first"][..., 1])
     results["exact_s"] = protocol.table_s(table)

@@ -345,8 +345,10 @@ def run_quantum_mc(
 ) -> Tally:
     """Sample the quantum task; deterministic in (schemes, n_trials, seed).
 
-    A caller that already holds ``selection_probability_table(scheme_a,
-    scheme_b)`` passes it as ``sel``.
+    ``sel[a, b, x, y]`` is Charlie's acceptance table, by default the
+    noiseless one, ``selection_probability_table(scheme_a, scheme_b)`` for
+    |phi+><phi+|.  A caller that already holds it passes it, and the swap
+    realization passes its noisy table with the canonical schemes.
     """
     if sel is None:
         sel = selection_probability_table(scheme_a, scheme_b)

@@ -1,8 +1,8 @@
 """Exact quantum mechanics of real single-qubit preparations, as plain arrays.
 
-Kets, effects and projectors are numpy arrays; the largest is 16x16, so there
-is no need for sparsity or factored representations.  All operations are
-pure.
+Kets, effects and projectors are numpy arrays; the largest is a four-qubit
+operator of 16x16 entries, so there is no need for sparsity or factored
+representations.  All operations are pure.
 
 Conventions:
   * Qubit 0 is the leftmost tensor factor and the most significant bit of the
@@ -17,10 +17,9 @@ import math
 
 import numpy as np
 
-# Structural checks (completeness of a measurement) use the loose tolerance;
-# equalities between analytically exact quantities use the tight one.  Looser
-# values would mask bugs: every quantity here is simple.
-STRUCTURAL_TOL = 1e-9
+# How far an analytically exact quantity (a probability, a prior sum, a
+# selection rate) may stray through rounding.  A looser value would mask bugs:
+# every quantity here is simple.
 EXACT_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi

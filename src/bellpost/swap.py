@@ -17,40 +17,27 @@ reproduce the canonical assignment (it yields the label-swapped variant whose
 CHSH value is 0), so rotated local measurement is the realization used here.
 
 All property-style quantities (joint distributions, CHSH sweeps) are computed
-exactly, on the two Charlie-bound qubits or by four-qubit density-matrix
-evolution; sampling is used only to produce tallies.  A joint's post-selected
-table is ``protocol.postselect`` of its c = 1 slice, the one reduction that
-tallies and scheme pairs go through too.
+exactly: parties-first on the two Charlie-bound qubits, charlie-first as a
+four-qubit density-matrix evolution written as tensor contractions.  A joint's
+post-selected table is ``protocol.postselect`` of its c = 1 slice, the one
+reduction that tallies and scheme pairs go through too.
+
+Remote preparation makes a swap run the canonical prepare-and-measure task
+with Charlie accepting with probability 4 p(x, y, 1 | a, b), so a run samples
+through ``protocol.run_quantum_mc`` with that table; there is no swap sampler.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PHI_PLUS, STRUCTURAL_TOL, _real_kets, acceptance_table
-from .protocol import (
-    PM_WIDTH,
-    PreparationScheme,
-    Tally,
-    canonical_schemes,
-    postselect,
-    prepare_and_measure,
-    sample_tally,
-    table_s,
-)
+from .protocol import canonical_schemes, postselect, table_s
+from .qcore import PHI_PLUS, _real_kets, acceptance_table, canonical_angle
 
 ORDERS = ("parties-first", "charlie-first")
-
-_I2 = np.eye(2, dtype=np.complex128)
-_PAULIS = (
-    _I2,
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
 
 # Two maximally entangled pairs, qubit order (alpha, beta, alpha', beta').
 _TWO_PAIRS = np.kron(PHI_PLUS, PHI_PLUS)
@@ -86,53 +73,20 @@ class NoiseParams:
             object.__setattr__(self, name, v)
 
 
-@dataclass(frozen=True)
-class SwapConfig:
-    """One swap run: trial count, noise, seed, and measurement ordering."""
+def _depolarize_qubit(t: np.ndarray, qubit: int, p: float) -> np.ndarray:
+    """Depolarizing channel on one qubit of an operator tensor of shape (2,)*2n.
 
-    n_trials: int
-    noise: NoiseParams = field(default_factory=NoiseParams)
-    seed: int = 0
-    order: str = "parties-first"
-
-    def __post_init__(self) -> None:
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
-
-
-def scheme_projectors(scheme: PreparationScheme, basis: int, jitter: float) -> np.ndarray:
-    """Measurement whose outcome x projects onto the scheme's state (basis, x).
-
-    Returns the two 2x2 projectors as an array indexed [x, row, col].  Valid
-    only when the scheme's two states in this basis are antipodal (angles
-    differing by pi), so the projectors resolve the identity.
+    Axes 0..n-1 index the rows' qubits and n..2n-1 the columns'.  The Pauli
+    twirl of a qubit replaces it by I/2, so the channel is
+    (1 - p) t + p (I/2 (x) tr_qubit t).
     """
-    kets = _real_kets(scheme.angles[basis] + jitter)
-    projectors = kets[:, :, None] * kets[:, None, :]
-    if not np.allclose(projectors.sum(axis=0), _I2, rtol=0.0, atol=STRUCTURAL_TOL):
-        raise ValueError(f"scheme basis {basis} states are not orthogonal")
-    return projectors
-
-
-def _embed(op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Lift an operator on the listed qubits to the full n-qubit register."""
-    rest = [q for q in range(n) if q not in targets]
-    big = np.kron(op, np.eye(1 << len(rest), dtype=np.complex128))
-    order = list(targets) + rest
-    pos = [order.index(q) for q in range(n)]
-    t = big.reshape([2] * (2 * n))
-    return t.transpose(pos + [p + n for p in pos]).reshape(1 << n, 1 << n)
-
-
-def _depolarize_qubit(mat: np.ndarray, qubit: int, p: float, n: int) -> np.ndarray:
-    """Depolarizing channel on one qubit of an n-qubit operator."""
     if p == 0.0:
-        return mat
-    paulis = [_embed(sigma, (qubit,), n) for sigma in _PAULIS]
-    twirl = sum(pp @ mat @ pp for pp in paulis) / 4.0
-    return (1.0 - p) * mat + p * twirl
+        return t
+    n = t.ndim // 2
+    shape = [1] * t.ndim
+    shape[qubit] = shape[qubit + n] = 2
+    reduced = np.expand_dims(np.trace(t, axis1=qubit, axis2=qubit + n), (qubit, qubit + n))
+    return (1.0 - p) * t + p * reduced * (np.eye(2) / 2.0).reshape(shape)
 
 
 def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
@@ -143,23 +97,7 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def _charlie_effect(charlie_mix: float) -> np.ndarray:
-    return (1.0 - charlie_mix) * np.outer(PHI_PLUS, PHI_PLUS) + (charlie_mix / 4.0) * np.eye(
-        4, dtype=np.complex128
-    )
-
-
-def _party_projectors(noise: NoiseParams) -> tuple[list, list]:
-    """Embedded local projectors for Alice (qubit 0) and Bob (qubit 2), per basis."""
-    alice_scheme, bob_scheme = canonical_schemes()
-    alice = [
-        [_embed(p, (0,), 4) for p in scheme_projectors(alice_scheme, a, noise.jitter_alice)]
-        for a in (0, 1)
-    ]
-    bob = [
-        [_embed(p, (2,), 4) for p in scheme_projectors(bob_scheme, b, noise.jitter_bob)]
-        for b in (0, 1)
-    ]
-    return alice, bob
+    return (1.0 - charlie_mix) * np.outer(PHI_PLUS, PHI_PLUS) + (charlie_mix / 4.0) * np.eye(4)
 
 
 def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
@@ -171,38 +109,34 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     depolarizing channel is self-adjoint, so this ordering reduces to the two
     Charlie-bound qubits: p(x, y, 1 | a, b) = 1/4 tr[(D_A (x) D_B)(E_1)
     (|u_ax><u_ax| (x) |v_by><v_by|)].  ``charlie-first`` evolves all four
-    qubits: it applies noise, performs Charlie's (generalized) measurement,
-    and measures the parties on the post-selection state.  The two agree
-    because all three act on disjoint subsystems, and the second is the
-    independent reference for the first.
+    qubits as tensor contractions: it applies noise, performs Charlie's
+    (generalized) measurement, and measures the parties on the post-selection
+    state.  The two agree because all three act on disjoint subsystems, and
+    the second is the independent reference for the first.
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+    # Each jitter is reduced to [0, 2 pi) first, so each basis keeps two kets
+    # pi apart: adding an unreduced 1e17 would round both to one float.
+    alice, bob = canonical_schemes()
+    angles_a = alice.angles + canonical_angle(noise.jitter_alice)
+    angles_b = bob.angles + canonical_angle(noise.jitter_bob)
+    effect = _charlie_effect(noise.charlie_mix)
     if order == "parties-first":
-        effect = _depolarize_qubit(_charlie_effect(noise.charlie_mix), 0, noise.depol_alice, 2)
-        effect = _depolarize_qubit(effect, 1, noise.depol_bob, 2)
-        alice_scheme, bob_scheme = canonical_schemes()
-        accepted = 0.25 * acceptance_table(
-            effect, alice_scheme.angles + noise.jitter_alice, bob_scheme.angles + noise.jitter_bob
-        )
+        effect = _depolarize_qubit(effect.reshape(2, 2, 2, 2), 0, noise.depol_alice)
+        effect = _depolarize_qubit(effect, 1, noise.depol_bob)
+        accepted = 0.25 * acceptance_table(effect, angles_a, angles_b)
         return np.stack([0.25 - accepted, accepted], axis=-1)
-    rho0 = np.outer(_TWO_PAIRS, _TWO_PAIRS)
-    alice, bob = _party_projectors(noise)
-    effect1 = _embed(_charlie_effect(noise.charlie_mix), (1, 3), 4)
-    effect0 = np.eye(16, dtype=np.complex128) - effect1
-    joint = np.zeros((2, 2, 2, 2, 2))
-    rho = _depolarize_qubit(rho0, 1, noise.depol_alice, 4)
-    rho = _depolarize_qubit(rho, 3, noise.depol_bob, 4)
-    for c, effect in ((0, effect0), (1, effect1)):
-        sq = _sqrtm_psd(effect)
-        rho_c = sq @ rho @ sq
-        for a in (0, 1):
-            for b in (0, 1):
-                for x in (0, 1):
-                    for y in (0, 1):
-                        m = alice[a][x] @ bob[b][y]
-                        joint[a, b, x, y, c] = float(np.real(np.trace(m @ rho_c)))
-    return joint
+    rho = np.outer(_TWO_PAIRS, _TWO_PAIRS).reshape([2] * 8)
+    rho = _depolarize_qubit(rho, 1, noise.depol_alice)
+    rho = _depolarize_qubit(rho, 3, noise.depol_bob)
+    u, v = _real_kets(angles_a), _real_kets(angles_b)
+    joints = []
+    for e in (np.eye(4) - effect, effect):
+        sq = _sqrtm_psd(e).reshape(2, 2, 2, 2)
+        rho_c = np.einsum("jlJL,iJkLmNoP,NPnp->ijklmnop", sq, rho, sq)
+        joints.append(np.einsum("axi,byk,ijklmjol,axm,byo->abxy", u, v, rho_c, u, v))
+    return np.stack(joints, axis=-1)
 
 
 def order_invariance(parties_first: np.ndarray, charlie_first: np.ndarray) -> float:
@@ -224,20 +158,3 @@ def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
             raise ValueError(f"depolarizing strength {p!r} outside [0, 1]")
         rows.append((p, exact_swap_s(NoiseParams(depol_alice=p, depol_bob=p))))
     return rows
-
-
-def run_swap(cfg: SwapConfig, joint: np.ndarray | None = None) -> Tally:
-    """Sample the swap realization into a tally.
-
-    The per-trial outcome distribution is the exact joint for the configured
-    ordering; local outcomes are unbiased coins (the kept halves are maximally
-    mixed), and Charlie's announcement follows the conditional acceptance
-    probability given (a, b, x, y).  A caller that already holds
-    ``joint_distribution(cfg.noise, cfg.order)`` passes it as ``joint``.
-    """
-    if joint is None:
-        joint = joint_distribution(cfg.noise, cfg.order)
-    accept = joint[..., 1] * 4.0  # p(x,y|a,b) = 1/4 exactly; threshold clips to [0, 1]
-    coins = np.full((2, 2), 0.5)
-    cells = prepare_and_measure(coins, coins, accept)
-    return sample_tally(cfg.seed, cfg.n_trials, cells, PM_WIDTH)

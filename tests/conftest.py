@@ -6,7 +6,7 @@ matrices and projectors are square matrices.
 
 import numpy as np
 
-from bellpost import lhv, qcore
+from bellpost import lhv, protocol, qcore, swap
 
 
 def density(amps) -> np.ndarray:
@@ -55,6 +55,69 @@ def partial_trace(rho, keep) -> np.ndarray:
     reduced = np.einsum(f"{rows}{''.join(cols)}->{out}", t)
     dim = 1 << len(kept)
     return reduced.reshape(dim, dim)
+
+
+_PAULIS = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
+
+
+def embed(op, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Lift an operator on the listed qubits to the full n-qubit register."""
+    rest = [q for q in range(n) if q not in targets]
+    big = np.kron(op, np.eye(1 << len(rest), dtype=np.complex128))
+    order = list(targets) + rest
+    pos = [order.index(q) for q in range(n)]
+    t = big.reshape([2] * (2 * n))
+    return t.transpose(pos + [p + n for p in pos]).reshape(1 << n, 1 << n)
+
+
+def pauli_depolarize_qubit(mat, qubit: int, p: float, n: int) -> np.ndarray:
+    """Depolarizing channel on one qubit of an n-qubit matrix, as a Pauli twirl."""
+    paulis = [embed(sigma, (qubit,), n) for sigma in _PAULIS]
+    twirl = sum(pp @ mat @ pp for pp in paulis) / 4.0
+    return (1.0 - p) * mat + p * twirl
+
+
+def charlie_first_joint_oracle(noise: swap.NoiseParams) -> np.ndarray:
+    """p(x, y, c | a, b) by 16x16 matrix evolution, one (a, b, x, y) at a time.
+
+    Depolarizes the Charlie-bound qubits 1 and 3 of the two phi+ pairs by
+    Pauli twirls, applies the Lueders update of Charlie's effect on (1, 3),
+    and takes the trace against the embedded local projectors of Alice
+    (qubit 0) and Bob (qubit 2) onto the jittered canonical kets.
+    """
+    alice, bob = protocol.canonical_schemes()
+    local = [
+        [
+            [embed(density(k), (qubit,), 4) for k in qcore._real_kets(scheme.angles[basis] + jitter)]
+            for basis in (0, 1)
+        ]
+        for scheme, qubit, jitter in ((alice, 0, noise.jitter_alice), (bob, 2, noise.jitter_bob))
+    ]
+    effect1 = embed(swap._charlie_effect(noise.charlie_mix), (1, 3), 4)
+    rho = pauli_depolarize_qubit(density(swap._TWO_PAIRS), 1, noise.depol_alice, 4)
+    rho = pauli_depolarize_qubit(rho, 3, noise.depol_bob, 4)
+    joint = np.zeros((2, 2, 2, 2, 2))
+    for c, effect in ((0, np.eye(16) - effect1), (1, effect1)):
+        sq = swap._sqrtm_psd(effect)
+        rho_c = sq @ rho @ sq
+        for a in (0, 1):
+            for b in (0, 1):
+                for x in (0, 1):
+                    for y in (0, 1):
+                        m = local[0][a][x] @ local[1][b][y]
+                        joint[a, b, x, y, c] = float(np.real(np.trace(m @ rho_c)))
+    return joint
+
+
+def swap_tally(n: int, seed: int, noise=None, order: str = "parties-first") -> protocol.Tally:
+    """A sampled swap run's tally, built as the CLI builds it."""
+    joint = swap.joint_distribution(noise or swap.NoiseParams(), order)
+    return protocol.run_quantum_mc(*protocol.canonical_schemes(), n, seed, 4.0 * joint[..., 1])
 
 
 def correlation_oracle(table, a: int, b: int) -> float:

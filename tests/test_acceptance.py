@@ -13,7 +13,7 @@ import pytest
 
 from bellpost import cli, lhv, protocol, swap
 from bellpost.rng import trial_uniforms_block
-from conftest import random_deterministic_model, random_response_model, trace_distance
+from conftest import random_deterministic_model, random_response_model, swap_tally, trace_distance
 from test_swap import remote_state_check
 
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -154,7 +154,7 @@ def test_criterion_8_no_signaling_and_selection_rate():
 
 
 def test_criterion_9_swap_realization():
-    tally = swap.run_swap(swap.SwapConfig(n_trials=10**6, seed=9))
+    tally = swap_tally(10**6, 9)
     rep = protocol.bell_report(tally)
     sampled_ok = abs(rep.s - TWO_SQRT2) <= 5 * rep.se_s
 

@@ -222,7 +222,7 @@ class TestRunReports:
     def test_config_echo_contains_defaults(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 1000}))
         echo = report["config"]
-        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 4
+        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 5
         assert echo["schema_version"] == cli.CONFIG_SCHEMA_VERSION == 1
         assert echo["seed"] == 0
         assert "alice" in echo["schemes"]
@@ -548,6 +548,13 @@ def test_import_loads_no_logging_or_executor():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_report_schema_version_is_current():
+    """README states the report schema version that cli.REPORT_SCHEMA_VERSION writes."""
+    text = (ROOT / "README.md").read_text()
+    stated = re.findall(r"a\s+report's\s+top-level\s+`schema_version`\s+is\s+(\d+)", text)
+    assert stated == [str(cli.REPORT_SCHEMA_VERSION)]
 
 
 def test_readme_schema_table_lists_the_config_fields():

@@ -57,6 +57,10 @@ CASES = [
     for path in _paths(doc)
 ]
 
+SWAP_JITTER = next(
+    case for case in CASES if case[0]["mode"] == "swap" and case[1] == ("noise", "jitter_alice")
+)
+
 HUGE_INTEGERS = st.integers(10**399, 10**400 - 1) | st.integers(-(10**400) + 1, -(10**399))
 SCALARS = (
     st.none()
@@ -119,6 +123,7 @@ def _reject_constant(name):
 @example(case=CASES[0], value=None, mode="teleport", extra=[])
 @example(case=CASES[0], value=None, mode=None, extra=["-h"])
 @example(case=CASES[0], value=None, mode="-h", extra=[])
+@example(case=SWAP_JITTER, value=1e17, mode=None, extra=[])
 def test_one_replaced_field_never_crashes(case, value, mode, extra):
     base, path = case
     if path in (("trials",), ("samples",)):

@@ -21,6 +21,7 @@ import pytest
 
 from bellpost import lhv, protocol, swap
 from bellpost.cli import main, render_report
+from conftest import swap_tally
 
 PI = math.pi
 SEEDS = (2024, 2**63 + 5)
@@ -61,11 +62,11 @@ SAMPLERS = {
     ),
     "quantum-priors": lambda n, seed: protocol.run_quantum_mc(*_prior_schemes(), n, seed),
     "lhv-stochastic": lambda n, seed: lhv.simulate_lhv(MODEL, n, seed),
-    "swap-parties-first": lambda n, seed: swap.run_swap(
-        swap.SwapConfig(n, swap.NoiseParams(**NOISE), seed, "parties-first")
+    "swap-parties-first": lambda n, seed: swap_tally(
+        n, seed, swap.NoiseParams(**NOISE), "parties-first"
     ),
-    "swap-charlie-first": lambda n, seed: swap.run_swap(
-        swap.SwapConfig(n, swap.NoiseParams(**NOISE), seed, "charlie-first")
+    "swap-charlie-first": lambda n, seed: swap_tally(
+        n, seed, swap.NoiseParams(**NOISE), "charlie-first"
     ),
 }
 

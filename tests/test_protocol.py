@@ -30,7 +30,7 @@ from bellpost.protocol import (
 )
 from bellpost.rng import trial_uniforms_block
 from bellpost.qcore import _real_kets
-from conftest import correlation_oracle, mixture
+from conftest import correlation_oracle, mixture, swap_tally
 
 PI = math.pi
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -508,7 +508,7 @@ class TestSimulateLhvOracle:
 SAMPLED_MODES = {
     "quantum-mc": lambda n: run_quantum_mc(*canonical_schemes(), n, seed=3),
     "lhv-mc": lambda n: lhv.simulate_lhv(_lhv_model(), n, seed=3),
-    "swap": lambda n: swap.run_swap(swap.SwapConfig(n_trials=n, seed=3)),
+    "swap": lambda n: swap_tally(n, 3),
 }
 
 

@@ -1,23 +1,31 @@
 """Tests for the entanglement-swapping realization."""
 
+import io
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from bellpost import protocol, swap
 from bellpost.qcore import PHI_PLUS, _real_kets
+from bellpost.cli import main
 from bellpost.swap import (
     NoiseParams,
-    SwapConfig,
     depolarizing_sweep,
     exact_swap_s,
     joint_distribution,
     order_invariance,
-    run_swap,
-    scheme_projectors,
 )
-from conftest import density, partial_trace, trace_distance
+from conftest import (
+    charlie_first_joint_oracle,
+    density,
+    partial_trace,
+    pauli_depolarize_qubit,
+    swap_tally,
+    trace_distance,
+)
 
 TWO_SQRT2 = 2 * math.sqrt(2)
 
@@ -79,17 +87,6 @@ class TestLocalProjectors:
             p0, p1 = local_projectors(basis, rng.uniform(0, 2 * math.pi))
             np.testing.assert_allclose(p0 + p1, np.eye(2), atol=1e-12)
 
-    def test_alice_scheme_projectors_match(self):
-        alice, _ = protocol.canonical_schemes()
-        for basis in (0, 1):
-            want = local_projectors(basis, 0.1)
-            np.testing.assert_allclose(scheme_projectors(alice, basis, 0.1), want, atol=1e-12)
-
-    def test_non_antipodal_scheme_rejected(self):
-        crooked = protocol.PreparationScheme.uniform([[0.0, 1.0], [0.0, math.pi]])
-        with pytest.raises(ValueError, match="orthogonal"):
-            scheme_projectors(crooked, 0, 0.0)
-
 
 class TestRemoteStateCheck:
     def test_z_measurement_average(self):
@@ -133,6 +130,43 @@ class TestJointDistribution:
         assert exact_swap_s(NoiseParams()) == pytest.approx(TWO_SQRT2, abs=1e-12)
 
 
+def _random_noise(rng: np.random.Generator) -> NoiseParams:
+    return NoiseParams(
+        depol_alice=rng.uniform(),
+        depol_bob=rng.uniform(),
+        jitter_alice=rng.uniform(0, 2 * math.pi),
+        jitter_bob=rng.uniform(0, 2 * math.pi),
+        charlie_mix=rng.uniform(),
+    )
+
+
+class TestDepolarizeQubit:
+    # The tensor form (1 - p) t + p (I/2 (x) tr_q t) against the Pauli twirl.
+    @pytest.mark.parametrize("n", (2, 4))
+    def test_matches_pauli_twirl(self, n):
+        rng = np.random.default_rng(60 + n)
+        dim = 1 << n
+        for qubit in range(n):
+            for p in (0.0, rng.uniform(), 1.0):
+                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                mat = (g + g.conj().T) / 2
+                got = swap._depolarize_qubit(mat.reshape([2] * (2 * n)), qubit, p)
+                want = pauli_depolarize_qubit(mat, qubit, p, n)
+                np.testing.assert_allclose(got.reshape(dim, dim), want, rtol=0, atol=1e-15)
+
+
+class TestMatrixOracle:
+    # The parent form of the charlie-first evolution: 16x16 matrices, embedded
+    # Paulis and projectors, and one trace per (a, b, x, y).
+    @pytest.mark.parametrize("order", swap.ORDERS)
+    def test_joint_matches_matrix_evolution(self, order):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            noise = _random_noise(rng)
+            want = charlie_first_joint_oracle(noise)
+            np.testing.assert_allclose(joint_distribution(noise, order), want, rtol=0, atol=1e-15)
+
+
 def _order_gap(noise: NoiseParams) -> float:
     return order_invariance(*(joint_distribution(noise, order) for order in swap.ORDERS))
 
@@ -147,19 +181,28 @@ class TestOrderInvariance:
     def test_random_noise_configs(self):
         rng = np.random.default_rng(53)
         for _ in range(50):
-            noise = NoiseParams(
-                depol_alice=rng.uniform(),
-                depol_bob=rng.uniform(),
-                jitter_alice=rng.uniform(0, 2 * math.pi),
-                jitter_bob=rng.uniform(0, 2 * math.pi),
-                charlie_mix=rng.uniform(),
-            )
-            assert _order_gap(noise) <= 1e-15
+            assert _order_gap(_random_noise(rng)) <= 1e-15
+
+    def test_huge_jitter_reaches_a_report(self, capsys):
+        # A jitter of 1e17 is reduced to [0, 2 pi) before it is added, so
+        # each basis keeps two antipodal kets and both orders agree.  Added
+        # unreduced, it would round both of Alice's angles in a basis to one
+        # float, and her outcomes would carry no correlation.
+        doc = {"mode": "swap", "noise": {"jitter_alice": 1e17}, "trials": 1000}
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+            assert main(["swap", "--config", "-"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        rates = results["selection_rates"]
+        assert len(rates) == 4
+        assert all(abs(r - 0.25) <= 1e-12 for r in rates.values())
+        assert results["order_invariance_gap"] <= 1e-15
+        reduced = NoiseParams(jitter_alice=math.fmod(1e17, 2 * math.pi))
+        assert results["exact_s"] == pytest.approx(exact_swap_s(reduced), abs=1e-12)
 
 
 class TestRunSwap:
     def test_zero_noise_recovers_quantum_value(self):
-        t = run_swap(SwapConfig(n_trials=500_000, seed=54))
+        t = swap_tally(500_000, 54)
         rep = protocol.bell_report(t)
         assert abs(rep.s - TWO_SQRT2) < 5 * rep.se_s
         sigma = math.sqrt(0.25 * 0.75 / t.n_total)
@@ -167,25 +210,25 @@ class TestRunSwap:
 
     def test_full_depolarizing_kills_correlations(self):
         noise = NoiseParams(depol_alice=1.0, depol_bob=1.0)
-        t = run_swap(SwapConfig(n_trials=200_000, noise=noise, seed=55))
+        t = swap_tally(200_000, 55, noise)
         rep = protocol.bell_report(t)
         assert abs(rep.s) < 5 * rep.se_s
 
     def test_trivial_charlie_kills_correlations(self):
         noise = NoiseParams(charlie_mix=1.0)
-        t = run_swap(SwapConfig(n_trials=200_000, noise=noise, seed=56))
+        t = swap_tally(200_000, 56, noise)
         rep = protocol.bell_report(t)
         assert abs(rep.s) < 5 * rep.se_s
 
     def test_orderings_sample_identical_statistics(self):
-        pf = run_swap(SwapConfig(n_trials=100_000, seed=57, order="parties-first"))
-        cf = run_swap(SwapConfig(n_trials=100_000, seed=57, order="charlie-first"))
+        pf = swap_tally(100_000, 57, order="parties-first")
+        cf = swap_tally(100_000, 57, order="charlie-first")
         # identical joints and identical substreams give identical tallies
         np.testing.assert_array_equal(pf.counts, cf.counts)
 
     def test_reproducible(self):
-        t1 = run_swap(SwapConfig(n_trials=50_000, seed=58))
-        t2 = run_swap(SwapConfig(n_trials=50_000, seed=58))
+        t1 = swap_tally(50_000, 58)
+        t2 = swap_tally(50_000, 58)
         np.testing.assert_array_equal(t1.counts, t2.counts)
 
 
@@ -222,8 +265,10 @@ class TestNoiseParams:
 
     def test_order_enforced(self):
         with pytest.raises(ValueError, match="order"):
-            SwapConfig(n_trials=10, order="simultaneous")
+            joint_distribution(NoiseParams(), "simultaneous")
 
     def test_trials_enforced(self):
+        coins = np.full((2, 2), 0.5)
+        cells = protocol.prepare_and_measure(coins, coins, np.ones((2, 2, 2, 2)))
         with pytest.raises(ValueError, match=">= 1"):
-            SwapConfig(n_trials=0)
+            protocol.sample_tally(0, 0, cells, protocol.PM_WIDTH)
