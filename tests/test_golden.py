@@ -4,7 +4,7 @@ The reproducibility tests elsewhere compare two runs in one process, so a
 change to the stream-to-trial mapping (which uniforms a trial reads, or how
 it turns them into (a, b, x, y, c)) passes them.  The tallies and report
 digests below were recorded from the samplers and must never move without a
-``schema_version`` bump.  The report digests are those of report schema 4.
+``schema_version`` bump.  The report digests are those of report schema 5.
 
 Trial counts: 100 000, and 131 075, which is odd and above 8 * 16 384, so
 the sampler's 16 384-trial blocks, its per-CPU shares and any partition of
@@ -135,7 +135,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "78deeb3cf5ab33f622817409ebb7f6c51c416ec01840aa22cd18eaf67ec810af",
+        "5cfb1bf4ffba5ebe50ff96197353d4d4469fbebb841dc152ac71f63ef49245f0",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -149,12 +149,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "a92c4a6f0731c8b9c4a98906a046cc450a32306e9e70870b86255c355a7d9055",
+        "75fde41617bbebbd8e4bd59e8acf98d5dc72a742a66cdd4c674e6dec33d0f220",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "658e473f5b129656bf20ef38181a80009cff33cde653cbb8b182dc4ad45024c2",
+        "d123e342f6b11c472ff550d2fdcbdbfc6b919a015b971d572446319e5cae9ff3",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -162,15 +162,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "79f406d33dddd1eccdf5f309d0cb60e0c12c86fad366438ad99ee1726a8780e7",
+        "5faaa8217a5c30b58db59900b8b7bd48dc7b4c57389a3240ea88a1dbc171b11f",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "7cd110005d06785f4a82162f1f5cdfed1c26c2742af3685da34a19244d68eb11"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "5872deefb7656d9af629922fb02a7d87e1d120583e09418a6a5339bae5402d15"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "a201db572a8126557d9454b2170843df9d44377d4367ee674cfb689ad5869cf8",
+        "53e58f67a1f3c4b62c88b9644e152d11c30f2acd7b9575cb2a6ae1c5fae2da7d",
     ),
-    "loophole": (["loophole"], None, "6c339e23ba298686ca08363b0640bb76c87cf725649df58af93fa8602f2dbd94"),
+    "loophole": (["loophole"], None, "8fd5de66aebeac00720ab16c4cf4b2f705b8e16f50ba800600ef0a0936221439"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -182,19 +182,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "4235c8c5f609a6548bd56415bd10fed46885813e82734b01f5bd4d23c1678d3a",
+        "0a1288a0a1838e25a7d0b88a9824669c5ebb08890ae660908a1377102da57591",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "37125d82286b94c7f2dcf946a798f7f8c2775cdbc346660af41ecfdf6e7659ca",
+        "381bd2a4ef5a56c41bf15a620f8e08db238c7b48c6a380178915ec3b3e6b9a62",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "552c787e5c9b1850855fe40d62ab3b5bcf66c0b33fd135ae20f96f88347591f0"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3fce5bd21008238e448309344f7cb6cbe19a82315df47fd005c46b536922bec6"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "70b080c4c3d613243cf50f2e45762d876434af48718db8c13bde4a7b1c70fd75"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3ae0efeb1edf7803129748ad80fd2df57256a3bf70caa882ffbeba2ba74a981f"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "170a452524dcd207d501cc440007fa110fd321912c733706f361d58ff314629f",
+        "03572d7cd50a3c83ccd7ffd19f16c3e77f54b2101b36e7b88806d4a5ebcc378c",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
