@@ -31,8 +31,9 @@ from .qcore import NumericsError
 # holds closed-form error bars and the violation p-value; schema 3 computes
 # the basis-independence distance in closed form and the loophole through
 # ``protocol.postselect``; schema 4 draws 3 or 5 words per sampled trial and
-# reports ``exact_s`` in every sampled mode.  Config documents stay at
-# version 1, which reports echo.
+# reports ``exact_s`` in every sampled mode; schema 5 computes the
+# charlie-first swap reference by tensor contractions.  Config documents stay
+# at version 1, which reports echo.
 REPORT_SCHEMA_VERSION = 5
 CONFIG_SCHEMA_VERSION = 1
 

@@ -93,8 +93,8 @@ def charlie_first_joint_oracle(noise: swap.NoiseParams) -> np.ndarray:
     alice, bob = protocol.canonical_schemes()
     local = [
         [
-            [embed(density(k), (qubit,), 4) for k in qcore._real_kets(scheme.angles[basis] + jitter)]
-            for basis in (0, 1)
+            [embed(density(k), (qubit,), 4) for k in qcore._real_kets(angles + jitter)]
+            for angles in scheme.angles
         ]
         for scheme, qubit, jitter in ((alice, 0, noise.jitter_alice), (bob, 2, noise.jitter_bob))
     ]
