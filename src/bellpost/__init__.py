@@ -1,7 +1,9 @@
 """Three-party post-selected CHSH task: quantum vs. classical resources.
 
-Subpackages:
-  qcore     exact statevector / density-matrix arithmetic for 1-4 qubits
+Modules:
+  qcore     real single-qubit kets and two-qubit acceptance tables, as plain
+            arrays
+  rng       counter-based Philox words, a pure function of (seed, trial index)
   protocol  the three-party task, tallying, correlations, exact statistics
   lhv       local-hidden-variable strategies, bounds, and the discard loophole
   swap      entanglement-swapping realization with noise models

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, lhv, protocol, swap
-from .qcore import NumericsError
+from .qcore import EXACT_TOL, NumericsError
 
 # Reports and config documents carry separate versions.  Report schema 2
 # holds closed-form error bars and the violation p-value; schema 3 computes
@@ -231,9 +232,11 @@ def _sweep(obj, path: str) -> list[float]:
 
 
 def _tol(v, path: str) -> float:
+    # Below EXACT_TOL a tolerance would judge rounding: the exactly
+    # independent canonical schemes have distances of a few 1e-17.
     tol = _number(v, path)
-    if tol <= 0.0:
-        raise ConfigError(f"{path}: expected a positive finite number, got {tol!r}")
+    if tol < EXACT_TOL:
+        raise ConfigError(f"{path}: expected a finite number >= {EXACT_TOL:g}, got {tol!r}")
     return tol
 
 
@@ -600,7 +603,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = _ArgumentParser(
         prog="bellpost",
         description="Post-selected three-party CHSH task: quantum strategies, "

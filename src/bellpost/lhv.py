@@ -56,13 +56,6 @@ class CellWeights:
     def __post_init__(self) -> None:
         object.__setattr__(self, "w", _validate_weights(self.w, (2, 2, 2, 2)))
 
-    @classmethod
-    def from_flat(cls, values) -> "CellWeights":
-        values = np.asarray(values, dtype=np.float64)
-        if values.size != 16:
-            raise ValueError(f"expected 16 cell weights, got {values.size}")
-        return cls(values.reshape(2, 2, 2, 2))
-
 
 @dataclass(frozen=True)
 class TritCellWeights:

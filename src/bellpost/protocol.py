@@ -95,6 +95,18 @@ class PreparationScheme:
         return cls(np.array(angles, dtype=np.float64), np.full((2, 2), 0.5))
 
 
+# Built once: the schemes are frozen and their arrays read-only, so every
+# caller can share them.
+_CANONICAL = (
+    PreparationScheme.uniform([[0.0, PI], [PI / 2, 3 * PI / 2]]),
+    PreparationScheme.uniform([[PI / 4, 5 * PI / 4], [7 * PI / 4, 3 * PI / 4]]),
+)
+_BOB_LABELS_SWAPPED = (
+    _CANONICAL[0],
+    PreparationScheme.uniform([[PI / 4, 5 * PI / 4], [3 * PI / 4, 7 * PI / 4]]),
+)
+
+
 def canonical_schemes() -> tuple[PreparationScheme, PreparationScheme]:
     """The scheme pair attaining the maximal post-selected CHSH value 2*sqrt(2).
 
@@ -103,17 +115,14 @@ def canonical_schemes() -> tuple[PreparationScheme, PreparationScheme]:
     7*pi/4.  With Bob's basis-1 labels exchanged (``bob_labels_swapped``)
     the printed CHSH combination evaluates to 0 instead of 2*sqrt(2); the
     assignment frozen here is the one validated against the exact
-    post-selected statistics.
+    post-selected statistics.  Every call returns the same shared pair.
     """
-    alice = PreparationScheme.uniform([[0.0, PI], [PI / 2, 3 * PI / 2]])
-    bob = PreparationScheme.uniform([[PI / 4, 5 * PI / 4], [7 * PI / 4, 3 * PI / 4]])
-    return alice, bob
+    return _CANONICAL
 
 
 def bob_labels_swapped() -> tuple[PreparationScheme, PreparationScheme]:
-    """Canonical pair with Bob's basis-1 state labels exchanged (S = 0)."""
-    bob = PreparationScheme.uniform([[PI / 4, 5 * PI / 4], [3 * PI / 4, 7 * PI / 4]])
-    return canonical_schemes()[0], bob
+    """Canonical pair with Bob's basis-1 state labels exchanged (S = 0); Alice's is shared."""
+    return _BOB_LABELS_SWAPPED
 
 
 @dataclass(frozen=True)

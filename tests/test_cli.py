@@ -488,6 +488,43 @@ class TestMain:
         out = _strict_json(capsys.readouterr().out)
         assert out["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("tol", ["1e-320", "1e-13"])
+    def test_tol_below_exact_tol_exits_2(self, capsys, tol):
+        # The canonical pair's distances are a few 1e-17 of rounding, so a
+        # smaller tolerance would fail an exactly independent scheme.
+        assert main(["check-independence", f"--tol={tol}"]) == 2
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "ConfigError"
+        assert "tol" in out["error"]["message"]
+
+    def test_tol_at_exact_tol_passes(self, capsys):
+        assert main(["check-independence", "--tol=1e-12"]) == 0
+        out = _strict_json(capsys.readouterr().out)
+        assert out["verdict"] == "condition satisfied"
+
+    def test_cached_parser_carries_no_state(self, capsys):
+        sequence = [
+            ["-h"],
+            ["quantum-mc", "--trials", "abc"],
+            ["swap", "--grid", "0.1,0.2"],
+            ["swap", "--trials", "2000"],
+            ["check-independence", "--tol", "1e-9"],
+            ["quantum-exact"],
+        ]
+
+        def call(argv):
+            code = main(argv)
+            return code, _strip_duration(capsys.readouterr().out)
+
+        cli._build_parser.cache_clear()
+        shared = [call(argv) for argv in sequence]
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(sequence) - 1)
+        for argv, got in zip(sequence, shared):
+            cli._build_parser.cache_clear()
+            assert got == call(argv), argv
+        assert [code for code, _ in shared] == [0, 2, 0, 0, 0, 0]
+
     def test_swap_run_evaluates_each_joint_once(self, capsys, monkeypatch):
         calls = []
         original = cli.swap.joint_distribution
@@ -548,6 +585,16 @@ def test_import_loads_no_logging_or_executor():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_import_builds_no_parser():
+    """The parser is built on the first ``main`` call, not when the CLI is imported."""
+    code = "import bellpost.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60,
+    ).stdout
+    assert out.strip() == "0"
 
 
 def test_readme_report_schema_version_is_current():

@@ -94,10 +94,6 @@ class TestSFromCells:
             bad[1, 1, 1, 1] = 3 / 16
             CellWeights(bad)
 
-    def test_from_flat_arity(self):
-        with pytest.raises(ValueError, match="16"):
-            CellWeights.from_flat(np.ones(15) / 15)
-
 
 class TestMaxAbsSDeterministic:
     def test_maximum_is_two(self):

@@ -221,6 +221,16 @@ class TestCanonicalSchemes:
         assert oracle_s(alice, bob) == pytest.approx(0.0, abs=1e-12)
         assert exact_s(alice, bob) == pytest.approx(0.0, abs=1e-12)
 
+    def test_pairs_are_shared(self):
+        assert canonical_schemes() is canonical_schemes()
+        assert bob_labels_swapped()[0] is canonical_schemes()[0]
+
+    def test_shared_arrays_are_read_only(self):
+        for scheme in (*canonical_schemes(), *bob_labels_swapped()):
+            for arr in (scheme.angles, scheme.priors):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 0.25
+
 
 class TestExactPostselected:
     def test_matches_oracle_table(self):
@@ -709,7 +719,7 @@ NONFINITE = {
     "lhv-select": lambda: lhv.LhvSimModel(**_lhv_kwargs(select=[[0.9], [NAN]])),
     "response-weight": lambda: lhv.ResponseModel([NAN, 0.5], [0, 0], [0, 0], [0, 0], [0, 0]),
     "response-value": lambda: lhv.ResponseModel([1.0], [NAN], [0.0], [0.0], [0.0]),
-    "cell-weights": lambda: lhv.CellWeights.from_flat([NAN] + [1 / 15] * 15),
+    "cell-weights": lambda: lhv.CellWeights(np.array([NAN] + [1 / 15] * 15).reshape(2, 2, 2, 2)),
     "trit-cell-weights": lambda: lhv.TritCellWeights.from_flat([NAN] + [1 / 80] * 80),
     "noise-depol": lambda: swap.NoiseParams(depol_bob=NAN),
     "noise-mix": lambda: swap.NoiseParams(charlie_mix=NAN),
