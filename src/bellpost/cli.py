@@ -324,20 +324,10 @@ def _run_lhv_max(cfg: ScenarioConfig) -> tuple[dict, str]:
     return results, "classical bound"
 
 
-def _random_response_model(rng: np.random.Generator) -> lhv.ResponseModel:
-    n = int(rng.integers(1, 6))
-    weights = rng.dirichlet(np.ones(n))
-    vals = rng.uniform(-1.0, 1.0, size=(4, n))
-    return lhv.ResponseModel(weights, vals[0], vals[1], vals[2], vals[3])
-
-
 def _run_lhv_indet(cfg: ScenarioConfig) -> tuple[dict, str]:
     if cfg.response_model is not None:
         return {"s": lhv.s_indeterministic(cfg.response_model)}, "classical bound"
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(cfg.samples):
-        worst = max(worst, abs(lhv.s_indeterministic(_random_response_model(rng))))
+    worst = lhv.random_max_abs_s_indeterministic(np.random.default_rng(cfg.seed), cfg.samples)
     return {"random_samples": cfg.samples, "max_abs_s": worst}, "classical bound"
 
 

@@ -7,9 +7,11 @@ party and sixteen strategy cells (i, j; k, l) for the pair; Charlie's selection
 may depend on (lambda, lambda') but never on the bases.  Under that structure
 the post-selected CHSH value is a fixed +/-2-coefficient average over cell
 weights, so |S| <= 2 — this module computes the coefficient algebra, the
-exhaustive bound, the indeterministic (response-average) variant, a generative
-simulator feeding the shared tally pipeline, and the trit-valued discard
-variant in which per-basis discarding inflates S to the algebraic maximum 4.
+exhaustive bound and the two random sweeps that back it (over cell weights and
+over indeterministic response models, each a block of 1 Ki samples at a time),
+the indeterministic (response-average) variant, a generative simulator feeding
+the shared tally pipeline, and the trit-valued discard variant in which
+per-basis discarding inflates S to the algebraic maximum 4.
 """
 
 from __future__ import annotations
@@ -113,8 +115,9 @@ def max_abs_s_deterministic() -> tuple[float, tuple[int, int, int, int]]:
     return float(magnitudes[witness]), tuple(int(v) for v in witness)
 
 
-# Rows per block of the random cell-weight sweep: 1 Ki rows of 16 weights is
-# 128 KiB, so the sweep's memory does not grow with its sample count.
+# Samples per block of both random sweeps: 1 Ki rows of 16 cell weights is
+# 128 KiB, and 1 Ki zero-padded response models are 200 KiB, so neither
+# sweep's memory grows with its sample count.
 _SWEEP_BLOCK = 1 << 10
 
 
@@ -188,6 +191,43 @@ class ResponseModel:
 def s_indeterministic(m: ResponseModel) -> float:
     """CHSH value of a response mixture: E[f0(g0+g1) + f1(g0-g1)]; |S| <= 2."""
     return float(np.sum(m.weights * (m.f0 * (m.g0 + m.g1) + m.f1 * (m.g0 - m.g1))))
+
+
+# A random response model of the indeterministic sweep has 1 to 5 atoms.
+_MAX_ATOMS = 5
+
+
+def random_max_abs_s_indeterministic(rng: np.random.Generator, samples: int) -> float:
+    """Largest |S| over ``samples`` random response models, a block at a time.
+
+    Each model makes three generator calls in this order: its atom count
+    ``n = rng.integers(1, 6)``, its weights ``rng.dirichlet(ones(n))`` and its
+    (f0, f1, g0, g1) rows ``rng.uniform(-1, 1, size=(4, n))``.  A block's
+    models are written into zero-padded 5-atom rows, checked as
+    ``ResponseModel`` checks a model, and summed as ``s_indeterministic``
+    sums one; the padding adds only exact zero terms, so each row's S is
+    bit-identical to its model's.
+    """
+    ones = [np.ones(n) for n in range(_MAX_ATOMS + 1)]
+    best = 0.0
+    for start in range(0, samples, _SWEEP_BLOCK):
+        k = min(_SWEEP_BLOCK, samples - start)
+        w = np.zeros((k, _MAX_ATOMS))
+        v = np.zeros((4, k, _MAX_ATOMS))
+        for i in range(k):
+            n = int(rng.integers(1, _MAX_ATOMS + 1))
+            w[i, :n] = rng.dirichlet(ones[n])
+            v[:, i, :n] = rng.uniform(-1.0, 1.0, size=(4, n))
+        if not (
+            np.all(w >= 0.0)
+            and np.all(np.abs(w.sum(axis=1) - 1.0) <= EXACT_TOL)
+            and np.all((v >= -1.0) & (v <= 1.0))
+        ):
+            raise NumericsError("a random response model is not a valid mixture")
+        f0, f1, g0, g1 = v
+        s = np.sum(w * (f0 * (g0 + g1) + f1 * (g0 - g1)), axis=1)
+        best = max(best, float(np.abs(s).max()))
+    return best
 
 
 def _validate_distribution(values, probs, label: str) -> tuple[np.ndarray, np.ndarray]:

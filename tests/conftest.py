@@ -162,6 +162,46 @@ def random_response_model(rng: np.random.Generator) -> lhv.ResponseModel:
     return lhv.ResponseModel(rng.dirichlet(np.ones(n)), vals[0], vals[1], vals[2], vals[3])
 
 
+def lhv_indet_sweep_model(rng: np.random.Generator) -> lhv.ResponseModel:
+    """One model of the ``lhv-indet`` random sweep, drawn as the CLI draws it.
+
+    Unlike ``random_response_model``, the weights come before the values:
+    this is the sweep's stream, the replay oracle for
+    ``lhv.random_max_abs_s_indeterministic``.
+    """
+    n = int(rng.integers(1, 6))
+    weights = rng.dirichlet(np.ones(n))
+    vals = rng.uniform(-1.0, 1.0, size=(4, n))
+    return lhv.ResponseModel(weights, vals[0], vals[1], vals[2], vals[3])
+
+
+class CorruptingGenerator:
+    """A real numpy Generator whose ``method`` returns one bad result.
+
+    The ``at``-th call of ``method`` (counting from 0) has its first entry
+    replaced by ``value``; every other call passes straight through, so the
+    stream is otherwise the wrapped generator's.
+    """
+
+    def __init__(self, rng: np.random.Generator, method: str, value: float, at: int = 0):
+        self._rng, self._method, self._value, self._at = rng, method, value, at
+        self._calls = 0
+
+    def __getattr__(self, name):
+        real = getattr(self._rng, name)
+        if name != self._method:
+            return real
+
+        def corrupted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if self._calls == self._at:
+                out.flat[0] = self._value
+            self._calls += 1
+            return out
+
+        return corrupted
+
+
 def exact_s_of_sim_model(m: lhv.LhvSimModel) -> float:
     """Full-expectation CHSH oracle over the finite (lambda, lambda', a, b) grid.
 

@@ -13,7 +13,7 @@ import pytest
 
 from bellpost import cli, lhv, protocol, swap
 from bellpost.rng import trial_uniforms_block
-from conftest import random_deterministic_model, random_response_model, swap_tally, trace_distance
+from conftest import random_deterministic_model, swap_tally, trace_distance
 from test_swap import remote_state_check
 
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -77,10 +77,7 @@ def test_criterion_3_classical_bound_deterministic():
 
 
 def test_criterion_4_classical_bound_indeterministic():
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(10**3):
-        worst = max(worst, abs(lhv.s_indeterministic(random_response_model(rng))))
+    worst = lhv.random_max_abs_s_indeterministic(np.random.default_rng(4), 10**3)
     ok = worst <= 2.0 + 1e-12
     _report(4, f"max |S| over 1e3 random response models = {worst:.6f} <= 2", ok)
     assert worst <= 2.0 + 1e-12

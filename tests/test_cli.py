@@ -13,7 +13,7 @@ import pytest
 
 from bellpost import cli, protocol
 from bellpost.cli import ConfigError, config_from_doc, main, render_csv, render_report, run
-from conftest import exact_s_of_sim_model
+from conftest import CorruptingGenerator, exact_s_of_sim_model
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -429,6 +429,18 @@ class TestMain:
         nan_s = (math.nan, np.zeros((2, 2)), np.ones((2, 2)))
         monkeypatch.setattr(cli.lhv, "s_with_discards", lambda weights: nan_s)
         assert main(["loophole"]) == 4
+        out = _strict_json(capsys.readouterr().out)
+        assert out["error"]["type"] == "NumericsError"
+
+    @pytest.mark.parametrize("method, value", [("dirichlet", -0.25), ("uniform", math.nan)])
+    def test_bad_sweep_draw_exits_4(self, capsys, monkeypatch, method, value):
+        # A random model that fails ResponseModel's checks is a numerical
+        # violation, not a traceback.
+        real = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: CorruptingGenerator(real(seed), method, value)
+        )
+        assert main(["lhv-indet"]) == 4
         out = _strict_json(capsys.readouterr().out)
         assert out["error"]["type"] == "NumericsError"
 

@@ -1,9 +1,13 @@
 """Tests for hidden-variable strategies, bounds, and the discard loophole."""
 
+import functools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bellpost import protocol
+from bellpost import lhv, protocol
 from bellpost.lhv import (
     CellWeights,
     LhvSimModel,
@@ -17,13 +21,17 @@ from bellpost.lhv import (
     loophole_max_example,
     max_abs_s_deterministic,
     random_max_abs_s,
+    random_max_abs_s_indeterministic,
     s_from_cells,
     s_indeterministic,
     s_with_discards,
     simulate_lhv,
 )
+from bellpost.qcore import NumericsError
 from conftest import (
+    CorruptingGenerator,
     exact_s_of_sim_model,
+    lhv_indet_sweep_model,
     random_deterministic_model,
     random_response_model,
     random_stochastic_model,
@@ -133,6 +141,63 @@ class TestRandomMaxAbsS:
                 w = CellWeights(rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2))
                 want = max(want, abs(s_from_cells(w)))
             assert random_max_abs_s(np.random.default_rng(seed), samples) == want
+
+
+@functools.cache
+def _model_loop(seed: int, samples: int) -> tuple[float, dict]:
+    """The sweep as one ResponseModel and one s_indeterministic per sample.
+
+    Returns the largest |S| and the generator's state after the sweep.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        worst = max(worst, abs(s_indeterministic(lhv_indet_sweep_model(rng))))
+    return worst, rng.bit_generator.state
+
+
+class TestRandomMaxAbsSIndeterministic:
+    # 1023, 1024 and 1025 sit on the first block edge; 2500 ends mid-block.
+    @pytest.mark.parametrize("block", [lhv._SWEEP_BLOCK, 1, 7])
+    @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 2500])
+    def test_matches_model_loop(self, monkeypatch, block, samples):
+        # The same three generator calls per model, and zero padding adds
+        # only exact zero terms, so the sweep's maximum is bit-identical and
+        # it leaves the generator where the loop does.
+        monkeypatch.setattr(lhv, "_SWEEP_BLOCK", block)
+        for seed in (0, 7, 2**40 + 3):
+            rng = np.random.default_rng(seed)
+            got = random_max_abs_s_indeterministic(rng, samples)
+            assert (got, rng.bit_generator.state) == _model_loop(seed, samples)
+
+    def test_each_model_matches_s_indeterministic(self):
+        # One-sample sweeps on one generator walk the stream model by model.
+        sweep, models = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(2000):
+            want = abs(s_indeterministic(lhv_indet_sweep_model(models)))
+            assert random_max_abs_s_indeterministic(sweep, 1) == want
+
+    # The bad draw lands in the second block.
+    @pytest.mark.parametrize("method, value", [("dirichlet", -0.25), ("uniform", math.nan)])
+    def test_bad_draw_raises_numerics_error(self, method, value):
+        rng = CorruptingGenerator(np.random.default_rng(3), method, value, at=1500)
+        with pytest.raises(NumericsError, match="response model"):
+            random_max_abs_s_indeterministic(rng, 2500)
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # 20 blocks; all of their padded rows at once would be 4 MiB.  A
+        # first sweep keeps numpy's one-time imports out of the peak.
+        random_max_abs_s_indeterministic(np.random.default_rng(5), 1)
+        tracemalloc.start()
+        try:
+            best = random_max_abs_s_indeterministic(
+                np.random.default_rng(5), 20 * lhv._SWEEP_BLOCK
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < best <= 2.0 + 1e-12
+        assert peak < 2**20
 
 
 class TestSIndeterministic:
