@@ -12,6 +12,14 @@ over indeterministic response models, each a block of 1 Ki samples at a time),
 the indeterministic (response-average) variant, a generative simulator feeding
 the shared tally pipeline, and the trit-valued discard variant in which
 per-basis discarding inflates S to the algebraic maximum 4.
+
+The response-model sweep draws each model with ``rng.integers``,
+``rng.standard_exponential`` and ``rng.random``.  Two stream identities make
+these the models ``rng.dirichlet`` and ``rng.uniform(-1, 1)`` would draw, bit
+for bit: a flat Dirichlet is standard exponentials times the reciprocal of
+their sum, and ``uniform(-1, 1)`` is ``-1 + 2 * random()``; the replay test
+``tests/test_lhv.py::TestRandomMaxAbsSIndeterministic::test_matches_model_loop``
+pins both.
 """
 
 from __future__ import annotations
@@ -201,14 +209,25 @@ def random_max_abs_s_indeterministic(rng: np.random.Generator, samples: int) -> 
     """Largest |S| over ``samples`` random response models, a block at a time.
 
     Each model makes three generator calls in this order: its atom count
-    ``n = rng.integers(1, 6)``, its weights ``rng.dirichlet(ones(n))`` and its
-    (f0, f1, g0, g1) rows ``rng.uniform(-1, 1, size=(4, n))``.  A block's
-    models are written into zero-padded 5-atom rows, checked as
-    ``ResponseModel`` checks a model, and summed as ``s_indeterministic``
-    sums one; the padding adds only exact zero terms, so each row's S is
-    bit-identical to its model's.
+    ``n = rng.integers(1, 6)``, n standard exponentials
+    ``rng.standard_exponential(out=w[i, :n])`` and 4 x n uniforms
+    ``v[:, i, :n] = rng.random((4, n))``, written into zero-padded 5-atom
+    rows.  A filled block is finished in place by numpy's own arithmetic for
+    ``rng.dirichlet(ones(n))`` and ``rng.uniform(-1, 1, size=(4, n))``, so it
+    holds the models those calls draw, bit for bit:
+
+    - a flat Dirichlet is its standard exponentials times the reciprocal of
+      their running sum (Devroye 1986, ch. XI), and the padding adds exact
+      zeros to that sum;
+    - ``uniform(-1, 1)`` is ``-1 + 2 * random()``.
+
+    ``TestRandomMaxAbsSIndeterministic.test_matches_model_loop`` in
+    ``tests/test_lhv.py`` pins both identities, and the generator's final
+    state, against a replay through ``dirichlet`` and ``uniform``.  Each row
+    is checked as ``ResponseModel`` checks a model and summed as
+    ``s_indeterministic`` sums one; the padding adds only exact zero terms,
+    so each row's S is bit-identical to its model's.
     """
-    ones = [np.ones(n) for n in range(_MAX_ATOMS + 1)]
     best = 0.0
     for start in range(0, samples, _SWEEP_BLOCK):
         k = min(_SWEEP_BLOCK, samples - start)
@@ -216,8 +235,14 @@ def random_max_abs_s_indeterministic(rng: np.random.Generator, samples: int) -> 
         v = np.zeros((4, k, _MAX_ATOMS))
         for i in range(k):
             n = int(rng.integers(1, _MAX_ATOMS + 1))
-            w[i, :n] = rng.dirichlet(ones[n])
-            v[:, i, :n] = rng.uniform(-1.0, 1.0, size=(4, n))
+            rng.standard_exponential(out=w[i, :n])
+            v[:, i, :n] = rng.random((4, n))
+        acc = w[:, 0].copy()
+        for j in range(1, _MAX_ATOMS):
+            acc += w[:, j]
+        w *= (1.0 / acc)[:, None]
+        v *= 2.0
+        v -= 1.0
         if not (
             np.all(w >= 0.0)
             and np.all(np.abs(w.sum(axis=1) - 1.0) <= EXACT_TOL)

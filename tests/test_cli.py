@@ -432,10 +432,11 @@ class TestMain:
         out = _strict_json(capsys.readouterr().out)
         assert out["error"]["type"] == "NumericsError"
 
-    @pytest.mark.parametrize("method, value", [("dirichlet", -0.25), ("uniform", math.nan)])
+    @pytest.mark.parametrize("method, value", [("standard_exponential", -0.25), ("random", math.nan)])
     def test_bad_sweep_draw_exits_4(self, capsys, monkeypatch, method, value):
         # A random model that fails ResponseModel's checks is a numerical
-        # violation, not a traceback.
+        # violation, not a traceback.  The first model of seed 0 has 5 atoms,
+        # so a negative exponential leaves a negative weight.
         real = np.random.default_rng
         monkeypatch.setattr(
             np.random, "default_rng", lambda seed: CorruptingGenerator(real(seed), method, value)

@@ -177,10 +177,16 @@ class TestRandomMaxAbsSIndeterministic:
             want = abs(s_indeterministic(lhv_indet_sweep_model(models)))
             assert random_max_abs_s_indeterministic(sweep, 1) == want
 
-    # The bad draw lands in the second block.
-    @pytest.mark.parametrize("method, value", [("dirichlet", -0.25), ("uniform", math.nan)])
+    # The bad draw lands in the second block, in a model of 2 atoms: a lone
+    # negative exponential would normalize to the valid weight 1.0.  The
+    # negative weight trips only the sign check, the NaN value only the
+    # range check.
+    @pytest.mark.parametrize("method, value", [("standard_exponential", -0.25), ("random", math.nan)])
     def test_bad_draw_raises_numerics_error(self, method, value):
-        rng = CorruptingGenerator(np.random.default_rng(3), method, value, at=1500)
+        replay = np.random.default_rng(3)
+        atoms = [lhv_indet_sweep_model(replay).weights.size for _ in range(1503)]
+        assert atoms[1502] == 2
+        rng = CorruptingGenerator(np.random.default_rng(3), method, value, at=1502)
         with pytest.raises(NumericsError, match="response model"):
             random_max_abs_s_indeterministic(rng, 2500)
 
