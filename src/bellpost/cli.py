@@ -33,9 +33,10 @@ from .qcore import EXACT_TOL, NumericsError
 # the basis-independence distance in closed form and the loophole through
 # ``protocol.postselect``; schema 4 draws 3 or 5 words per sampled trial and
 # reports ``exact_s`` in every sampled mode; schema 5 computes the
-# charlie-first swap reference by tensor contractions.  Config documents stay
-# at version 1, which reports echo.
-REPORT_SCHEMA_VERSION = 5
+# charlie-first swap reference by tensor contractions; schema 6, the
+# parties-first swap joint in closed form.  Config documents stay at
+# version 1, which reports echo.
+REPORT_SCHEMA_VERSION = 6
 CONFIG_SCHEMA_VERSION = 1
 
 # Margins for the task-completed verdict: a sampled run's violation p-value
@@ -350,12 +351,12 @@ def _run_swap(cfg: ScenarioConfig) -> tuple[dict, str]:
         results = {"sweep": [{"p": p, "s_exact": s} for p, s in rows]}
         return results, _verdict_exact(best)
     joints = {order: swap.joint_distribution(cfg.noise, order) for order in swap.ORDERS}
-    accept = 4.0 * joints[cfg.order][..., 1]  # p(x, y | a, b) = 1/4 exactly
+    accept = 4.0 * joints[cfg.order]  # p(x, y | a, b) = 1/4 exactly
     rep = protocol.bell_report(
         protocol.run_quantum_mc(*protocol.canonical_schemes(), cfg.trials, cfg.seed, accept)
     )
     results = _bell_results(rep)
-    table, rates = protocol.postselect(joints["parties-first"][..., 1])
+    table, rates = protocol.postselect(joints["parties-first"])
     results["exact_s"] = protocol.table_s(table)
     results["selection_rates"] = _e_dict(rates)
     results["order_invariance_gap"] = swap.order_invariance(*joints.values())

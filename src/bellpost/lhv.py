@@ -252,6 +252,7 @@ def random_max_abs_s_indeterministic(rng: np.random.Generator, samples: int) -> 
         f0, f1, g0, g1 = v
         s = np.sum(w * (f0 * (g0 + g1) + f1 * (g0 - g1)), axis=1)
         best = max(best, float(np.abs(s).max()))
+        del w, v, f0, f1, g0, g1, acc, s  # so the next block's arrays do not stack on these
     return best
 
 

@@ -17,10 +17,11 @@ reproduce the canonical assignment (it yields the label-swapped variant whose
 CHSH value is 0), so rotated local measurement is the realization used here.
 
 All property-style quantities (joint distributions, CHSH sweeps) are computed
-exactly: parties-first on the two Charlie-bound qubits, charlie-first as a
-four-qubit density-matrix evolution written as tensor contractions.  A joint's
-post-selected table is ``protocol.postselect`` of its c = 1 slice, the one
-reduction that tallies and scheme pairs go through too.
+exactly: parties-first in closed form, since the noisy selection effect is a
+Werner effect of visibility eta, charlie-first as a four-qubit density-matrix
+evolution written as tensor contractions.  A joint holds only the announced
+weights p(x, y, 1 | a, b); its post-selected table is ``protocol.postselect``
+of them, the one reduction that tallies and scheme pairs go through too.
 
 Remote preparation makes a swap run the canonical prepare-and-measure task
 with Charlie accepting with probability 4 p(x, y, 1 | a, b), so a run samples
@@ -80,8 +81,6 @@ def _depolarize_qubit(t: np.ndarray, qubit: int, p: float) -> np.ndarray:
     twirl of a qubit replaces it by I/2, so the channel is
     (1 - p) t + p (I/2 (x) tr_qubit t).
     """
-    if p == 0.0:
-        return t
     n = t.ndim // 2
     shape = [1] * t.ndim
     shape[qubit] = shape[qubit + n] = 2
@@ -101,18 +100,20 @@ def _charlie_effect(charlie_mix: float) -> np.ndarray:
 
 
 def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
-    """Exact p(x, y, c | a, b) as an array indexed [a, b, x, y, c].
+    """Exact announced weights p(x, y, 1 | a, b) as an array indexed [a, b, x, y].
 
     ``parties-first`` applies the local measurements, then channel noise, then
     Charlie's selection effect.  Measuring a kept half of |phi+> with the real
     projector onto |u> sends its partner |u> with probability 1/2, and the
-    depolarizing channel is self-adjoint, so this ordering reduces to the two
-    Charlie-bound qubits: p(x, y, 1 | a, b) = 1/4 tr[(D_A (x) D_B)(E_1)
-    (|u_ax><u_ax| (x) |v_by><v_by|)].  ``charlie-first`` evolves all four
-    qubits as tensor contractions: it applies noise, performs Charlie's
-    (generalized) measurement, and measures the parties on the post-selection
-    state.  The two agree because all three act on disjoint subsystems, and
-    the second is the independent reference for the first.
+    depolarizing channel is self-adjoint, so p(x, y, 1 | a, b) =
+    1/4 tr[(D_A (x) D_B)(E_1) (|u_ax><u_ax| (x) |v_by><v_by|)].  Tracing a
+    qubit out of Phi = |phi+><phi+| leaves I/2, so (D_A (x) D_B)(E_1) is the
+    Werner effect eta Phi + (1 - eta) I/4 with eta = (1 - eps)(1 - p_A)(1 - p_B)
+    (Werner, PRA 40, 4277, 1989).  ``charlie-first`` evolves all four qubits
+    as tensor contractions: it applies noise, the Lueders update of Charlie's
+    announcing effect, and the parties' measurements.  The two agree because
+    all three act on disjoint subsystems, and the second is the independent
+    reference for the first.  Each basis pair's weights sum to 1/4.
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
@@ -121,22 +122,17 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     alice, bob = canonical_schemes()
     angles_a = alice.angles + canonical_angle(noise.jitter_alice)
     angles_b = bob.angles + canonical_angle(noise.jitter_bob)
-    effect = _charlie_effect(noise.charlie_mix)
     if order == "parties-first":
-        effect = _depolarize_qubit(effect.reshape(2, 2, 2, 2), 0, noise.depol_alice)
-        effect = _depolarize_qubit(effect, 1, noise.depol_bob)
-        accepted = 0.25 * acceptance_table(effect, angles_a, angles_b)
-        return np.stack([0.25 - accepted, accepted], axis=-1)
+        eta = (1.0 - noise.charlie_mix) * (1.0 - noise.depol_alice) * (1.0 - noise.depol_bob)
+        sel = acceptance_table(np.outer(PHI_PLUS, PHI_PLUS), angles_a, angles_b)
+        return 0.25 * (eta * sel + (1.0 - eta) / 4.0)
     rho = np.outer(_TWO_PAIRS, _TWO_PAIRS).reshape([2] * 8)
     rho = _depolarize_qubit(rho, 1, noise.depol_alice)
     rho = _depolarize_qubit(rho, 3, noise.depol_bob)
     u, v = _real_kets(angles_a), _real_kets(angles_b)
-    joints = []
-    for e in (np.eye(4) - effect, effect):
-        sq = _sqrtm_psd(e).reshape(2, 2, 2, 2)
-        rho_c = np.einsum("jlJL,iJkLmNoP,NPnp->ijklmnop", sq, rho, sq)
-        joints.append(np.einsum("axi,byk,ijklmjol,axm,byo->abxy", u, v, rho_c, u, v))
-    return np.stack(joints, axis=-1)
+    sq = _sqrtm_psd(_charlie_effect(noise.charlie_mix)).reshape(2, 2, 2, 2)
+    rho_c = np.einsum("jlJL,iJkLmNoP,NPnp->ijklmnop", sq, rho, sq)
+    return np.einsum("axi,byk,ijklmjol,axm,byo->abxy", u, v, rho_c, u, v)
 
 
 def order_invariance(parties_first: np.ndarray, charlie_first: np.ndarray) -> float:
@@ -146,7 +142,7 @@ def order_invariance(parties_first: np.ndarray, charlie_first: np.ndarray) -> fl
 
 def exact_swap_s(noise: NoiseParams) -> float:
     """Exact post-selected CHSH value of the (possibly noisy) swap realization."""
-    return table_s(postselect(joint_distribution(noise, "parties-first")[..., 1])[0])
+    return table_s(postselect(joint_distribution(noise, "parties-first"))[0])
 
 
 def depolarizing_sweep(p_values) -> list[tuple[float, float]]:

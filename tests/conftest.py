@@ -117,7 +117,7 @@ def charlie_first_joint_oracle(noise: swap.NoiseParams) -> np.ndarray:
 def swap_tally(n: int, seed: int, noise=None, order: str = "parties-first") -> protocol.Tally:
     """A sampled swap run's tally, built as the CLI builds it."""
     joint = swap.joint_distribution(noise or swap.NoiseParams(), order)
-    return protocol.run_quantum_mc(*protocol.canonical_schemes(), n, seed, 4.0 * joint[..., 1])
+    return protocol.run_quantum_mc(*protocol.canonical_schemes(), n, seed, 4.0 * joint)
 
 
 def correlation_oracle(table, a: int, b: int) -> float:

@@ -190,6 +190,30 @@ class TestRandomMaxAbsSIndeterministic:
         with pytest.raises(NumericsError, match="response model"):
             random_max_abs_s_indeterministic(rng, 2500)
 
+    def test_sum_check_raises_numerics_error(self, monkeypatch):
+        # No tolerance below 0 admits any sum, so only the sum-to-1 clause,
+        # the one reader of EXACT_TOL in the sweep, can raise here.
+        monkeypatch.setattr(lhv, "EXACT_TOL", -1.0)
+        with pytest.raises(NumericsError, match="response model"):
+            random_max_abs_s_indeterministic(np.random.default_rng(3), 10)
+
+    def test_peak_memory_is_one_block(self):
+        # Each block is freed before the next is allocated, so 20 blocks
+        # peak where one does.  A first sweep keeps numpy's one-time
+        # imports out of both peaks.
+        random_max_abs_s_indeterministic(np.random.default_rng(5), 1)
+        peaks = []
+        for blocks in (1, 20):
+            tracemalloc.start()
+            try:
+                random_max_abs_s_indeterministic(
+                    np.random.default_rng(5), blocks * lhv._SWEEP_BLOCK
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+
     def test_peak_memory_does_not_grow_with_samples(self):
         # 20 blocks; all of their padded rows at once would be 4 MiB.  A
         # first sweep keeps numpy's one-time imports out of the peak.

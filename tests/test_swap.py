@@ -113,21 +113,28 @@ class TestJointDistribution:
             jitter_bob=rng.uniform(0, 1),
             charlie_mix=rng.uniform(),
         )
+        # Every swap announces a quarter of each basis pair's trials.
         for order in swap.ORDERS:
             joint = joint_distribution(noise, order)
-            np.testing.assert_allclose(joint.sum(axis=(2, 3, 4)), 1.0, atol=1e-12)
+            np.testing.assert_allclose(joint.sum(axis=(2, 3)), 0.25, rtol=0, atol=1e-12)
 
     def test_zero_noise_matches_direct_preparation(self):
         # The swap's exact post-selected table must equal the canonical
         # send-the-states table: remote preparation realizes the same scheme.
         joint = joint_distribution(NoiseParams(), "parties-first")
-        table, rates = protocol.postselect(joint[..., 1])
+        table, rates = protocol.postselect(joint)
         direct, direct_rates = protocol.exact_postselected(*protocol.canonical_schemes())
         np.testing.assert_allclose(table.probs, direct.probs, atol=1e-12)
         np.testing.assert_allclose(rates, direct_rates, atol=1e-12)
 
     def test_zero_noise_s(self):
         assert exact_swap_s(NoiseParams()) == pytest.approx(TWO_SQRT2, abs=1e-12)
+
+    def test_zero_visibility_s_is_exactly_zero(self):
+        # At eta = 0 every announced weight is the same 1/16, so S is 0.0
+        # with no rounding residue.
+        assert depolarizing_sweep([1.0]) == [(1.0, 0.0)]
+        assert exact_swap_s(NoiseParams(charlie_mix=1.0)) == 0.0
 
 
 def _random_noise(rng: np.random.Generator) -> NoiseParams:
@@ -163,7 +170,7 @@ class TestMatrixOracle:
         rng = np.random.default_rng(61)
         for _ in range(20):
             noise = _random_noise(rng)
-            want = charlie_first_joint_oracle(noise)
+            want = charlie_first_joint_oracle(noise)[..., 1]
             np.testing.assert_allclose(joint_distribution(noise, order), want, rtol=0, atol=1e-15)
 
 
