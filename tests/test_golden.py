@@ -135,7 +135,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "5cfb1bf4ffba5ebe50ff96197353d4d4469fbebb841dc152ac71f63ef49245f0",
+        "336b3ec67849c4c553cf569eab107dbe88f725d09108fe060daefa66a139f42b",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -149,12 +149,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "75fde41617bbebbd8e4bd59e8acf98d5dc72a742a66cdd4c674e6dec33d0f220",
+        "dae2cffe1d49ec4cfd08d413923c5efab86ec6dbe4fae825d22e5d316e78dadb",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "d123e342f6b11c472ff550d2fdcbdbfc6b919a015b971d572446319e5cae9ff3",
+        "5a79331d0ccab4bb2cb5b76378fad4f79cddfbba2ff66101038e164dca676206",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -162,15 +162,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "5faaa8217a5c30b58db59900b8b7bd48dc7b4c57389a3240ea88a1dbc171b11f",
+        "279869de31b398e6d3ac94c0d3cc9cf42953f0f26c2582e82ef932b75e836d98",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "5872deefb7656d9af629922fb02a7d87e1d120583e09418a6a5339bae5402d15"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "64db45f83115436d48c8bf27c9dc7e764e175f7a1a2012b8aaf2ca21da3544ab"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "53e58f67a1f3c4b62c88b9644e152d11c30f2acd7b9575cb2a6ae1c5fae2da7d",
+        "228b08bce7370b8dc15228ea304723835e01cb8e51e9988bdf6bfe88fd96fa26",
     ),
-    "loophole": (["loophole"], None, "8fd5de66aebeac00720ab16c4cf4b2f705b8e16f50ba800600ef0a0936221439"),
+    "loophole": (["loophole"], None, "a1b175499d2e59db0f1c7a9592f35544e3c5aa5ae07972374707e6c19dc283af"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -182,19 +182,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "0a1288a0a1838e25a7d0b88a9824669c5ebb08890ae660908a1377102da57591",
+        "3e5f3135ce1d7ad70304de0d20af2d889a031804465146c678bc6a90efd06241",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "381bd2a4ef5a56c41bf15a620f8e08db238c7b48c6a380178915ec3b3e6b9a62",
+        "f818aab04b4276ce9ca48166c311051d84a18a9d84f5e52e88c27f9d41725ef6",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "70b080c4c3d613243cf50f2e45762d876434af48718db8c13bde4a7b1c70fd75"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3ae0efeb1edf7803129748ad80fd2df57256a3bf70caa882ffbeba2ba74a981f"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "1a635eef2e37ec4729f050241dde71af8dd4500e5058dc1d7c6d987c0062d144"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "48931b6e909c412f721be8edfaa2d1e7b8aa069e4ae3cc629a219ea67be4b468"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "03572d7cd50a3c83ccd7ffd19f16c3e77f54b2101b36e7b88806d4a5ebcc378c",
+        "7ebd8ecdd161fb05e36cc0f753af6edce6df704a43c57e519839aa217b1bf26c",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
