@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,28 +48,6 @@ _EXACT_MARGIN = 1e-9
 
 class ConfigError(Exception):
     """The config document (or a flag) failed validation."""
-
-
-@dataclass
-class ScenarioConfig:
-    """A validated scenario: mode plus every field the mode consumes.
-
-    ``config_from_doc`` fills the fields its mode consumes from ``_FIELDS``,
-    defaults included; the other fields stay None.
-    """
-
-    mode: str
-    seed: int | None = None
-    trials: int | None = None
-    schemes: tuple[protocol.PreparationScheme, protocol.PreparationScheme] | None = None
-    lhv_model: lhv.LhvSimModel | None = None
-    response_model: lhv.ResponseModel | None = None
-    trit_weights: lhv.TritCellWeights | None = None
-    noise: swap.NoiseParams | None = None
-    order: str | None = None
-    samples: int | None = None
-    tol: float | None = None
-    sweep_grid: list[float] | None = None
 
 
 def _number(v, path: str) -> float:
@@ -142,18 +120,13 @@ def _schemes(obj, path: str) -> tuple[protocol.PreparationScheme, protocol.Prepa
     return _scheme(obj["alice"], f"{path}.alice"), _scheme(obj["bob"], f"{path}.bob")
 
 
-def _scheme_pair(schemes):
-    """The configured scheme pair, or the canonical pair when the config gives none."""
-    return schemes or protocol.canonical_schemes()
-
-
 def _schemes_echo(schemes) -> dict:
     return {
         name: {
             f"basis{a}": {"angles": s.angles[a].tolist(), "priors": s.priors[a].tolist()}
             for a in (0, 1)
         }
-        for name, s in zip(("alice", "bob"), _scheme_pair(schemes))
+        for name, s in zip(("alice", "bob"), schemes)
     }
 
 
@@ -195,7 +168,7 @@ def _response_model(obj, path: str) -> lhv.ResponseModel:
         apath = f"{path}.atoms[{i}]"
         _object(atom, _ATOM_KEYS, (), apath)
         rows.append([_number(atom[k], f"{apath}.{k}") for k in _ATOM_KEYS])
-    return lhv.ResponseModel.from_atoms(rows)
+    return lhv.ResponseModel(*np.array(rows).T)
 
 
 def _response_model_echo(m: lhv.ResponseModel | None) -> dict | None:
@@ -206,7 +179,7 @@ def _response_model_echo(m: lhv.ResponseModel | None) -> dict | None:
 
 
 def _trit_weights(v, path: str) -> lhv.TritCellWeights:
-    return lhv.TritCellWeights.from_flat(_numbers(v, 81, path))
+    return lhv.TritCellWeights(np.reshape(_numbers(v, 81, path), (3, 3, 3, 3)))
 
 
 _NOISE_KEYS = tuple(f.name for f in dataclasses.fields(swap.NoiseParams))
@@ -223,13 +196,21 @@ def _order(v, path: str) -> str:
     return v
 
 
-def _sweep(obj, path: str) -> list[float]:
+def _sweep(obj, path: str) -> dict:
     grid = _numbers(_object(obj, ("grid",), (), path)["grid"], None, f"{path}.grid")
     if not grid:
         raise ConfigError(f"{path}.grid: grid must be nonempty")
     if any(not 0.0 <= p <= 1.0 for p in grid):
         raise ConfigError(f"{path}.grid: values must lie in [0, 1], got {grid}")
-    return grid
+    return {"grid": grid}
+
+
+def _grid_flag(text: str) -> dict:
+    """The ``--grid`` value, comma-separated numbers, as a ``sweep`` object."""
+    try:
+        return {"grid": [float(v) for v in text.split(",")]}
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {exc}") from exc
 
 
 def _tol(v, path: str) -> float:
@@ -273,8 +254,8 @@ def _no_signaling_gap(table: protocol.CondProbTable) -> float:
     return float(max(alice, bob))
 
 
-def _run_quantum_exact(cfg: ScenarioConfig) -> tuple[dict, str]:
-    alice, bob = _scheme_pair(cfg.schemes)
+def _run_quantum_exact(cfg: SimpleNamespace) -> tuple[dict, str]:
+    alice, bob = cfg.schemes
     table, rates = protocol.exact_postselected(alice, bob)
     e = protocol.correlations(table)
     s = protocol.bell_s(*e.ravel())
@@ -286,15 +267,15 @@ def _run_quantum_exact(cfg: ScenarioConfig) -> tuple[dict, str]:
         "no_signaling_gap": _no_signaling_gap(table),
         "conditional_probs": table.probs.tolist(),
     }
-    if cfg.schemes is None:
+    if cfg.schemes is protocol.canonical_schemes():
         # Default canonical run: also evaluate the variant with Bob's basis-1
         # state labels exchanged, which drops the CHSH value to 0.
         results["s_bob_labels_swapped"] = protocol.exact_s(*protocol.bob_labels_swapped())
     return results, _verdict_exact(s)
 
 
-def _run_quantum_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
-    alice, bob = _scheme_pair(cfg.schemes)
+def _run_quantum_mc(cfg: SimpleNamespace) -> tuple[dict, str]:
+    alice, bob = cfg.schemes
     sel = protocol.selection_probability_table(alice, bob)
     exact = protocol.table_s(protocol.exact_postselected(alice, bob, sel)[0])
     rep = protocol.bell_report(protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed, sel))
@@ -303,7 +284,7 @@ def _run_quantum_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
     return results, _verdict_sampled(rep)
 
 
-def _run_lhv_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
+def _run_lhv_mc(cfg: SimpleNamespace) -> tuple[dict, str]:
     exact = protocol.table_s(lhv.exact_postselected(cfg.lhv_model)[0])
     rep = protocol.bell_report(lhv.simulate_lhv(cfg.lhv_model, cfg.trials, cfg.seed))
     results = _bell_results(rep)
@@ -313,7 +294,7 @@ def _run_lhv_mc(cfg: ScenarioConfig) -> tuple[dict, str]:
     return results, _verdict_sampled(rep)
 
 
-def _run_lhv_max(cfg: ScenarioConfig) -> tuple[dict, str]:
+def _run_lhv_max(cfg: SimpleNamespace) -> tuple[dict, str]:
     max_s, witness = lhv.max_abs_s_deterministic()
     random_max = lhv.random_max_abs_s(np.random.default_rng(cfg.seed), cfg.samples)
     results = {
@@ -325,14 +306,14 @@ def _run_lhv_max(cfg: ScenarioConfig) -> tuple[dict, str]:
     return results, "classical bound"
 
 
-def _run_lhv_indet(cfg: ScenarioConfig) -> tuple[dict, str]:
+def _run_lhv_indet(cfg: SimpleNamespace) -> tuple[dict, str]:
     if cfg.response_model is not None:
         return {"s": lhv.s_indeterministic(cfg.response_model)}, "classical bound"
     worst = lhv.random_max_abs_s_indeterministic(np.random.default_rng(cfg.seed), cfg.samples)
     return {"random_samples": cfg.samples, "max_abs_s": worst}, "classical bound"
 
 
-def _run_loophole(cfg: ScenarioConfig) -> tuple[dict, str]:
+def _run_loophole(cfg: SimpleNamespace) -> tuple[dict, str]:
     s, e, retained = lhv.s_with_discards(cfg.trit_weights)
     results = {
         "s": s,
@@ -344,9 +325,9 @@ def _run_loophole(cfg: ScenarioConfig) -> tuple[dict, str]:
     return results, _verdict_exact(s)
 
 
-def _run_swap(cfg: ScenarioConfig) -> tuple[dict, str]:
-    if cfg.sweep_grid is not None:
-        rows = swap.depolarizing_sweep(cfg.sweep_grid)
+def _run_swap(cfg: SimpleNamespace) -> tuple[dict, str]:
+    if cfg.sweep is not None:
+        rows = swap.depolarizing_sweep(cfg.sweep["grid"])
         best = max(abs(s) for _, s in rows)
         results = {"sweep": [{"p": p, "s_exact": s} for p, s in rows]}
         return results, _verdict_exact(best)
@@ -363,8 +344,8 @@ def _run_swap(cfg: ScenarioConfig) -> tuple[dict, str]:
     return results, _verdict_sampled(rep)
 
 
-def _run_check_independence(cfg: ScenarioConfig) -> tuple[dict, str]:
-    alice, bob = _scheme_pair(cfg.schemes)
+def _run_check_independence(cfg: SimpleNamespace) -> tuple[dict, str]:
+    alice, bob = cfg.schemes
     results = {}
     all_pass = True
     for name, scheme in (("alice", alice), ("bob", bob)):
@@ -410,24 +391,28 @@ class _Field(NamedTuple):
     when the document leaves it out, or to ``_REQUIRED``.  ``parse(value,
     path)`` validates the document's value; ``echo(value)`` renders the
     resolved value for the report, and a None echo leaves the field out.
-    ``attr`` names the ScenarioConfig attribute when it is not ``key``.
+    ``flag``, when set, is the option string and the ``add_argument``
+    keywords of the command-line flag that overrides the field.
     """
 
     key: str
     defaults: dict
     parse: Callable
     echo: Callable = lambda value: value
-    attr: str | None = None
+    flag: tuple[str, dict] | None = None
 
 
 # Every config field, in the order the report echoes them.
 _FIELDS = (
-    _Field("seed", dict.fromkeys(MODES, 0), _integer(0, 2**64 - 1)),
+    _Field("seed", dict.fromkeys(MODES, 0), _integer(0, 2**64 - 1),
+           flag=("--seed", {"type": int, "help": "override master seed"})),
     _Field("trials", dict.fromkeys(("quantum-mc", "lhv-mc", "swap"), 1_000_000),
-           _integer(1, 10**10)),
-    # Absent schemes stay None, which means the canonical pair; quantum-exact
-    # then also reports the pair with Bob's basis-1 labels exchanged.
-    _Field("schemes", dict.fromkeys(("quantum-exact", "quantum-mc", "check-independence"), None),
+           _integer(1, 10**10), flag=("--trials", {"type": int, "help": "override trial count"})),
+    # Absent schemes are the canonical pair itself; quantum-exact then also
+    # reports the pair with Bob's basis-1 labels exchanged.
+    _Field("schemes",
+           dict.fromkeys(("quantum-exact", "quantum-mc", "check-independence"),
+                         protocol.canonical_schemes()),
            _schemes, _schemes_echo),
     _Field("lhv_model", {"lhv-mc": _REQUIRED}, _lhv_model, _lhv_model_echo),
     _Field("response_model", {"lhv-indet": None}, _response_model, _response_model_echo),
@@ -437,13 +422,19 @@ _FIELDS = (
     _Field("noise", {"swap": swap.NoiseParams()}, _noise, dataclasses.asdict),
     _Field("order", {"swap": "parties-first"}, _order),
     _Field("sweep", {"swap": None}, _sweep,
-           lambda grid: None if grid is None else {"grid": grid}, "sweep_grid"),
-    _Field("tol", {"check-independence": 1e-12}, _tol),
+           flag=("--grid", {"type": _grid_flag, "metavar": "P0,P1,...",
+                            "help": "depolarizing sweep grid; emits (p, S_exact) rows"})),
+    _Field("tol", {"check-independence": 1e-12}, _tol,
+           flag=("--tol", {"type": float, "help": "override pass tolerance"})),
 )
 
 
-def config_from_doc(doc) -> ScenarioConfig:
-    """Validate a decoded config document into a ScenarioConfig."""
+def config_from_doc(doc) -> SimpleNamespace:
+    """Validate a decoded config document into a namespace.
+
+    The namespace holds ``mode`` and, under its key, every field the mode
+    accepts, defaults included.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     version = doc.get("schema_version", CONFIG_SCHEMA_VERSION)
@@ -467,8 +458,8 @@ def config_from_doc(doc) -> ScenarioConfig:
             raise ConfigError(f"{f.key}: required for mode {mode}")
         else:
             value = f.defaults[mode]
-        values[f.attr or f.key] = value
-    return ScenarioConfig(mode, **values)
+        values[f.key] = value
+    return SimpleNamespace(mode=mode, **values)
 
 
 def _decode(text: str):
@@ -479,17 +470,17 @@ def _decode(text: str):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _echo_config(cfg: ScenarioConfig) -> dict:
+def _echo_config(cfg: SimpleNamespace) -> dict:
     echo: dict = {"schema_version": CONFIG_SCHEMA_VERSION, "mode": cfg.mode}
     for f in _FIELDS:
         if cfg.mode in f.defaults:
-            value = f.echo(getattr(cfg, f.attr or f.key))
+            value = f.echo(getattr(cfg, f.key))
             if value is not None:
                 echo[f.key] = value
     return echo
 
 
-def run(cfg: ScenarioConfig) -> dict:
+def run(cfg: SimpleNamespace) -> dict:
     """Execute a validated scenario and return the report document."""
     start = time.perf_counter()
     results, verdict = _MODES[cfg.mode].run(cfg)
@@ -606,17 +597,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode, spec in _MODES.items():
         p = sub.add_parser(mode, help=spec.help)
         p.add_argument("--config", metavar="PATH", help="JSON config document ('-' for stdin)")
-        p.add_argument("--trials", type=int, help="override trial count")
-        p.add_argument("--seed", type=int, help="override master seed")
+        for f in _FIELDS:
+            if f.flag and mode in f.defaults:
+                name, kwargs = f.flag
+                p.add_argument(name, dest=f.key, **kwargs)
         p.add_argument("--out", metavar="PATH", help="also write the stdout artifact to PATH")
         p.add_argument("--csv", metavar="PATH", help="also write the CSV table to PATH")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="stdout artifact format (default json)")
-        if mode == "swap":
-            p.add_argument("--grid", metavar="P0,P1,...",
-                           help="depolarizing sweep grid; emits (p, S_exact) rows")
-        if mode == "check-independence":
-            p.add_argument("--tol", type=float, help="override pass tolerance")
     return parser
 
 
@@ -635,14 +623,9 @@ def main(argv=None) -> int:
                 f"mode: config says {doc['mode']!r} but the {args.mode!r} subcommand was invoked"
             )
         doc["mode"] = args.mode
-        for flag in ("trials", "seed", "tol"):
-            if getattr(args, flag, None) is not None:
-                doc[flag] = getattr(args, flag)
-        if getattr(args, "grid", None) is not None:
-            try:
-                doc["sweep"] = {"grid": [float(v) for v in args.grid.split(",")]}
-            except ValueError as exc:
-                raise ConfigError(f"--grid: expected comma-separated numbers: {exc}") from exc
+        for f in _FIELDS:
+            if getattr(args, f.key, None) is not None:
+                doc[f.key] = getattr(args, f.key)
         cfg = config_from_doc(doc)
         report = run(cfg)
         primary = render_report(report) if args.format == "json" else render_csv(report)

@@ -80,13 +80,6 @@ class TritCellWeights:
     def __post_init__(self) -> None:
         object.__setattr__(self, "w", _validate_weights(self.w, (3, 3, 3, 3)))
 
-    @classmethod
-    def from_flat(cls, values) -> "TritCellWeights":
-        values = np.asarray(values, dtype=np.float64)
-        if values.size != 81:
-            raise ValueError(f"expected 81 cell weights, got {values.size}")
-        return cls(values.reshape(3, 3, 3, 3))
-
 
 def cell_coefficient(i: int, j: int, k: int, l: int) -> int:
     """CHSH coefficient of cell (i, j; k, l); always +2 or -2."""
@@ -186,14 +179,6 @@ class ResponseModel:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_atoms(cls, atoms) -> "ResponseModel":
-        """Build from an iterable of (weight, f0, f1, g0, g1) tuples."""
-        cols = np.array([[float(v) for v in atom] for atom in atoms], dtype=np.float64)
-        if cols.ndim != 2 or cols.shape[1] != 5:
-            raise ValueError("each atom must be a (weight, f0, f1, g0, g1) tuple")
-        return cls(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], cols[:, 4])
 
 
 def s_indeterministic(m: ResponseModel) -> float:

@@ -147,10 +147,4 @@ def exact_swap_s(noise: NoiseParams) -> float:
 
 def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
     """Exact CHSH value under symmetric depolarizing strength, one row per p."""
-    rows = []
-    for p in p_values:
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"depolarizing strength {p!r} outside [0, 1]")
-        rows.append((p, exact_swap_s(NoiseParams(depol_alice=p, depol_bob=p))))
-    return rows
+    return [(float(p), exact_swap_s(NoiseParams(depol_alice=p, depol_bob=p))) for p in p_values]

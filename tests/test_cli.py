@@ -618,15 +618,70 @@ def test_readme_report_schema_version_is_current():
 
 
 def test_readme_schema_table_lists_the_config_fields():
-    """README's config table names each field of cli._FIELDS, in order, with its modes."""
+    """README's config table names each field of cli._FIELDS, in order, with its modes.
+
+    ``all`` stands for every mode, and ``(required)`` marks exactly the modes
+    whose default is ``_REQUIRED``.
+    """
     text = (ROOT / "README.md").read_text()
     section = text.split("## Config schema", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` +\|([^|]+)\|", section, re.M)
     listed = []
     for key, modes in rows:
-        required = "(required)" in modes
-        modes = modes.replace("(required)", "").strip()
-        names = set(cli.MODES) if modes == "all" else {m.strip() for m in modes.split(",")}
-        listed.append((key, names, required))
-    want = [(f.key, set(f.defaults), cli._REQUIRED in f.defaults.values()) for f in cli._FIELDS]
+        if modes.strip() == "all":
+            listed.append((key, dict.fromkeys(cli.MODES, False)))
+            continue
+        entries = [m.strip() for m in modes.split(",")]
+        listed.append((key, {m.replace("(required)", "").strip(): "(required)" in m
+                             for m in entries}))
+    want = [(f.key, {m: d is cli._REQUIRED for m, d in f.defaults.items()}) for f in cli._FIELDS]
     assert listed == want
+
+
+# Each override flag and the modes that accept it.
+OVERRIDE_FLAGS = {
+    "--seed": set(cli.MODES),
+    "--trials": {"quantum-mc", "lhv-mc", "swap"},
+    "--grid": {"swap"},
+    "--tol": {"check-independence"},
+}
+# Flags every mode takes that override no config field.
+COMMON_FLAGS = {"--help", "--config", "--out", "--csv", "--format"}
+
+
+# Every documented example, and each mode that has no required field with its defaults.
+ECHO_DOCS = {path.stem: json.loads(path.read_text()) for path in sorted(EXAMPLES.glob("*.json"))}
+ECHO_DOCS.update(
+    (f"defaults-{mode}", {"mode": mode}) for mode in cli.MODES
+    if all(f.defaults.get(mode) is not cli._REQUIRED for f in cli._FIELDS)
+)
+
+
+@pytest.mark.parametrize("doc", ECHO_DOCS.values(), ids=ECHO_DOCS)
+def test_config_echo_is_a_normal_form(doc):
+    """A report's config echo parses back to a config that echoes the same document."""
+    echo = cli._echo_config(config_from_doc(doc))
+    assert cli._echo_config(config_from_doc(json.loads(json.dumps(echo)))) == echo
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_help_lists_the_mode_override_flags(capsys, mode):
+    """A mode's help lists an override flag exactly for each of its fields that has one."""
+    assert main([mode, "-h"]) == 0
+    listed = set(re.findall(r"^  (--[a-z]+)", _strict_json(capsys.readouterr().out)["help"], re.M))
+    want = {f.flag[0] for f in cli._FIELDS if f.flag and mode in f.defaults}
+    assert listed - COMMON_FLAGS == want
+    assert want == {flag for flag, modes in OVERRIDE_FLAGS.items() if mode in modes}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["quantum-exact", "--trials", "5"], ["lhv-max", "--tol", "1e-9"],
+     ["quantum-mc", "--grid", "0.5"]],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_override_flag_outside_its_modes_exits_2(capsys, argv):
+    assert main(argv) == 2
+    out = _strict_json(capsys.readouterr().out)
+    assert out["error"]["type"] == "ConfigError"
+    assert "unrecognized arguments" in out["error"]["message"]

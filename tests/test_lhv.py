@@ -232,11 +232,11 @@ class TestRandomMaxAbsSIndeterministic:
 
 class TestSIndeterministic:
     def test_extremal_atom(self):
-        m = ResponseModel.from_atoms([(1.0, 1.0, 1.0, 1.0, -1.0)])
+        m = ResponseModel([1.0], [1.0], [1.0], [1.0], [-1.0])
         assert s_indeterministic(m) == 2.0
 
     def test_dead_responses(self):
-        m = ResponseModel.from_atoms([(1.0, 0.0, 0.0, 0.0, 0.0)])
+        m = ResponseModel([1.0], [0.0], [0.0], [0.0], [0.0])
         assert s_indeterministic(m) == 0.0
 
     def test_deterministic_atoms_embed_cells(self):
@@ -255,7 +255,7 @@ class TestSIndeterministic:
                                 (weights[idx], 1 - 2 * i, 1 - 2 * j, 1 - 2 * k, 1 - 2 * l)
                             )
                             idx += 1
-            m = ResponseModel.from_atoms(atoms)
+            m = ResponseModel(*np.array(atoms).T)
             assert s_indeterministic(m) == pytest.approx(s_from_cells(cells), abs=1e-12)
 
     def test_bounded_by_two_on_random_models(self):
@@ -265,7 +265,7 @@ class TestSIndeterministic:
 
     def test_out_of_range_response_rejected(self):
         with pytest.raises(ValueError, match="-1, 1"):
-            ResponseModel.from_atoms([(1.0, 1.5, 0.0, 0.0, 0.0)])
+            ResponseModel([1.0], [1.5], [0.0], [0.0], [0.0])
 
 
 class TestLhvSimModel:
@@ -521,7 +521,7 @@ class TestSWithDiscards:
     def test_matches_per_pair_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(1_000):
-            weights = TritCellWeights.from_flat(rng.dirichlet(np.ones(81)))
+            weights = TritCellWeights(rng.dirichlet(np.ones(81)).reshape(3, 3, 3, 3))
             got = s_with_discards(weights)
             for g, want in zip(got, per_pair_discard_oracle(weights.w)):
                 np.testing.assert_allclose(g, want, rtol=0.0, atol=1e-15)
@@ -538,8 +538,8 @@ class TestSWithDiscards:
             assert abs(s) <= 2.0 + 1e-12
 
     def test_arity_enforced(self):
-        with pytest.raises(ValueError, match="81"):
-            TritCellWeights.from_flat(np.ones(80) / 80)
+        with pytest.raises(ValueError, match=r"shape \(3, 3, 3, 3\)"):
+            TritCellWeights(np.ones(80) / 80)
 
 
 class TestLoopholeMaxExample:

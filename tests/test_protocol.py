@@ -720,7 +720,9 @@ NONFINITE = {
     "response-weight": lambda: lhv.ResponseModel([NAN, 0.5], [0, 0], [0, 0], [0, 0], [0, 0]),
     "response-value": lambda: lhv.ResponseModel([1.0], [NAN], [0.0], [0.0], [0.0]),
     "cell-weights": lambda: lhv.CellWeights(np.array([NAN] + [1 / 15] * 15).reshape(2, 2, 2, 2)),
-    "trit-cell-weights": lambda: lhv.TritCellWeights.from_flat([NAN] + [1 / 80] * 80),
+    "trit-cell-weights": lambda: lhv.TritCellWeights(
+        np.array([NAN] + [1 / 80] * 80).reshape(3, 3, 3, 3)
+    ),
     "noise-depol": lambda: swap.NoiseParams(depol_bob=NAN),
     "noise-mix": lambda: swap.NoiseParams(charlie_mix=NAN),
     "noise-jitter-nan": lambda: swap.NoiseParams(jitter_alice=NAN),
