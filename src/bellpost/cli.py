@@ -34,9 +34,10 @@ from .qcore import EXACT_TOL, NumericsError
 # ``protocol.postselect``; schema 4 draws 3 or 5 words per sampled trial and
 # reports ``exact_s`` in every sampled mode; schema 5 computes the
 # charlie-first swap reference by tensor contractions; schema 6, the
-# parties-first swap joint in closed form.  Config documents stay at
-# version 1, which reports echo.
-REPORT_SCHEMA_VERSION = 6
+# parties-first swap joint in closed form; schema 7 draws the ``lhv-indet``
+# sweep a block per generator call.  Config documents stay at version 1,
+# which reports echo.
+REPORT_SCHEMA_VERSION = 7
 CONFIG_SCHEMA_VERSION = 1
 
 # Margins for the task-completed verdict: a sampled run's violation p-value

@@ -13,13 +13,10 @@ the indeterministic (response-average) variant, a generative simulator feeding
 the shared tally pipeline, and the trit-valued discard variant in which
 per-basis discarding inflates S to the algebraic maximum 4.
 
-The response-model sweep draws each model with ``rng.integers``,
-``rng.standard_exponential`` and ``rng.random``.  Two stream identities make
-these the models ``rng.dirichlet`` and ``rng.uniform(-1, 1)`` would draw, bit
-for bit: a flat Dirichlet is standard exponentials times the reciprocal of
-their sum, and ``uniform(-1, 1)`` is ``-1 + 2 * random()``; the replay test
-``tests/test_lhv.py::TestRandomMaxAbsSIndeterministic::test_matches_model_loop``
-pins both.
+The response-model sweep draws a whole block of models in three generator
+calls: the atom counts, the exponentials and the values.  Each model is a flat
+Dirichlet over its n atoms with values uniform on [-1, 1]; the stream depends
+on the block size.
 """
 
 from __future__ import annotations
@@ -193,39 +190,24 @@ _MAX_ATOMS = 5
 def random_max_abs_s_indeterministic(rng: np.random.Generator, samples: int) -> float:
     """Largest |S| over ``samples`` random response models, a block at a time.
 
-    Each model makes three generator calls in this order: its atom count
-    ``n = rng.integers(1, 6)``, n standard exponentials
-    ``rng.standard_exponential(out=w[i, :n])`` and 4 x n uniforms
-    ``v[:, i, :n] = rng.random((4, n))``, written into zero-padded 5-atom
-    rows.  A filled block is finished in place by numpy's own arithmetic for
-    ``rng.dirichlet(ones(n))`` and ``rng.uniform(-1, 1, size=(4, n))``, so it
-    holds the models those calls draw, bit for bit:
-
-    - a flat Dirichlet is its standard exponentials times the reciprocal of
-      their running sum (Devroye 1986, ch. XI), and the padding adds exact
-      zeros to that sum;
-    - ``uniform(-1, 1)`` is ``-1 + 2 * random()``.
-
-    ``TestRandomMaxAbsSIndeterministic.test_matches_model_loop`` in
-    ``tests/test_lhv.py`` pins both identities, and the generator's final
-    state, against a replay through ``dirichlet`` and ``uniform``.  Each row
-    is checked as ``ResponseModel`` checks a model and summed as
-    ``s_indeterministic`` sums one; the padding adds only exact zero terms,
-    so each row's S is bit-identical to its model's.
+    A block of k models makes three generator calls: the atom counts
+    ``n = rng.integers(1, 6, size=(k, 1))``, the exponentials
+    ``w = rng.standard_exponential((k, 5))`` and the values
+    ``v = rng.random((4, k, 5))``.  The atoms at and past each row's n get
+    weight 0, and the rest are normalized by the row sum, so each row is a
+    flat Dirichlet over its n atoms (Devroye 1986, ch. XI); ``2v - 1`` is
+    uniform on [-1, 1].  The stream therefore depends on the block size.
+    Each row is checked as ``ResponseModel`` checks a model and summed as
+    ``s_indeterministic`` sums one.
     """
     best = 0.0
     for start in range(0, samples, _SWEEP_BLOCK):
         k = min(_SWEEP_BLOCK, samples - start)
-        w = np.zeros((k, _MAX_ATOMS))
-        v = np.zeros((4, k, _MAX_ATOMS))
-        for i in range(k):
-            n = int(rng.integers(1, _MAX_ATOMS + 1))
-            rng.standard_exponential(out=w[i, :n])
-            v[:, i, :n] = rng.random((4, n))
-        acc = w[:, 0].copy()
-        for j in range(1, _MAX_ATOMS):
-            acc += w[:, j]
-        w *= (1.0 / acc)[:, None]
+        n = rng.integers(1, _MAX_ATOMS + 1, size=(k, 1))
+        w = rng.standard_exponential((k, _MAX_ATOMS))
+        v = rng.random((4, k, _MAX_ATOMS))
+        w[np.arange(_MAX_ATOMS) >= n] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
         v *= 2.0
         v -= 1.0
         if not (
@@ -237,7 +219,7 @@ def random_max_abs_s_indeterministic(rng: np.random.Generator, samples: int) -> 
         f0, f1, g0, g1 = v
         s = np.sum(w * (f0 * (g0 + g1) + f1 * (g0 - g1)), axis=1)
         best = max(best, float(np.abs(s).max()))
-        del w, v, f0, f1, g0, g1, acc, s  # so the next block's arrays do not stack on these
+        del n, w, v, f0, f1, g0, g1, s  # so the next block's arrays do not stack on these
     return best
 
 

@@ -162,17 +162,29 @@ def random_response_model(rng: np.random.Generator) -> lhv.ResponseModel:
     return lhv.ResponseModel(rng.dirichlet(np.ones(n)), vals[0], vals[1], vals[2], vals[3])
 
 
-def lhv_indet_sweep_model(rng: np.random.Generator) -> lhv.ResponseModel:
-    """One model of the ``lhv-indet`` random sweep, drawn as the CLI draws it.
+def lhv_indet_sweep_rows(rng: np.random.Generator, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One block of k rows of the ``lhv-indet`` random sweep, one at a time.
 
-    Unlike ``random_response_model``, the weights come before the values:
-    this is the sweep's stream, the replay oracle for
-    ``lhv.random_max_abs_s_indeterministic``.
+    The replay oracle for ``lhv.random_max_abs_s_indeterministic``: the block's
+    three draws (atom counts, exponentials, values), then each row rebuilt
+    from its first n atoms as (weights, 4 x n values).
     """
-    n = int(rng.integers(1, 6))
-    weights = rng.dirichlet(np.ones(n))
-    vals = rng.uniform(-1.0, 1.0, size=(4, n))
-    return lhv.ResponseModel(weights, vals[0], vals[1], vals[2], vals[3])
+    n = rng.integers(1, 6, size=(k, 1))
+    e = rng.standard_exponential((k, 5))
+    r = rng.random((4, k, 5))
+    return [
+        (e[i, :atoms] / e[i, :atoms].sum(), 2 * r[:, i, :atoms] - 1)
+        for i, atoms in enumerate(n[:, 0])
+    ]
+
+
+def lhv_indet_sweep_models(rng: np.random.Generator, samples: int, block: int) -> list[lhv.ResponseModel]:
+    """The models of a ``samples``-model sweep drawn in blocks of ``block``."""
+    models = []
+    for start in range(0, samples, block):
+        rows = lhv_indet_sweep_rows(rng, min(block, samples - start))
+        models += [lhv.ResponseModel(w, *v) for w, v in rows]
+    return models
 
 
 class CorruptingGenerator:

@@ -77,9 +77,9 @@ def test_criterion_3_classical_bound_deterministic():
 
 
 def test_criterion_4_classical_bound_indeterministic():
-    worst = lhv.random_max_abs_s_indeterministic(np.random.default_rng(4), 10**3)
+    worst = lhv.random_max_abs_s_indeterministic(np.random.default_rng(4), 10**5)
     ok = worst <= 2.0 + 1e-12
-    _report(4, f"max |S| over 1e3 random response models = {worst:.6f} <= 2", ok)
+    _report(4, f"max |S| over 1e5 random response models = {worst:.6f} <= 2", ok)
     assert worst <= 2.0 + 1e-12
 
 

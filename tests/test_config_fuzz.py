@@ -23,9 +23,9 @@ from bellpost.cli import main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
-# trials and samples have no upper bound and run time grows with them, so
-# the examples run with at most BASE_COUNT of each, and a valid count drawn
-# for either stays at or below MAX_COUNT.
+# trials and samples may go up to 10**10 and 10**6 and run time grows with
+# them, so the examples run with at most BASE_COUNT of each, and a valid
+# count drawn for either stays at or below MAX_COUNT.
 BASE_COUNT = 2_000
 MAX_COUNT = 10_000
 

@@ -31,7 +31,8 @@ from bellpost.qcore import NumericsError
 from conftest import (
     CorruptingGenerator,
     exact_s_of_sim_model,
-    lhv_indet_sweep_model,
+    lhv_indet_sweep_models,
+    lhv_indet_sweep_rows,
     random_deterministic_model,
     random_response_model,
     random_stochastic_model,
@@ -144,16 +145,14 @@ class TestRandomMaxAbsS:
 
 
 @functools.cache
-def _model_loop(seed: int, samples: int) -> tuple[float, dict]:
+def _model_loop(seed: int, samples: int, block: int) -> tuple[float, dict]:
     """The sweep as one ResponseModel and one s_indeterministic per sample.
 
     Returns the largest |S| and the generator's state after the sweep.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        worst = max(worst, abs(s_indeterministic(lhv_indet_sweep_model(rng))))
-    return worst, rng.bit_generator.state
+    models = lhv_indet_sweep_models(rng, samples, block)
+    return max(abs(s_indeterministic(m)) for m in models), rng.bit_generator.state
 
 
 class TestRandomMaxAbsSIndeterministic:
@@ -161,32 +160,52 @@ class TestRandomMaxAbsSIndeterministic:
     @pytest.mark.parametrize("block", [lhv._SWEEP_BLOCK, 1, 7])
     @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 2500])
     def test_matches_model_loop(self, monkeypatch, block, samples):
-        # The same three generator calls per model, and zero padding adds
+        # The same three generator calls per block, and zero weights add
         # only exact zero terms, so the sweep's maximum is bit-identical and
         # it leaves the generator where the loop does.
         monkeypatch.setattr(lhv, "_SWEEP_BLOCK", block)
         for seed in (0, 7, 2**40 + 3):
             rng = np.random.default_rng(seed)
             got = random_max_abs_s_indeterministic(rng, samples)
-            assert (got, rng.bit_generator.state) == _model_loop(seed, samples)
+            assert (got, rng.bit_generator.state) == _model_loop(seed, samples, block)
 
     def test_each_model_matches_s_indeterministic(self):
         # One-sample sweeps on one generator walk the stream model by model.
         sweep, models = np.random.default_rng(11), np.random.default_rng(11)
-        for _ in range(2000):
-            want = abs(s_indeterministic(lhv_indet_sweep_model(models)))
-            assert random_max_abs_s_indeterministic(sweep, 1) == want
+        for m in lhv_indet_sweep_models(models, 2000, 1):
+            assert random_max_abs_s_indeterministic(sweep, 1) == abs(s_indeterministic(m))
 
-    # The bad draw lands in the second block, in a model of 2 atoms: a lone
-    # negative exponential would normalize to the valid weight 1.0.  The
-    # negative weight trips only the sign check, the NaN value only the
-    # range check.
+    def test_stream_distribution(self):
+        # Each row is a flat Dirichlet over n atoms, n uniform on 1..5, with
+        # values uniform on [-1, 1): the Pearson statistic of the counts is
+        # under the 0.999 quantile of chi-square on 4 degrees of freedom,
+        # E[w_0 | n] = 1/n and the values average 0, each within 5 se.
+        rng = np.random.default_rng(17)
+        rows = [row for _ in range(100) for row in lhv_indet_sweep_rows(rng, 1000)]
+        atoms = np.array([w.size for w, _ in rows])
+        counts = np.bincount(atoms, minlength=6)[1:]
+        assert counts.sum() == atoms.size == 10**5
+        expected = atoms.size / 5
+        assert np.sum((counts - expected) ** 2 / expected) < 18.467
+        first = np.array([w[0] for w, _ in rows])
+        for n in range(1, 6):
+            w0 = first[atoms == n]
+            se = math.sqrt((n - 1) / (n * n * (n + 1)) / w0.size)
+            assert abs(w0.mean() - 1 / n) <= 5 * se
+        values = np.concatenate([v.ravel() for _, v in rows])
+        assert np.all((values >= -1.0) & (values < 1.0))
+        assert abs(values.mean()) <= 5 * math.sqrt(1 / 3 / values.size)
+
+    # The bad exponential is the first atom of the second block's first row,
+    # which has 2 or more atoms: a lone negative exponential would normalize
+    # to the valid weight 1.0.  The negative weight trips only the sign
+    # check, the NaN value only the range check.
     @pytest.mark.parametrize("method, value", [("standard_exponential", -0.25), ("random", math.nan)])
     def test_bad_draw_raises_numerics_error(self, method, value):
         replay = np.random.default_rng(3)
-        atoms = [lhv_indet_sweep_model(replay).weights.size for _ in range(1503)]
-        assert atoms[1502] == 2
-        rng = CorruptingGenerator(np.random.default_rng(3), method, value, at=1502)
+        models = lhv_indet_sweep_models(replay, 2 * lhv._SWEEP_BLOCK, lhv._SWEEP_BLOCK)
+        assert models[lhv._SWEEP_BLOCK].weights.size >= 2
+        rng = CorruptingGenerator(np.random.default_rng(3), method, value, at=1)
         with pytest.raises(NumericsError, match="response model"):
             random_max_abs_s_indeterministic(rng, 2500)
 
