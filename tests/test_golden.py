@@ -135,7 +135,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "336b3ec67849c4c553cf569eab107dbe88f725d09108fe060daefa66a139f42b",
+        "66e7d1e8e47634a969d57afdaed71f262be6e688818cdec0e316324f386b4673",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -149,12 +149,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "dae2cffe1d49ec4cfd08d413923c5efab86ec6dbe4fae825d22e5d316e78dadb",
+        "3e99a60773b70f6ed804c4296829ce2fff37d6497ccae9994ef7df568a52e405",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "5a79331d0ccab4bb2cb5b76378fad4f79cddfbba2ff66101038e164dca676206",
+        "558c03f8368377b4a8b9bc2278450a8d1c005003c6c4b259cfa27eda06633959",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -162,15 +162,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "279869de31b398e6d3ac94c0d3cc9cf42953f0f26c2582e82ef932b75e836d98",
+        "5098125dc999adca821cf6c46b39c2b1dd9ba8a59f0d7804bb5e64f2aaf7c0fe",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "64db45f83115436d48c8bf27c9dc7e764e175f7a1a2012b8aaf2ca21da3544ab"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "10042ea7007c899d69c3a8d51c3d33d53e1c7ef4c7fbc79de5e4b127bc4b7865"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "228b08bce7370b8dc15228ea304723835e01cb8e51e9988bdf6bfe88fd96fa26",
+        "86a8e31a8115758ef4de298447a9bcdc8cbcc61a7b6c60e43e670435edcb0852",
     ),
-    "loophole": (["loophole"], None, "a1b175499d2e59db0f1c7a9592f35544e3c5aa5ae07972374707e6c19dc283af"),
+    "loophole": (["loophole"], None, "dfc40e14b5f51f829a6eeda59fe5f8b23175638ac87c675cc6619da4e6452490"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -182,19 +182,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "3e5f3135ce1d7ad70304de0d20af2d889a031804465146c678bc6a90efd06241",
+        "8c4c5f88ccf52fbdbab73df2eef82e37eb455141012895312a1b8fa3ce6b722b",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "f818aab04b4276ce9ca48166c311051d84a18a9d84f5e52e88c27f9d41725ef6",
+        "8ccfd55263ca2de7258558ecde8bf5342a8e77a528deef36df951f729cb86393",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "1a635eef2e37ec4729f050241dde71af8dd4500e5058dc1d7c6d987c0062d144"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "48931b6e909c412f721be8edfaa2d1e7b8aa069e4ae3cc629a219ea67be4b468"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "984eec880922358951f3ff73775ff47045dd271bbf05d7248e9b133f99b38232"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "89db73668fc8ced5f31eb5b3796d3279157a8cc637be97cb9506ce12fa72bc66"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "7ebd8ecdd161fb05e36cc0f753af6edce6df704a43c57e519839aa217b1bf26c",
+        "56845b64b2623e6fdaa6861130a7518f50df77ba31d37c33e2340874cb7ec408",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
