@@ -163,7 +163,7 @@ def random_response_model(rng: np.random.Generator) -> lhv.ResponseModel:
 
 
 def lhv_indet_sweep_rows(rng: np.random.Generator, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One block of k rows of the ``lhv-indet`` random sweep, one at a time.
+    """One block of k rows of the ``lhv-indet`` random sweep, rebuilt row by row.
 
     The replay oracle for ``lhv.random_max_abs_s_indeterministic``: the block's
     three draws (atom counts, exponentials, values), then each row rebuilt

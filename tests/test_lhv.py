@@ -196,10 +196,10 @@ class TestRandomMaxAbsSIndeterministic:
         assert np.all((values >= -1.0) & (values < 1.0))
         assert abs(values.mean()) <= 5 * math.sqrt(1 / 3 / values.size)
 
-    # The bad exponential is the first atom of the second block's first row,
-    # which has 2 or more atoms: a lone negative exponential would normalize
-    # to the valid weight 1.0.  The negative weight trips only the sign
-    # check, the NaN value only the range check.
+    # The bad draw is the first exponential or value of the second block,
+    # whose first row has 2 or more atoms: a lone negative exponential would
+    # normalize to the valid weight 1.0.  The negative weight trips only the
+    # sign check, the NaN value only the range check.
     @pytest.mark.parametrize("method, value", [("standard_exponential", -0.25), ("random", math.nan)])
     def test_bad_draw_raises_numerics_error(self, method, value):
         replay = np.random.default_rng(3)
