@@ -35,8 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import canonical_schemes, postselect, table_s
-from .qcore import PHI_PLUS, _real_kets, acceptance_table, canonical_angle
+from .protocol import canonical_schemes, postselect, selection_probability_table, table_s
+from .qcore import (
+    EXACT_TOL,
+    PHI_PLUS,
+    NumericsError,
+    _real_kets,
+    acceptance_table,
+    canonical_angle,
+)
 
 ORDERS = ("parties-first", "charlie-first")
 
@@ -99,6 +106,16 @@ def _charlie_effect(charlie_mix: float) -> np.ndarray:
     return (1.0 - charlie_mix) * np.outer(PHI_PLUS, PHI_PLUS) + (charlie_mix / 4.0) * np.eye(4)
 
 
+def _werner_weights(eta, sel: np.ndarray) -> np.ndarray:
+    """Announced weights 1/4 (eta sel + (1 - eta)/4) of the Werner effect of visibility eta.
+
+    ``sel`` is Charlie's |phi+> acceptance table [a, b, x, y]; an ``eta`` of
+    shape (P, 1, 1, 1, 1) gives P joints at once, each element computed as
+    for a scalar eta.
+    """
+    return 0.25 * (eta * sel + (1.0 - eta) / 4.0)
+
+
 def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     """Exact announced weights p(x, y, 1 | a, b) as an array indexed [a, b, x, y].
 
@@ -125,7 +142,7 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     if order == "parties-first":
         eta = (1.0 - noise.charlie_mix) * (1.0 - noise.depol_alice) * (1.0 - noise.depol_bob)
         sel = acceptance_table(np.outer(PHI_PLUS, PHI_PLUS), angles_a, angles_b)
-        return 0.25 * (eta * sel + (1.0 - eta) / 4.0)
+        return _werner_weights(eta, sel)
     rho = np.outer(_TWO_PAIRS, _TWO_PAIRS).reshape([2] * 8)
     rho = _depolarize_qubit(rho, 1, noise.depol_alice)
     rho = _depolarize_qubit(rho, 3, noise.depol_bob)
@@ -146,5 +163,23 @@ def exact_swap_s(noise: NoiseParams) -> float:
 
 
 def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
-    """Exact CHSH value under symmetric depolarizing strength, one row per p."""
-    return [(float(p), exact_swap_s(NoiseParams(depol_alice=p, depol_bob=p))) for p in p_values]
+    """Exact CHSH value under symmetric depolarizing strength, one row per p.
+
+    Every p is evaluated at once, as a (P, 2, 2, 2, 2) stack of parties-first
+    joints over one noiseless acceptance table.  Each element goes through
+    the operations of ``exact_swap_s`` in the same order (postselect,
+    correlations, then S), so each row equals ``exact_swap_s`` with
+    ``depol_alice = depol_bob = p`` bit for bit.
+    """
+    p = np.array(p_values, dtype=np.float64)
+    outside = p[~((p >= 0.0) & (p <= 1.0))]
+    if outside.size:
+        raise ValueError(f"depolarizing strength {float(outside[0])!r} outside [0, 1]")
+    eta = ((1.0 - p) * (1.0 - p))[:, None, None, None, None]
+    joints = _werner_weights(eta, selection_probability_table(*canonical_schemes()))
+    probs = joints / joints.sum(axis=(3, 4), keepdims=True)
+    e = probs[..., 0, 0] + probs[..., 1, 1] - probs[..., 0, 1] - probs[..., 1, 0]
+    if not np.all(np.abs(e) <= 1.0 + EXACT_TOL):
+        raise NumericsError(f"correlation outside [-1, 1] in the sweep: {e.tolist()}")
+    s = e[:, 0, 0] + e[:, 0, 1] + e[:, 1, 0] - e[:, 1, 1]
+    return list(zip(p.tolist(), s.tolist()))

@@ -252,6 +252,18 @@ class TestDepolarizingSweep:
         rows = depolarizing_sweep([0.3])
         assert 0.0 < rows[0][1] < TWO_SQRT2
 
+    def test_rows_equal_exact_swap_s_bit_for_bit(self):
+        # Grids of 1-50 points drawn with replacement from a pool holding
+        # both endpoints, so most grids repeat a point.
+        rng = np.random.default_rng(65)
+        for _ in range(100):
+            pool = np.concatenate([[0.0, 1.0], rng.uniform(size=8)])
+            grid = rng.choice(pool, size=int(rng.integers(1, 51)))
+            rows = depolarizing_sweep(grid)
+            assert [p for p, _ in rows] == grid.tolist()
+            for p, s in rows:
+                assert s == exact_swap_s(NoiseParams(depol_alice=p, depol_bob=p))
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="0, 1"):
             depolarizing_sweep([1.2])
