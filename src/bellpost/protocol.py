@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import EXACT_TOL, PHI_PLUS, acceptance_table, canonical_angle
+from .qcore import EXACT_TOL, PHI_PLUS, TWO_PI, acceptance_table
 from .rng import threshold, trial_uniforms_block
 
 PI = math.pi
@@ -78,7 +78,10 @@ class PreparationScheme:
             raise ValueError("scheme requires 2x2 angle and prior tables (basis x state)")
         if not np.all(np.isfinite(angles)):
             raise ValueError("state angles must be finite")
-        angles = np.vectorize(canonical_angle)(angles)
+        # qcore.canonical_angle, elementwise: C fmod, then one wrap into [0, 2 pi).
+        angles = np.fmod(angles, TWO_PI)
+        angles[angles < 0.0] += TWO_PI
+        angles[angles >= TWO_PI] = 0.0
         if not np.all(priors >= 0.0):
             raise ValueError("state priors must be nonnegative")
         sums = priors.sum(axis=1)

@@ -29,7 +29,7 @@ from bellpost.protocol import (
     table_s,
 )
 from bellpost.rng import trial_uniforms_block
-from bellpost.qcore import _real_kets
+from bellpost.qcore import _real_kets, canonical_angle
 from conftest import correlation_oracle, mixture, swap_tally
 
 PI = math.pi
@@ -183,6 +183,22 @@ class TestPreparationScheme:
         s = PreparationScheme.uniform([[2 * PI, -PI], [0.0, 0.0]])
         assert s.angles[0, 0] == 0.0
         assert s.angles[0, 1] == pytest.approx(PI, abs=1e-15)
+
+    def test_angles_reduced_bit_for_bit_as_canonical_angle(self):
+        # Signed zeros, exact multiples of 2 pi, angles a rounding step below
+        # zero (which wrap to 2 pi and then to 0) and values around 1e15.
+        rng = np.random.default_rng(64)
+        special = [-0.0, 0.0, 2 * PI, -2 * PI, 4 * PI, -6 * PI, -1e-300, -1e-17, 1e15, -1e15]
+        angles = np.concatenate([
+            special + [0.0, 0.0],
+            rng.uniform(-50.0, 50.0, 400),
+            rng.integers(-10**6, 10**6, 100) * (2 * PI),
+            rng.choice([-1.0, 1.0], 100) * rng.uniform(0.5e15, 2e15, 100),
+        ])
+        for quad in angles.reshape(-1, 2, 2):
+            got = PreparationScheme.uniform(quad).angles
+            want = np.array([canonical_angle(t) for t in quad.ravel()]).reshape(2, 2)
+            assert got.tobytes() == want.tobytes(), quad
 
     def test_priors_must_normalize(self):
         with pytest.raises(ValueError, match="sum to 1"):
