@@ -4,8 +4,9 @@ One subcommand per scenario mode; an optional JSON config document (file path
 or ``-`` for stdin) supplies the scenario, and flags override individual
 fields.  Every run prints a deterministic report to stdout — identical config
 and seed give byte-identical output except for the trailing duration field.
-Floats are printed with at most 12 significant digits, and the CSV table uses
-the same rounding, so the two artifacts always agree.
+Floats are rounded to 12 significant digits and then written as the shortest
+repr of the rounded value (so 1e12 prints as ``1000000000000.0``); the CSV
+table uses the same rounding, so the two artifacts always agree.
 
 Exit codes: 0 success, 2 config error, 3 empty-cell / undefined statistic,
 4 internal numerical violation.
@@ -20,6 +21,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -198,7 +200,11 @@ def _order(v, path: str) -> str:
 
 
 def _sweep(obj, path: str) -> dict:
-    grid = _numbers(_object(obj, ("grid",), (), path)["grid"], None, f"{path}.grid")
+    # The sweep holds every grid point's joints at once, under 1 KB a point.
+    points = _list(_object(obj, ("grid",), (), path)["grid"], None, f"{path}.grid")
+    if len(points) > 10**4:
+        raise ConfigError(f"{path}.grid: expected at most {10**4} points, got {len(points)}")
+    grid = _numbers(points, None, f"{path}.grid")
     if not grid:
         raise ConfigError(f"{path}.grid: grid must be nonempty")
     if any(not 0.0 <= p <= 1.0 for p in grid):
@@ -497,16 +503,52 @@ def run(cfg: SimpleNamespace) -> dict:
     }
 
 
-def _round_floats(obj):
-    if isinstance(obj, bool):
-        return obj
+def _float_text(x: float) -> str:
+    """``x`` rounded to 12 significant digits, as the shortest repr of the rounded value.
+
+    Fixed-point ``%.12g`` text already is that repr once it carries a ``.``:
+    a decimal of at most 12 digits is the shortest text of the nearest float.
+    Exponent text differs from repr between 1e12 and 1e16, so it, like
+    ``inf`` and ``nan``, is parsed back.
+    """
+    text = f"{x:.12g}"
+    if "e" in text or "n" in text:
+        x = float(text)
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        return float.__repr__(x)
+    return text if "." in text else text + ".0"
+
+
+def _render(obj, indent: str) -> str:
+    """``obj`` as the JSON text ``json.dumps(..., indent=2)`` writes, floats rounded.
+
+    ``indent`` is the current line's indentation; object keys are strings.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return _float_text(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_render(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_report(report: dict) -> str:
@@ -516,7 +558,7 @@ def render_report(report: dict) -> str:
     report is a NumericsError, since strict JSON has no NaN or infinity.
     """
     try:
-        return json.dumps(_round_floats(report), indent=2, allow_nan=False) + "\n"
+        return _render(report, "") + "\n"
     except ValueError as exc:
         raise NumericsError(f"report is not strict JSON: {exc}") from exc
 

@@ -4,6 +4,8 @@ The oracles work on plain numpy arrays: kets are amplitude vectors, density
 matrices and projectors are square matrices.
 """
 
+import json
+
 import numpy as np
 
 from bellpost import lhv, protocol, qcore, swap
@@ -234,3 +236,26 @@ def exact_s_of_sim_model(m: lhv.LhvSimModel) -> float:
                     den += w
             e[(a, b)] = num / den
     return e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)]
+
+
+def _round_floats(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def reference_render(report) -> str:
+    """The report renderer as two passes: round every float, then ``json.dumps``.
+
+    The oracle for ``cli.render_report``, which does both in one walk.
+    """
+    try:
+        return json.dumps(_round_floats(report), indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise qcore.NumericsError(f"report is not strict JSON: {exc}") from exc

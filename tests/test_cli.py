@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellpost import cli, protocol
 from bellpost.cli import ConfigError, config_from_doc, main, render_csv, render_report, run
-from conftest import CorruptingGenerator, exact_s_of_sim_model
+from bellpost.qcore import NumericsError
+from conftest import CorruptingGenerator, exact_s_of_sim_model, reference_render
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -296,6 +299,58 @@ class TestRunReports:
             render_csv(report)
 
 
+# Floats where %.12g text and the repr of the rounded value part ways or
+# nearly do: signed zero, subnormals, the 1e12-1e16 band where %g writes an
+# exponent and repr does not, and the exponent forms on either side of it.
+_EDGE_FLOATS = st.sampled_from([
+    -0.0, 5e-324, 2.2250738585072009e-308, 1e-5, 1.5e-5, 9.99999999999e-5, 1e12,
+    999999999999.5, 1.23456789012345e13, 1e15, 9999999999999998.0, 1e16, 1e300, -1e300,
+])
+_FLOATS = st.one_of(
+    _EDGE_FLOATS,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e12, max_value=1e16),
+    st.floats(min_value=-1e16, max_value=-1e12),
+)
+_TEXT = st.text(st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/aé€\u2028😀'))
+_LEAVES = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(),
+    st.integers(min_value=10**29, max_value=10**40).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    _TEXT,
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text() | _TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestRenderReport:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_DOCS)
+    @example({"s": 1.0, "n": [1e12, [-0.0]]})
+    def test_matches_round_then_dump(self, doc):
+        assert render_report(doc) == reference_render(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_nonfinite_is_numerics_error(self, value):
+        doc = {"results": {"e": [0.5, value]}}
+        with pytest.raises(NumericsError) as want:
+            reference_render(doc)
+        with pytest.raises(NumericsError) as got:
+            render_report(doc)
+        assert str(got.value) == str(want.value)
+
+
 class TestMain:
     def test_success_exit_code_and_stdout(self, capsys):
         assert main(["quantum-exact"]) == 0
@@ -423,6 +478,24 @@ class TestMain:
         out = _strict_json(capsys.readouterr().out)
         assert out["error"]["type"] == "ConfigError"
         assert key in out["error"]["message"]
+
+    @pytest.mark.parametrize("points, code", [(10**4, 0), (10**4 + 1, 2)])
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_sweep_grid_limit(self, capsys, tmp_path, via, points, code):
+        grid = np.linspace(0.0, 1.0, points).tolist()
+        if via == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"sweep": {"grid": grid}}))
+            argv = ["swap", "--config", str(cfg)]
+        else:
+            argv = ["swap", "--grid", ",".join(map(repr, grid))]
+        assert main(argv) == code
+        out = _strict_json(capsys.readouterr().out)
+        if code:
+            assert out["error"]["type"] == "ConfigError"
+            assert "sweep.grid" in out["error"]["message"]
+        else:
+            assert [row["p"] for row in out["results"]["sweep"]] == pytest.approx(grid, abs=1e-12)
 
     def test_nonfinite_report_number_exits_4(self, capsys, monkeypatch):
         # No accepted config yields a NaN, so stand in a runner result that holds one.
