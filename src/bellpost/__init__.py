@@ -1,8 +1,7 @@
 """Three-party post-selected CHSH task: quantum vs. classical resources.
 
 Modules:
-  qcore     real single-qubit kets and two-qubit acceptance tables, as plain
-            arrays
+  qcore     the shared tolerance and NumericsError
   rng       counter-based Philox words, a pure function of (seed, trial index)
   protocol  the three-party task, tallying, correlations, exact statistics
   lhv       local-hidden-variable strategies, bounds, and the discard loophole

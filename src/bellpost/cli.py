@@ -30,16 +30,9 @@ import numpy as np
 from . import __version__, lhv, protocol, swap
 from .qcore import EXACT_TOL, NumericsError
 
-# Reports and config documents carry separate versions.  Report schema 2
-# holds closed-form error bars and the violation p-value; schema 3 computes
-# the basis-independence distance in closed form and the loophole through
-# ``protocol.postselect``; schema 4 draws 3 or 5 words per sampled trial and
-# reports ``exact_s`` in every sampled mode; schema 5 computes the
-# charlie-first swap reference by tensor contractions; schema 6, the
-# parties-first swap joint in closed form; schema 7 draws the ``lhv-indet``
-# sweep a block per generator call.  Config documents stay at version 1,
-# which reports echo.
-REPORT_SCHEMA_VERSION = 7
+# Reports and config documents carry separate versions; a report echoes its
+# config's.  CHANGES.md records what each report schema changed.
+REPORT_SCHEMA_VERSION = 8
 CONFIG_SCHEMA_VERSION = 1
 
 # Margins for the task-completed verdict: a sampled run's violation p-value
@@ -283,7 +276,7 @@ def _run_quantum_exact(cfg: SimpleNamespace) -> tuple[dict, str]:
 
 def _run_quantum_mc(cfg: SimpleNamespace) -> tuple[dict, str]:
     alice, bob = cfg.schemes
-    sel = protocol.selection_probability_table(alice, bob)
+    sel = protocol.selection_probability_table(alice.angles, bob.angles)
     exact = protocol.table_s(protocol.exact_postselected(alice, bob, sel)[0])
     rep = protocol.bell_report(protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed, sel))
     results = _bell_results(rep)

@@ -43,10 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import EXACT_TOL, PHI_PLUS, TWO_PI, acceptance_table
+from .qcore import EXACT_TOL
 from .rng import threshold, trial_uniforms_block
 
 PI = math.pi
+TWO_PI = 2.0 * PI
 
 
 class EmptyCellError(Exception):
@@ -56,6 +57,14 @@ class EmptyCellError(Exception):
         self.a = int(a)
         self.b = int(b)
         super().__init__(f"no selected incidents for basis pair (a={self.a}, b={self.b})")
+
+
+def canonical_angle(theta: float) -> float:
+    """Reduce an angle in radians to the canonical range [0, 2*pi)."""
+    t = math.fmod(float(theta), TWO_PI)
+    if t < 0.0:
+        t += TWO_PI
+    return 0.0 if t >= TWO_PI else t
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class PreparationScheme:
             raise ValueError("scheme requires 2x2 angle and prior tables (basis x state)")
         if not np.all(np.isfinite(angles)):
             raise ValueError("state angles must be finite")
-        # qcore.canonical_angle, elementwise: C fmod, then one wrap into [0, 2 pi).
+        # canonical_angle, elementwise: C fmod, then one wrap into [0, 2 pi).
         angles = np.fmod(angles, TWO_PI)
         angles[angles < 0.0] += TWO_PI
         angles[angles >= TWO_PI] = 0.0
@@ -268,11 +277,15 @@ def bell_s(e00: float, e01: float, e10: float, e11: float) -> float:
     return float(e00 + e01 + e10 - e11)
 
 
-def selection_probability_table(
-    scheme_a: PreparationScheme, scheme_b: PreparationScheme
-) -> np.ndarray:
-    """Charlie's acceptance probability for each (a, b, x, y) preparation pair."""
-    return acceptance_table(np.outer(PHI_PLUS, PHI_PLUS), scheme_a.angles, scheme_b.angles)
+def selection_probability_table(angles_a: np.ndarray, angles_b: np.ndarray) -> np.ndarray:
+    """Charlie's |phi+> acceptance |<phi+|u_ax (x) v_by>|^2 for every (a, b, x, y).
+
+    ``angles_a[a, x]`` and ``angles_b[b, y]`` are the angles of the real kets
+    u_ax and v_by, so <phi+|u_t (x) v_s> = (cos(t/2) cos(s/2) + sin(t/2) sin(s/2))
+    / sqrt(2) = cos((t - s)/2) / sqrt(2), whose square is (1 + cos(t - s)) / 4.
+    Every value lies in [0, 1/2], so none needs clamping.
+    """
+    return 0.25 * (1.0 + np.cos(angles_a[:, None, :, None] - angles_b[None, :, None, :]))
 
 
 def exact_postselected(
@@ -284,11 +297,11 @@ def exact_postselected(
     (probability that a trial with that basis pair is announced).  Rates at
     rounding-noise level (below 1e-12) count as empty: they are zero up to the
     precision of the underlying Born probabilities.  A caller that already
-    holds ``selection_probability_table(scheme_a, scheme_b)`` passes it as
+    holds ``selection_probability_table`` of the schemes' angles passes it as
     ``sel``.
     """
     if sel is None:
-        sel = selection_probability_table(scheme_a, scheme_b)
+        sel = selection_probability_table(scheme_a.angles, scheme_b.angles)
     return postselect(scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel)
 
 
@@ -358,12 +371,12 @@ def run_quantum_mc(
     """Sample the quantum task; deterministic in (schemes, n_trials, seed).
 
     ``sel[a, b, x, y]`` is Charlie's acceptance table, by default the
-    noiseless one, ``selection_probability_table(scheme_a, scheme_b)`` for
-    |phi+><phi+|.  A caller that already holds it passes it, and the swap
+    noiseless |phi+> one, ``selection_probability_table`` of the schemes'
+    angles.  A caller that already holds it passes it, and the swap
     realization passes its noisy table with the canonical schemes.
     """
     if sel is None:
-        sel = selection_probability_table(scheme_a, scheme_b)
+        sel = selection_probability_table(scheme_a.angles, scheme_b.angles)
     cells = prepare_and_measure(scheme_a.priors, scheme_b.priors, sel)
     return sample_tally(seed, n_trials, cells, PM_WIDTH)
 

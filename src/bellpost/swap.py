@@ -35,17 +35,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import canonical_schemes, postselect, selection_probability_table, table_s
-from .qcore import (
-    EXACT_TOL,
-    PHI_PLUS,
-    NumericsError,
-    _real_kets,
-    acceptance_table,
+from .protocol import (
     canonical_angle,
+    canonical_schemes,
+    postselect,
+    selection_probability_table,
+    table_s,
 )
+from .qcore import EXACT_TOL, NumericsError
 
 ORDERS = ("parties-first", "charlie-first")
+
+# Amplitudes of the maximally entangled two-qubit state (|00> + |11>)/sqrt(2).
+# Read-only, since every caller shares it.
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+PHI_PLUS.setflags(write=False)
 
 # Two maximally entangled pairs, qubit order (alpha, beta, alpha', beta').
 _TWO_PAIRS = np.kron(PHI_PLUS, PHI_PLUS)
@@ -95,6 +99,12 @@ def _depolarize_qubit(t: np.ndarray, qubit: int, p: float) -> np.ndarray:
     return (1.0 - p) * t + p * reduced * (np.eye(2) / 2.0).reshape(shape)
 
 
+def _real_kets(angles) -> np.ndarray:
+    """Amplitudes (cos(t/2), sin(t/2)) of the real kets at the given angles, on a last axis."""
+    half = np.asarray(angles, dtype=np.float64) / 2.0
+    return np.stack([np.cos(half), np.sin(half)], axis=-1)
+
+
 def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix."""
     eigvals, eigvecs = np.linalg.eigh(mat)
@@ -141,8 +151,7 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     angles_b = bob.angles + canonical_angle(noise.jitter_bob)
     if order == "parties-first":
         eta = (1.0 - noise.charlie_mix) * (1.0 - noise.depol_alice) * (1.0 - noise.depol_bob)
-        sel = acceptance_table(np.outer(PHI_PLUS, PHI_PLUS), angles_a, angles_b)
-        return _werner_weights(eta, sel)
+        return _werner_weights(eta, selection_probability_table(angles_a, angles_b))
     rho = np.outer(_TWO_PAIRS, _TWO_PAIRS).reshape([2] * 8)
     rho = _depolarize_qubit(rho, 1, noise.depol_alice)
     rho = _depolarize_qubit(rho, 3, noise.depol_bob)
@@ -176,7 +185,8 @@ def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
     if outside.size:
         raise ValueError(f"depolarizing strength {float(outside[0])!r} outside [0, 1]")
     eta = ((1.0 - p) * (1.0 - p))[:, None, None, None, None]
-    joints = _werner_weights(eta, selection_probability_table(*canonical_schemes()))
+    alice, bob = canonical_schemes()
+    joints = _werner_weights(eta, selection_probability_table(alice.angles, bob.angles))
     probs = joints / joints.sum(axis=(3, 4), keepdims=True)
     e = probs[..., 0, 0] + probs[..., 1, 1] - probs[..., 0, 1] - probs[..., 1, 0]
     if not np.all(np.abs(e) <= 1.0 + EXACT_TOL):

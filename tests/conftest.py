@@ -23,13 +23,20 @@ def mixture(probs, kets) -> np.ndarray:
 
 
 def born_prob(amps, proj) -> float:
-    """<psi|P|psi>, clamped to [0, 1] within rounding tolerance."""
+    """<psi|P|psi>, clamped to [0, 1] within rounding tolerance.
+
+    A value farther out than EXACT_TOL, or NaN, is a logic bug, not rounding,
+    and raises NumericsError.
+    """
     amps, proj = np.asarray(amps), np.asarray(proj)
     if proj.shape[0] != amps.size:
         raise ValueError(
             f"projector dimension {proj.shape[0]} does not match state dimension {amps.size}"
         )
-    return float(qcore._clamp_probability(float(np.real(np.vdot(amps, proj @ amps)))))
+    p = float(np.real(np.vdot(amps, proj @ amps)))
+    if not -qcore.EXACT_TOL <= p <= 1.0 + qcore.EXACT_TOL:
+        raise qcore.NumericsError(f"probability {p!r} outside [0, 1] beyond rounding tolerance")
+    return min(max(p, 0.0), 1.0)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -95,7 +102,7 @@ def charlie_first_joint_oracle(noise: swap.NoiseParams) -> np.ndarray:
     alice, bob = protocol.canonical_schemes()
     local = [
         [
-            [embed(density(k), (qubit,), 4) for k in qcore._real_kets(angles + jitter)]
+            [embed(density(k), (qubit,), 4) for k in swap._real_kets(angles + jitter)]
             for angles in scheme.angles
         ]
         for scheme, qubit, jitter in ((alice, 0, noise.jitter_alice), (bob, 2, noise.jitter_bob))

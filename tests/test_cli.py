@@ -225,7 +225,7 @@ class TestRunReports:
     def test_config_echo_contains_defaults(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 1000}))
         echo = report["config"]
-        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 7
+        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 8
         assert echo["schema_version"] == cli.CONFIG_SCHEMA_VERSION == 1
         assert echo["seed"] == 0
         assert "alice" in echo["schemes"]
@@ -627,9 +627,9 @@ class TestMain:
         calls = []
         original = cli.protocol.selection_probability_table
 
-        def counted(scheme_a, scheme_b):
+        def counted(angles_a, angles_b):
             calls.append(1)
-            return original(scheme_a, scheme_b)
+            return original(angles_a, angles_b)
 
         monkeypatch.setattr(cli.protocol, "selection_probability_table", counted)
         assert main(["quantum-mc", "--trials", "2000"]) == 0

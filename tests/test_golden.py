@@ -4,7 +4,8 @@ The reproducibility tests elsewhere compare two runs in one process, so a
 change to the stream-to-trial mapping (which uniforms a trial reads, or how
 it turns them into (a, b, x, y, c)) passes them.  The tallies and report
 digests below were recorded from the samplers and must never move without a
-``schema_version`` bump.  The report digests are those of report schema 6.
+``schema_version`` bump.  The report digests are those of the report schema
+``cli.REPORT_SCHEMA_VERSION``.
 
 Trial counts: 100 000, and 131 075, which is odd and above 8 * 16 384, so
 the sampler's 16 384-trial blocks, its per-CPU shares and any partition of

@@ -19,6 +19,7 @@ from bellpost.protocol import (
     bell_report,
     bell_s,
     bob_labels_swapped,
+    canonical_angle,
     canonical_schemes,
     check_basis_independence,
     correlations,
@@ -29,7 +30,7 @@ from bellpost.protocol import (
     table_s,
 )
 from bellpost.rng import trial_uniforms_block
-from bellpost.qcore import _real_kets, canonical_angle
+from bellpost.swap import _real_kets
 from conftest import correlation_oracle, mixture, swap_tally
 
 PI = math.pi
@@ -96,7 +97,7 @@ def coin_and_uniform(word) -> tuple[int, float]:
 def quantum_records(words: np.ndarray, alice: PreparationScheme, bob: PreparationScheme):
     """Per-trial float oracle of the prepare-and-measure transform (columns:
     x with the coin a, y with the coin b, acceptance)."""
-    sel = protocol.selection_probability_table(alice, bob)
+    sel = protocol.selection_probability_table(alice.angles, bob.angles)
     records = []
     for row in words:
         a, ux = coin_and_uniform(row[0])
@@ -458,7 +459,7 @@ class TestRunQuantumMc:
     def test_cut_edges_match_record_oracle(self, monkeypatch):
         alice = PreparationScheme([[0.0, PI], [PI / 2, 3 * PI / 2]], [[0.3, 0.7], [1.0, 0.0]])
         bob = PreparationScheme([[PI / 4, 5 * PI / 4], [0.5, 2.0]], [[0.0, 1.0], [0.6, 0.4]])
-        sel = protocol.selection_probability_table(alice, bob)
+        sel = protocol.selection_probability_table(alice.angles, bob.angles)
         cuts = [0.5, *alice.priors[:, 0], *bob.priors[:, 0], *sel.ravel()]
         words = edge_words(cuts, 4_000, protocol.PM_WIDTH, seed=23)
         want = tally_from_records(quantum_records(words, alice, bob), 4_000)
@@ -570,7 +571,7 @@ class TestSampleTally:
         # one index per trial, announced cells below 16 and the rest above.
         alice, bob = canonical_schemes()
         cells = protocol.prepare_and_measure(
-            alice.priors, bob.priors, protocol.selection_probability_table(alice, bob)
+            alice.priors, bob.priors, protocol.selection_probability_table(alice.angles, bob.angles)
         )
         index = cells(trial_uniforms_block(4, 0, n, protocol.PM_WIDTH))
         assert index.shape == (n,)
@@ -601,7 +602,7 @@ class TestSampleTally:
     def test_helper_exception_reraised_after_join(self, monkeypatch):
         alice, bob = canonical_schemes()
         cells = protocol.prepare_and_measure(
-            alice.priors, bob.priors, protocol.selection_probability_table(alice, bob)
+            alice.priors, bob.priors, protocol.selection_probability_table(alice.angles, bob.angles)
         )
         main_thread = threading.current_thread()
 

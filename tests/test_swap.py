@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from bellpost import protocol, swap
-from bellpost.qcore import PHI_PLUS, _real_kets
 from bellpost.cli import main
 from bellpost.swap import (
+    PHI_PLUS,
     NoiseParams,
+    _real_kets,
     depolarizing_sweep,
     exact_swap_s,
     joint_distribution,
