@@ -136,7 +136,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "66e7d1e8e47634a969d57afdaed71f262be6e688818cdec0e316324f386b4673",
+        "d35148624150da376bff1f9c3787b7a30da62dc6a3ae33a752d45c0626a3467a",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -150,12 +150,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "3e99a60773b70f6ed804c4296829ce2fff37d6497ccae9994ef7df568a52e405",
+        "8407f7d3fe5078fc2ee22bc6438f4ca60a43fd0c033bc3a35f1a628c17f7fa2c",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "558c03f8368377b4a8b9bc2278450a8d1c005003c6c4b259cfa27eda06633959",
+        "5f3285abc394e63e74158ecd5f4b6ad82f8aa3f18cc92f35341f81efb7b1cd02",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -163,15 +163,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "5098125dc999adca821cf6c46b39c2b1dd9ba8a59f0d7804bb5e64f2aaf7c0fe",
+        "6b9faec98a08ed2c512a8601e04cb2d4922382f50fa47f36f22e15c9f7ad041a",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "10042ea7007c899d69c3a8d51c3d33d53e1c7ef4c7fbc79de5e4b127bc4b7865"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "dd62ace6cb7a53c63a28100d8ab7ce60721f860d1ddbdbd099c0c0562ac9eada"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "86a8e31a8115758ef4de298447a9bcdc8cbcc61a7b6c60e43e670435edcb0852",
+        "c5cdd08990636bc21e445e79660ce7ccc030df00d26f2af895f67f6e860e915a",
     ),
-    "loophole": (["loophole"], None, "dfc40e14b5f51f829a6eeda59fe5f8b23175638ac87c675cc6619da4e6452490"),
+    "loophole": (["loophole"], None, "300958e9720b165b3a6cd8173c5c6c02885cf5fe45a88230b65e1604a7f098b3"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -183,19 +183,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "8c4c5f88ccf52fbdbab73df2eef82e37eb455141012895312a1b8fa3ce6b722b",
+        "9f66f6549e04fd4cae206d24f3d4256f893d3ceeb874cbe59c92065e63d7475a",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "8ccfd55263ca2de7258558ecde8bf5342a8e77a528deef36df951f729cb86393",
+        "55c4ffa49a675ca8f3079c0b19abb2008fa928ac1232e04f6b5c80c4d650af42",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "984eec880922358951f3ff73775ff47045dd271bbf05d7248e9b133f99b38232"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "89db73668fc8ced5f31eb5b3796d3279157a8cc637be97cb9506ce12fa72bc66"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "777ec3f7e3b8f5745b609a3f67033b0349b21e5627a421e7f6cff9719e01c947"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "7ee6fcbe54a8e3c3e4e348f14dfe0f2e65164b76dad9660a35c5c781b5cdf6c6"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "56845b64b2623e6fdaa6861130a7518f50df77ba31d37c33e2340874cb7ec408",
+        "603cd871cb58718dc26c16a48d6aa7ede4a76e9004324eac6a5372d2158a27af",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
