@@ -281,9 +281,10 @@ def selection_probability_table(angles_a: np.ndarray, angles_b: np.ndarray) -> n
     """Charlie's |phi+> acceptance |<phi+|u_ax (x) v_by>|^2 for every (a, b, x, y).
 
     ``angles_a[a, x]`` and ``angles_b[b, y]`` are the angles of the real kets
-    u_ax and v_by, so <phi+|u_t (x) v_s> = (cos(t/2) cos(s/2) + sin(t/2) sin(s/2))
-    / sqrt(2) = cos((t - s)/2) / sqrt(2), whose square is (1 + cos(t - s)) / 4.
-    Every value lies in [0, 1/2], so none needs clamping.
+    u_ax and v_by, the ket at angle t being cos(t/2)|0> + sin(t/2)|1>.  So
+    <phi+|u_t (x) v_s> = (cos(t/2) cos(s/2) + sin(t/2) sin(s/2)) / sqrt(2) =
+    cos((t - s)/2) / sqrt(2), whose square is (1 + cos(t - s)) / 4.  Every
+    value lies in [0, 1/2], so none needs clamping.
     """
     return 0.25 * (1.0 + np.cos(angles_a[:, None, :, None] - angles_b[None, :, None, :]))
 

@@ -3,7 +3,7 @@
 ``EXACT_TOL`` is how far an analytically exact quantity may stray through
 rounding, and ``NumericsError`` is what an internally computed quantity
 raises when it breaks its contract.  ``cli``, ``lhv``, ``protocol`` and
-``swap`` all import both from here.
+``swap`` import them from here.
 """
 
 from __future__ import annotations
