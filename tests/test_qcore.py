@@ -1,7 +1,6 @@
 """Unit and property tests for the real kets, |phi+>, Charlie's acceptance
 table, the numerical contract's module and the exact-QM test oracles."""
 
-import importlib
 import importlib.util
 import itertools
 import math
