@@ -2,7 +2,7 @@
 
 Modules:
   qcore     the shared tolerance and NumericsError
-  rng       counter-based Philox words, a pure function of (seed, trial index)
+  rng       jumpable PCG64DXSM words, a pure function of (seed, trial index)
   protocol  the three-party task, tallying, correlations, exact statistics
   lhv       local-hidden-variable strategies, bounds, and the discard loophole
   swap      entanglement-swapping realization with noise models

@@ -25,7 +25,7 @@ the shares run in parallel.  Memory is O(CPUs x a few MiB) whatever the trial
 count, and since a trial's words depend only on (seed, trial index), the
 tally does not depend on the CPU count.
 
-The transforms cut the raw Philox words of each trial directly (rng module):
+The transforms cut the raw PCG64DXSM words of each trial directly (rng module):
 a fair coin is bit 0 of a word, and ``u >= p`` on the uniform a word stands
 for is ``(w >> 11) >= threshold(p)``, with every threshold computed once per
 run.  No word is converted to a float, and the tally is the one the float
@@ -191,7 +191,7 @@ def sample_tally(seed: int, n_trials: int, selected_cells, width: int) -> Tally:
     """Stream trials 0..n_trials-1 into a Tally, one share per allowed CPU.
 
     ``selected_cells(w)`` maps a block of per-trial rows of ``width`` raw
-    Philox words (rng module) to one int64 index per trial: the flat cell
+    PCG64DXSM words (rng module) to one int64 index per trial: the flat cell
     ((a*2 + b)*2 + x)*2 + y of an announced trial, and that cell + 16 for a
     trial Charlie did not announce.  Indices 16..31 are counted and dropped.
     It is called from several threads at once, so it must be thread-safe:

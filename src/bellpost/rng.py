@@ -1,49 +1,63 @@
-"""Counter-based random words with a fixed-width row per trial.
+"""Jumpable random words with a fixed-width row per trial.
 
-Every sampler in this package draws a fixed number of raw 64-bit Philox words
-per trial, its row width: 3 for a prepare-and-measure trial (``protocol``),
-5 for a local-hidden-variable trial (``lhv``).  At width ``k``, trial ``i``
-owns stream positions ``[i*k, (i+1)*k)`` of the Philox stream keyed by the
-master seed, so the words a trial sees depend only on ``(seed, i)``.  Any
-partition of the trial range — the sampler's fixed-size blocks, or parallel
-workers handing out disjoint ranges — reproduces bit-identical samples.
+Every sampler in this package draws a fixed number of raw 64-bit PCG64DXSM
+words per trial, its row width: 3 for a prepare-and-measure trial
+(``protocol``), 5 for a local-hidden-variable trial (``lhv``).  At width
+``k``, trial ``i`` owns stream positions ``[i*k, (i+1)*k)`` of the PCG64DXSM
+stream keyed by the master seed.  The generator emits one word per step and
+``advance(n)`` jumps ``n`` steps in O(log n), so the words a trial sees depend
+only on ``(seed, i)``.  Any partition of the trial range — the sampler's
+fixed-size blocks, or parallel workers handing out disjoint ranges —
+reproduces bit-identical samples.
 
 The samplers never convert a word to a float.  The uniform that
-``Generator(Philox(key=seed)).random()`` would return at the same stream
+``Generator(PCG64DXSM(seed)).random()`` would return at the same stream
 position is ``u = (w >> 11) * 2**-53``, so every cut ``u >= p`` on it has the
 exact integer form ``(w >> 11) >= threshold(p)``.  A fair coin is bit 0 of a
 word, which no such cut reads, so one word carries a coin and an independent
-53-bit cut: Philox4x64 passes BigCrush (Salmon et al., "Parallel Random
-Numbers: As Easy as 1, 2, 3", SC'11).
+53-bit cut from bits 11-63.  PCG64DXSM's output function folds the whole
+128-bit state into each word by xorshifts and a multiply, so its low bit is
+not the short-period low bit of the underlying congruential state, and the
+PCG family passes TestU01's BigCrush (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number Generation",
+HMC-CS-2014-0905, 2014).
+
+The seed must be an integer in [0, 2**64 - 1], the CLI's range; no ambient
+entropy is ever used.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # The widest row a sampler draws (``lhv.simulate_lhv``).  The benchmark's
-# Philox reference, bench/worker.py::philox_reference, reads it.
+# reference, bench/worker.py::philox_reference, reads it; that reference
+# still times Philox until the benchmark follows the PCG64DXSM stream.
 DRAWS_PER_TRIAL = 5
 
 
 def trial_uniforms_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:
-    """Raw uint64 Philox words of trials start..stop-1, shape (n, width).
+    """Raw uint64 PCG64DXSM words of trials start..stop-1, shape (n, width).
 
-    Philox emits four words per counter increment and ``advance()`` counts
-    increments, so the stream is jumped to the last 4-word boundary at or
-    before word ``start*width`` and the few words before the first trial's
-    row are drawn and dropped.  Word ``w`` stands for the uniform
-    ``(w >> 11) * 2**-53``; cut it with ``threshold``.
+    The stream is jumped to word ``start*width``, the first word of trial
+    ``start``'s row.  Word ``w`` stands for the uniform
+    ``(w >> 11) * 2**-53``; cut it with ``threshold``.  A seed that is not an
+    integer in [0, 2**64 - 1] (a bool, a float or None among them) raises
+    ValueError.
     """
+    integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+    if not (integral and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
     if not 0 <= start <= stop:
         raise ValueError(f"invalid trial range [{start}, {stop})")
     if width < 1:
         raise ValueError(f"row width must be >= 1, got {width}")
-    bitgen = np.random.Philox(key=seed)
-    first, skip = divmod(start * width, 4)
-    if first:
-        bitgen.advance(first)
-    return bitgen.random_raw(skip + (stop - start) * width)[skip:].reshape(-1, width)
+    bitgen = np.random.PCG64DXSM(seed)
+    if start:
+        bitgen.advance(start * width)
+    return bitgen.random_raw((stop - start) * width).reshape(-1, width)
 
 
 def threshold(p) -> np.ndarray:

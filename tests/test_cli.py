@@ -240,11 +240,11 @@ class TestRunReports:
         assert run(cfg)["results"]["exact_s"] == pytest.approx(want, abs=1e-12)
 
     def test_one_sign_cells_give_no_violation(self):
-        # 15 selected trials, every cell all one sign: S = 4 with se(S) = 0,
+        # 10 selected trials, every cell all one sign: S = 4 with se(S) = 0,
         # which the distribution-free bound does not count as a violation.
-        report = run(config_from_doc({"mode": "quantum-mc", "trials": 40, "seed": 18}))
+        report = run(config_from_doc({"mode": "quantum-mc", "trials": 40, "seed": 7}))
         results = report["results"]
-        assert (results["s"], results["se_s"], results["n_selected"]) == (4.0, 0.0, 15)
+        assert (results["s"], results["se_s"], results["n_selected"]) == (4.0, 0.0, 10)
         assert results["p_value"] > 0.1
         assert report["verdict"] == "no violation"
 

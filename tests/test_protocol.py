@@ -63,12 +63,13 @@ def tally_from_records(records, n_total: int) -> Tally:
 
 
 def raw_words(seed: int, n: int, width: int) -> np.ndarray:
-    """Trials 0..n-1 as rows of ``width`` words of one long raw Philox draw.
+    """Trials 0..n-1 as rows of ``width`` words of one long raw PCG64DXSM draw.
 
-    The oracles read coins from bit 0 of these words, which a ``Generator``
-    drops along with the other low 11 bits.
+    The draw never calls ``advance``, so it checks the sampler's jumps.  The
+    oracles read coins from bit 0 of these words, which a ``Generator`` drops
+    along with the other low 11 bits.
     """
-    return np.random.Philox(key=seed).random_raw(n * width).reshape(n, width)
+    return np.random.PCG64DXSM(seed).random_raw(n * width).reshape(n, width)
 
 
 def edge_words(probabilities, n: int, width: int, seed: int) -> np.ndarray:
@@ -445,9 +446,11 @@ class TestRunQuantumMc:
         assert t.n_selected > 0
         assert t.counts[:, :, 0, 0].sum() == t.n_selected
 
-    def test_matches_per_trial_record_oracle(self):
-        # The uniforms of the same Philox stream as floats, cut by float
-        # comparisons in a plain per-trial loop: the integer cuts must agree.
+    def test_matches_per_trial_record_oracle(self, monkeypatch):
+        # The uniforms of the same stream as floats, cut by float comparisons
+        # in a plain per-trial loop: the integer cuts must agree.  Blocks of
+        # 999 trials jump the stream to rows the long draw reaches by drawing.
+        monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
         alice, bob = canonical_schemes()
         n, seed = 5_000, 17
         want = tally_from_records(
@@ -507,7 +510,8 @@ def _edge_lhv_model() -> lhv.LhvSimModel:
 
 
 class TestSimulateLhvOracle:
-    def test_matches_per_trial_record_oracle(self):
+    def test_matches_per_trial_record_oracle(self, monkeypatch):
+        monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
         m = _edge_lhv_model()
         n, seed = 5_000, 19
         want = tally_from_records(lhv_records(raw_words(seed, n, lhv.LHV_WIDTH), m), n)

@@ -15,15 +15,49 @@ WIDTHS = (protocol.PM_WIDTH, lhv.LHV_WIDTH)
 
 
 def test_row_width_is_jumpable():
-    # advance() counts 4-word counter blocks; a row of any width still starts
-    # where its trial's words start in one long draw, aligned or not.
+    # advance() counts words; a row of any width starts where its trial's
+    # words start in one long draw.
     for width in range(1, 9):
-        reference = np.random.Philox(key=31).random_raw(65_545 * width)
+        reference = np.random.PCG64DXSM(31).random_raw(65_545 * width)
         for start in (0, 1, 3, 4, 65_537):
             for stop in (start, start + 1, start + 8):
                 w = trial_uniforms_block(31, start, stop, width)
                 assert w.dtype == np.uint64 and w.shape == (stop - start, width)
                 np.testing.assert_array_equal(w.ravel(), reference[start * width : stop * width])
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_far_jump(seed):
+    # advance() reaches word 5e10 with no drift: the last eight rows below
+    # trial 1e10 are the tail of a block that starts three trials earlier,
+    # and each row of that block is the row of its trial drawn alone.
+    first, stop = 10**10 - 8, 10**10
+    block = trial_uniforms_block(seed, first - 3, stop, 5)
+    np.testing.assert_array_equal(trial_uniforms_block(seed, first, stop, 5), block[3:])
+    for row, trial in enumerate(range(first - 3, stop)):
+        np.testing.assert_array_equal(trial_uniforms_block(seed, trial, trial + 1, 5)[0], block[row])
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+def test_coin_and_cut_are_independent(p):
+    # Pearson's chi-squared over the 2x2 table of (bit 0, (w >> 11) < cut)
+    # against a fair coin times the cut's probability: 3 degrees of freedom,
+    # and 21.11 is their upper 1e-4 quantile.
+    w = trial_uniforms_block(8, 0, 1_000_000, 4).ravel()
+    coin = (w & np.uint64(1)).astype(np.int64)
+    below = ((w >> np.uint64(11)) < threshold(p)).astype(np.int64)
+    observed = np.bincount(2 * coin + below, minlength=4)
+    expected = w.size * np.array([0.5 * (1 - p), 0.5 * p, 0.5 * (1 - p), 0.5 * p])
+    assert ((observed - expected) ** 2 / expected).sum() < 21.11
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1, 2**64])
+def test_seed_must_be_an_integer_in_range(seed):
+    # No ambient entropy: a seed of None would draw fresh OS entropy.
+    with pytest.raises(ValueError, match="seed"):
+        trial_uniforms_block(seed, 0, 2, 3)
+    with pytest.raises(ValueError, match="seed"):
+        protocol.run_quantum_mc(*protocol.canonical_schemes(), 1000, seed)
 
 
 def test_draws_per_trial_is_the_widest_row():
@@ -60,7 +94,7 @@ def test_words_are_generator_uniforms():
     # The top 53 bits of each word, scaled, are the float64 uniform that
     # Generator.random() draws at the same stream position.
     for width in WIDTHS:
-        generator = np.random.Generator(np.random.Philox(key=5))
+        generator = np.random.Generator(np.random.PCG64DXSM(5))
         reference = generator.random(65_538 * width).reshape(-1, width)
         for trial in (0, 1, 16_383, 16_384, 65_537):
             w = trial_uniforms_block(5, trial, trial + 1, width)
