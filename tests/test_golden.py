@@ -74,26 +74,26 @@ SAMPLERS = {
 # counts[a, b, x, y] flattened in C order, keyed by (sampler, seed, trials).
 # The two swap orderings agree because their joints agree to rounding.
 GOLDEN_COUNTS = {
-    ("quantum-canonical", 2024, 100000): [2696, 444, 416, 2667, 2685, 482, 446, 2703, 2706, 487, 449, 2641, 455, 2718, 2716, 460],
-    ("quantum-canonical", 2024, 131075): [3533, 581, 573, 3524, 3507, 623, 589, 3499, 3520, 638, 582, 3443, 593, 3542, 3514, 604],
-    ("quantum-canonical", 9223372036854775813, 100000): [2635, 429, 457, 2703, 2679, 447, 471, 2660, 2697, 473, 461, 2622, 404, 2649, 2694, 426],
-    ("quantum-canonical", 9223372036854775813, 131075): [3499, 545, 586, 3603, 3492, 584, 592, 3435, 3551, 611, 620, 3462, 534, 3431, 3470, 563],
-    ("quantum-priors", 2024, 100000): [1929, 201, 700, 3029, 808, 416, 332, 5579, 5059, 621, 203, 859, 337, 6521, 562, 282],
-    ("quantum-priors", 2024, 131075): [2537, 258, 961, 3971, 1051, 556, 437, 7296, 6599, 800, 271, 1111, 431, 8543, 719, 376],
-    ("quantum-priors", 9223372036854775813, 100000): [1844, 201, 762, 3020, 834, 407, 328, 5588, 5076, 575, 243, 828, 347, 6233, 538, 269],
-    ("quantum-priors", 9223372036854775813, 131075): [2433, 261, 997, 4011, 1092, 526, 417, 7309, 6700, 766, 311, 1110, 452, 8127, 692, 338],
-    ("lhv-stochastic", 2024, 100000): [3564, 3881, 3024, 3950, 4853, 2575, 4880, 2134, 3509, 4619, 3065, 3300, 5697, 2485, 3993, 2302],
-    ("lhv-stochastic", 2024, 131075): [4607, 5062, 4001, 5210, 6333, 3410, 6398, 2790, 4628, 5965, 4035, 4340, 7451, 3222, 5251, 3013],
-    ("lhv-stochastic", 9223372036854775813, 100000): [3560, 4055, 3030, 3958, 4726, 2537, 4915, 2109, 3599, 4725, 3119, 3249, 5664, 2447, 4021, 2285],
-    ("lhv-stochastic", 9223372036854775813, 131075): [4558, 5255, 3988, 5177, 6249, 3359, 6395, 2792, 4649, 6103, 4132, 4283, 7427, 3191, 5272, 2996],
-    ("swap-parties-first", 2024, 100000): [2482, 653, 629, 2466, 2490, 645, 636, 2542, 2513, 663, 646, 2449, 680, 2529, 2502, 662],
-    ("swap-parties-first", 2024, 131075): [3250, 855, 859, 3276, 3258, 846, 843, 3279, 3259, 866, 844, 3192, 879, 3296, 3233, 886],
-    ("swap-parties-first", 9223372036854775813, 100000): [2419, 653, 664, 2468, 2477, 625, 631, 2473, 2504, 676, 660, 2437, 615, 2455, 2477, 605],
-    ("swap-parties-first", 9223372036854775813, 131075): [3218, 828, 860, 3301, 3232, 829, 808, 3187, 3297, 876, 881, 3208, 822, 3191, 3197, 808],
-    ("swap-charlie-first", 2024, 100000): [2482, 653, 629, 2466, 2490, 645, 636, 2542, 2513, 663, 646, 2449, 680, 2529, 2502, 662],
-    ("swap-charlie-first", 2024, 131075): [3250, 855, 859, 3276, 3258, 846, 843, 3279, 3259, 866, 844, 3192, 879, 3296, 3233, 886],
-    ("swap-charlie-first", 9223372036854775813, 100000): [2419, 653, 664, 2468, 2477, 625, 631, 2473, 2504, 676, 660, 2437, 615, 2455, 2477, 605],
-    ("swap-charlie-first", 9223372036854775813, 131075): [3218, 828, 860, 3301, 3232, 829, 808, 3187, 3297, 876, 881, 3208, 822, 3191, 3197, 808],
+    ("quantum-canonical", 2024, 100000): [2710, 494, 461, 2581, 2695, 453, 471, 2682, 2710, 475, 470, 2726, 511, 2601, 2666, 429],
+    ("quantum-canonical", 2024, 131075): [3537, 614, 607, 3434, 3531, 598, 618, 3472, 3534, 613, 631, 3560, 679, 3353, 3476, 568],
+    ("quantum-canonical", 9223372036854775813, 100000): [2738, 450, 444, 2567, 2658, 483, 500, 2705, 2649, 454, 410, 2771, 452, 2721, 2654, 448],
+    ("quantum-canonical", 9223372036854775813, 131075): [3555, 615, 565, 3374, 3507, 617, 638, 3567, 3381, 582, 569, 3631, 596, 3539, 3442, 591],
+    ("quantum-priors", 2024, 100000): [1903, 215, 810, 2899, 772, 402, 293, 5626, 5161, 599, 232, 853, 390, 6311, 556, 263],
+    ("quantum-priors", 2024, 131075): [2525, 264, 1048, 3834, 1007, 535, 396, 7312, 6753, 788, 305, 1118, 520, 8235, 720, 332],
+    ("quantum-priors", 9223372036854775813, 100000): [1908, 187, 777, 2915, 817, 410, 352, 5632, 5091, 607, 198, 904, 361, 6314, 543, 264],
+    ("quantum-priors", 9223372036854775813, 131075): [2502, 274, 997, 3826, 1064, 538, 455, 7418, 6595, 773, 259, 1199, 450, 8268, 699, 348],
+    ("lhv-stochastic", 2024, 100000): [3575, 3976, 3057, 3898, 4783, 2666, 4873, 2189, 3391, 4689, 3014, 3207, 5657, 2438, 4139, 2383],
+    ("lhv-stochastic", 2024, 131075): [4713, 5189, 3971, 5140, 6322, 3423, 6333, 2878, 4453, 6117, 3950, 4218, 7427, 3202, 5422, 3092],
+    ("lhv-stochastic", 9223372036854775813, 100000): [3550, 3860, 2945, 3980, 4983, 2592, 4823, 2164, 3605, 4615, 3034, 3240, 5685, 2373, 4058, 2245],
+    ("lhv-stochastic", 9223372036854775813, 131075): [4650, 5098, 3808, 5223, 6492, 3410, 6248, 2903, 4695, 6054, 4010, 4272, 7389, 3115, 5353, 2951],
+    ("swap-parties-first", 2024, 100000): [2501, 686, 693, 2393, 2504, 682, 650, 2482, 2504, 672, 671, 2546, 705, 2382, 2449, 643],
+    ("swap-parties-first", 2024, 131075): [3274, 871, 918, 3181, 3277, 888, 857, 3195, 3277, 862, 880, 3333, 928, 3051, 3182, 837],
+    ("swap-parties-first", 9223372036854775813, 100000): [2517, 693, 640, 2382, 2456, 705, 680, 2532, 2467, 663, 623, 2588, 656, 2526, 2441, 642],
+    ("swap-parties-first", 9223372036854775813, 131075): [3267, 927, 834, 3119, 3236, 903, 869, 3348, 3141, 838, 842, 3388, 864, 3288, 3171, 850],
+    ("swap-charlie-first", 2024, 100000): [2501, 686, 693, 2393, 2504, 682, 650, 2482, 2504, 672, 671, 2546, 705, 2382, 2449, 643],
+    ("swap-charlie-first", 2024, 131075): [3274, 871, 918, 3181, 3277, 888, 857, 3195, 3277, 862, 880, 3333, 928, 3051, 3182, 837],
+    ("swap-charlie-first", 9223372036854775813, 100000): [2517, 693, 640, 2382, 2456, 705, 680, 2532, 2467, 663, 623, 2588, 656, 2526, 2441, 642],
+    ("swap-charlie-first", 9223372036854775813, 131075): [3267, 927, 834, 3119, 3236, 903, 869, 3348, 3141, 838, 842, 3388, 864, 3288, 3171, 850],
 }
 
 
@@ -136,7 +136,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "d35148624150da376bff1f9c3787b7a30da62dc6a3ae33a752d45c0626a3467a",
+        "83472bbed886d12f414b1eb9e94cbb98238f36df708ba8ecb9cb458db70fae6a",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -150,12 +150,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "8407f7d3fe5078fc2ee22bc6438f4ca60a43fd0c033bc3a35f1a628c17f7fa2c",
+        "02f1efd0a54eb3423a9e6f0dd3c16d8e7a39772354822d7ea0e0299ac67bde0b",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "5f3285abc394e63e74158ecd5f4b6ad82f8aa3f18cc92f35341f81efb7b1cd02",
+        "98382bdd24626f74ceaaf45bfc95b23d39a42fff67872fff7735f62b3b2cf92d",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -163,15 +163,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "6b9faec98a08ed2c512a8601e04cb2d4922382f50fa47f36f22e15c9f7ad041a",
+        "eba62cae85de363e7fdfe541161ef423d95ae724ee0170f95a0cc2db5c7dcb01",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "dd62ace6cb7a53c63a28100d8ab7ce60721f860d1ddbdbd099c0c0562ac9eada"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "c5b02d680fcddff8c8b683eba0f0ca30e4d503eb76fd9b3bead10981c37ac463"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "c5cdd08990636bc21e445e79660ce7ccc030df00d26f2af895f67f6e860e915a",
+        "073117cc0046d2fc1cc787213f470af634908768f950e0a7d7473e530649c4dc",
     ),
-    "loophole": (["loophole"], None, "300958e9720b165b3a6cd8173c5c6c02885cf5fe45a88230b65e1604a7f098b3"),
+    "loophole": (["loophole"], None, "0e93d7fa5e4928618cd05cf9ac40021fcb1a1c66092423acf0488015f944a4a1"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -183,19 +183,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "9f66f6549e04fd4cae206d24f3d4256f893d3ceeb874cbe59c92065e63d7475a",
+        "2fd0ed33bdf42ee9b87d0a049db3766c6c1cda96a605ac82e2c445f890c3f083",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "55c4ffa49a675ca8f3079c0b19abb2008fa928ac1232e04f6b5c80c4d650af42",
+        "ec5deb461a8466da30ffadb75e030761b7863c56444949bb1859af496ad5d152",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "777ec3f7e3b8f5745b609a3f67033b0349b21e5627a421e7f6cff9719e01c947"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "7ee6fcbe54a8e3c3e4e348f14dfe0f2e65164b76dad9660a35c5c781b5cdf6c6"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "b430c975d5320fe3d73fd6957c5504ef64aab2bbd18e2e40963906f758a7c35d"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3c9dce78d04e675d88b91b7a676ae3d6ea98fad9a1d4e972cb08cc250df8091f"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "603cd871cb58718dc26c16a48d6aa7ede4a76e9004324eac6a5372d2158a27af",
+        "4913c6cec745f94c19243c9b996d23a9ff8bab156874e3a2ce28dff15d74c58c",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
