@@ -28,14 +28,21 @@ def test_row_width_is_jumpable():
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_far_jump(seed):
-    # advance() reaches word 5e10 with no drift: the last eight rows below
-    # trial 1e10 are the tail of a block that starts three trials earlier,
-    # and each row of that block is the row of its trial drawn alone.
+    # advance() reaches word 5e10: the last eight rows below trial 1e10 are
+    # the tail of a block that starts three trials earlier, each row of that
+    # block is the row of its trial drawn alone, and the block is where 26
+    # shorter jumps, each under 2**31 words, reach.
     first, stop = 10**10 - 8, 10**10
     block = trial_uniforms_block(seed, first - 3, stop, 5)
     np.testing.assert_array_equal(trial_uniforms_block(seed, first, stop, 5), block[3:])
     for row, trial in enumerate(range(first - 3, stop)):
         np.testing.assert_array_equal(trial_uniforms_block(seed, trial, trial + 1, 5)[0], block[row])
+    reference = np.random.PCG64DXSM(seed)
+    step, rest = divmod((first - 3) * 5, 25)
+    for _ in range(25):
+        reference.advance(step)
+    reference.advance(rest)
+    np.testing.assert_array_equal(reference.random_raw(block.size), block.ravel())
 
 
 @pytest.mark.parametrize("p", [0.25, 0.5])
