@@ -193,7 +193,7 @@ def _order(v, path: str) -> str:
 
 
 def _sweep(obj, path: str) -> dict:
-    # The sweep holds every grid point's joints at once, under 1 KB a point.
+    # Each grid point is one rendered report row, so the cap bounds the report.
     points = _list(_object(obj, ("grid",), (), path)["grid"], None, f"{path}.grid")
     if len(points) > 10**4:
         raise ConfigError(f"{path}.grid: expected at most {10**4} points, got {len(points)}")

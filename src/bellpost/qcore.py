@@ -2,8 +2,8 @@
 
 ``EXACT_TOL`` is how far an analytically exact quantity may stray through
 rounding, and ``NumericsError`` is what an internally computed quantity
-raises when it breaks its contract.  ``cli``, ``lhv``, ``protocol`` and
-``swap`` import them from here.
+raises when it breaks its contract.  ``cli``, ``lhv`` and ``protocol``
+import them from here.
 """
 
 from __future__ import annotations

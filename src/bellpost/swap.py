@@ -16,12 +16,15 @@ states, each with probability 1/2.  A uniformly rotated initial pair cannot
 reproduce the canonical assignment (it yields the label-swapped variant whose
 CHSH value is 0), so rotated local measurement is the realization used here.
 
-All property-style quantities (joint distributions, CHSH sweeps) are computed
-exactly: parties-first in closed form, since the noisy selection effect is a
-Werner effect of visibility eta, charlie-first as a four-qubit density-matrix
-evolution written as tensor contractions.  A joint holds only the announced
-weights p(x, y, 1 | a, b); its post-selected table is ``protocol.postselect``
-of them, the one reduction that tallies and scheme pairs go through too.
+Exact quantities come from closed forms.  The noisy selection effect is a
+Werner effect of visibility eta, so the parties-first joint is one line and
+the post-selected CHSH value is 2 sqrt(2) eta cos(j_A - j_B) for jitters j_A
+and j_B; the depolarizing sweep takes it at eta = (1 - p)^2.  The
+charlie-first joint, a four-qubit density-matrix evolution written as tensor
+contractions, is the independent reference behind ``order_invariance``.  A
+joint holds only the announced probabilities p(x, y, 1 | a, b); its
+post-selected table is ``protocol.postselect`` of them, the one reduction
+that tallies and scheme pairs go through too.
 
 Remote preparation makes a swap run the canonical prepare-and-measure task
 with Charlie accepting with probability 4 p(x, y, 1 | a, b), so a run samples
@@ -35,14 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import (
-    canonical_angle,
-    canonical_schemes,
-    postselect,
-    selection_probability_table,
-    table_s,
-)
-from .qcore import EXACT_TOL, NumericsError
+from .protocol import canonical_angle, canonical_schemes, exact_s, selection_probability_table
 
 ORDERS = ("parties-first", "charlie-first")
 
@@ -105,29 +101,20 @@ def _real_kets(angles) -> np.ndarray:
     return np.stack([np.cos(half), np.sin(half)], axis=-1)
 
 
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix."""
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    eigvals = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
+def _charlie_root(charlie_mix: float) -> np.ndarray:
+    """Square root of Charlie's announcing effect (1 - eps) Phi + eps I/4, as a (2,)*4 tensor.
 
-
-def _charlie_effect(charlie_mix: float) -> np.ndarray:
-    return (1.0 - charlie_mix) * np.outer(PHI_PLUS, PHI_PLUS) + (charlie_mix / 4.0) * np.eye(4)
-
-
-def _werner_weights(eta, sel: np.ndarray) -> np.ndarray:
-    """Announced weights 1/4 (eta sel + (1 - eta)/4) of the Werner effect of visibility eta.
-
-    ``sel`` is Charlie's |phi+> acceptance table [a, b, x, y]; an ``eta`` of
-    shape (P, 1, 1, 1, 1) gives P joints at once, each element computed as
-    for a scalar eta.
+    Phi = |phi+><phi+| is a projector, so the effect is
+    (1 - 3 eps/4) Phi + (eps/4)(I - Phi) over two orthogonal projectors, and
+    its root is sqrt(1 - 3 eps/4) Phi + (sqrt(eps)/2)(I - Phi).
     """
-    return 0.25 * (eta * sel + (1.0 - eta) / 4.0)
+    phi = np.outer(PHI_PLUS, PHI_PLUS)
+    on, off = math.sqrt(1.0 - 0.75 * charlie_mix), math.sqrt(charlie_mix) / 2.0
+    return (on * phi + off * (np.eye(4) - phi)).reshape(2, 2, 2, 2)
 
 
 def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
-    """Exact announced weights p(x, y, 1 | a, b) as an array indexed [a, b, x, y].
+    """Exact announced probabilities p(x, y, 1 | a, b) as an array indexed [a, b, x, y].
 
     ``parties-first`` applies the local measurements, then channel noise, then
     Charlie's selection effect.  Measuring a kept half of |phi+> with the real
@@ -140,7 +127,7 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     as tensor contractions: it applies noise, the Lueders update of Charlie's
     announcing effect, and the parties' measurements.  The two agree because
     all three act on disjoint subsystems, and the second is the independent
-    reference for the first.  Each basis pair's weights sum to 1/4.
+    reference for the first.  Each basis pair's probabilities sum to 1/4.
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
@@ -151,12 +138,12 @@ def joint_distribution(noise: NoiseParams, order: str) -> np.ndarray:
     angles_b = bob.angles + canonical_angle(noise.jitter_bob)
     if order == "parties-first":
         eta = (1.0 - noise.charlie_mix) * (1.0 - noise.depol_alice) * (1.0 - noise.depol_bob)
-        return _werner_weights(eta, selection_probability_table(angles_a, angles_b))
+        return 0.25 * (eta * selection_probability_table(angles_a, angles_b) + (1.0 - eta) / 4.0)
     rho = np.outer(_TWO_PAIRS, _TWO_PAIRS).reshape([2] * 8)
     rho = _depolarize_qubit(rho, 1, noise.depol_alice)
     rho = _depolarize_qubit(rho, 3, noise.depol_bob)
     u, v = _real_kets(angles_a), _real_kets(angles_b)
-    sq = _sqrtm_psd(_charlie_effect(noise.charlie_mix)).reshape(2, 2, 2, 2)
+    sq = _charlie_root(noise.charlie_mix)
     rho_c = np.einsum("jlJL,iJkLmNoP,NPnp->ijklmnop", sq, rho, sq)
     return np.einsum("axi,byk,ijklmjol,axm,byo->abxy", u, v, rho_c, u, v)
 
@@ -166,30 +153,17 @@ def order_invariance(parties_first: np.ndarray, charlie_first: np.ndarray) -> fl
     return float(np.max(np.abs(parties_first - charlie_first)))
 
 
-def exact_swap_s(noise: NoiseParams) -> float:
-    """Exact post-selected CHSH value of the (possibly noisy) swap realization."""
-    return table_s(postselect(joint_distribution(noise, "parties-first"))[0])
-
-
 def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
     """Exact CHSH value under symmetric depolarizing strength, one row per p.
 
-    Every p is evaluated at once, as a (P, 2, 2, 2, 2) stack of parties-first
-    joints over one noiseless acceptance table.  Each element goes through
-    the operations of ``exact_swap_s`` in the same order (postselect,
-    correlations, then S), so each row equals ``exact_swap_s`` with
-    ``depol_alice = depol_bob = p`` bit for bit.
+    Depolarizing both Charlie-bound qubits with strength p gives the Werner
+    visibility eta = (1 - p)^2, and the post-selected S is linear in eta, so
+    each row is S0 (1 - p)^2 with S0 = ``protocol.exact_s`` of the canonical
+    schemes.  The p = 0 row is the ``quantum-exact`` S bit for bit.
     """
     p = np.array(p_values, dtype=np.float64)
     outside = p[~((p >= 0.0) & (p <= 1.0))]
     if outside.size:
         raise ValueError(f"depolarizing strength {float(outside[0])!r} outside [0, 1]")
-    eta = ((1.0 - p) * (1.0 - p))[:, None, None, None, None]
-    alice, bob = canonical_schemes()
-    joints = _werner_weights(eta, selection_probability_table(alice.angles, bob.angles))
-    probs = joints / joints.sum(axis=(3, 4), keepdims=True)
-    e = probs[..., 0, 0] + probs[..., 1, 1] - probs[..., 0, 1] - probs[..., 1, 0]
-    if not np.all(np.abs(e) <= 1.0 + EXACT_TOL):
-        raise NumericsError(f"correlation outside [-1, 1] in the sweep: {e.tolist()}")
-    s = e[:, 0, 0] + e[:, 0, 1] + e[:, 1, 0] - e[:, 1, 1]
-    return list(zip(p.tolist(), s.tolist()))
+    s0 = exact_s(*canonical_schemes())
+    return [(q, s0 * (1.0 - q) ** 2) for q in p.tolist()]

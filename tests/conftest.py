@@ -91,6 +91,17 @@ def pauli_depolarize_qubit(mat, qubit: int, p: float, n: int) -> np.ndarray:
     return (1.0 - p) * mat + p * twirl
 
 
+def sqrtm_psd(mat) -> np.ndarray:
+    """Hermitian square root of a positive-semidefinite matrix, by eigendecomposition."""
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(mat))
+    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+
+
+def charlie_effect(charlie_mix: float) -> np.ndarray:
+    """Charlie's announcing effect (1 - eps)|phi+><phi+| + eps I/4 as a 4x4 matrix."""
+    return (1.0 - charlie_mix) * density(swap.PHI_PLUS) + (charlie_mix / 4.0) * np.eye(4)
+
+
 def charlie_first_joint_oracle(noise: swap.NoiseParams) -> np.ndarray:
     """p(x, y, c | a, b) by 16x16 matrix evolution, one (a, b, x, y) at a time.
 
@@ -107,12 +118,12 @@ def charlie_first_joint_oracle(noise: swap.NoiseParams) -> np.ndarray:
         ]
         for scheme, qubit, jitter in ((alice, 0, noise.jitter_alice), (bob, 2, noise.jitter_bob))
     ]
-    effect1 = embed(swap._charlie_effect(noise.charlie_mix), (1, 3), 4)
+    effect1 = embed(charlie_effect(noise.charlie_mix), (1, 3), 4)
     rho = pauli_depolarize_qubit(density(swap._TWO_PAIRS), 1, noise.depol_alice, 4)
     rho = pauli_depolarize_qubit(rho, 3, noise.depol_bob, 4)
     joint = np.zeros((2, 2, 2, 2, 2))
     for c, effect in ((0, np.eye(16) - effect1), (1, effect1)):
-        sq = swap._sqrtm_psd(effect)
+        sq = sqrtm_psd(effect)
         rho_c = sq @ rho @ sq
         for a in (0, 1):
             for b in (0, 1):

@@ -15,7 +15,6 @@ from bellpost.swap import (
     NoiseParams,
     _real_kets,
     depolarizing_sweep,
-    exact_swap_s,
     joint_distribution,
     order_invariance,
 )
@@ -29,6 +28,17 @@ from conftest import (
 )
 
 TWO_SQRT2 = 2 * math.sqrt(2)
+
+
+def postselected_s(noise: NoiseParams, order: str = "parties-first") -> float:
+    """The CHSH value of one order's post-selected joint."""
+    return protocol.table_s(protocol.postselect(joint_distribution(noise, order))[0])
+
+
+def werner_s(noise: NoiseParams) -> float:
+    """The closed form 2 sqrt(2) eta cos(j_A - j_B), eta = (1 - eps)(1 - p_A)(1 - p_B)."""
+    eta = (1 - noise.charlie_mix) * (1 - noise.depol_alice) * (1 - noise.depol_bob)
+    return TWO_SQRT2 * eta * math.cos(noise.jitter_alice - noise.jitter_bob)
 
 
 def local_projectors(basis: int, jitter: float) -> np.ndarray:
@@ -129,13 +139,27 @@ class TestJointDistribution:
         np.testing.assert_allclose(rates, direct_rates, atol=1e-12)
 
     def test_zero_noise_s(self):
-        assert exact_swap_s(NoiseParams()) == pytest.approx(TWO_SQRT2, abs=1e-12)
+        assert postselected_s(NoiseParams()) == pytest.approx(TWO_SQRT2, abs=1e-12)
 
     def test_zero_visibility_s_is_exactly_zero(self):
         # At eta = 0 every announced weight is the same 1/16, so S is 0.0
         # with no rounding residue.
         assert depolarizing_sweep([1.0]) == [(1.0, 0.0)]
-        assert exact_swap_s(NoiseParams(charlie_mix=1.0)) == 0.0
+        assert postselected_s(NoiseParams(charlie_mix=1.0)) == 0.0
+
+    @pytest.mark.parametrize("order", swap.ORDERS)
+    def test_postselected_s_is_werner_closed_form(self, order):
+        # Jitters past 2 pi exercise their reduction as well.
+        rng = np.random.default_rng(66)
+        for _ in range(200):
+            noise = NoiseParams(
+                depol_alice=rng.uniform(),
+                depol_bob=rng.uniform(),
+                jitter_alice=rng.uniform(0, 7),
+                jitter_bob=rng.uniform(0, 7),
+                charlie_mix=rng.uniform(),
+            )
+            assert abs(postselected_s(noise, order) - werner_s(noise)) <= 1e-14
 
 
 def _random_noise(rng: np.random.Generator) -> NoiseParams:
@@ -205,7 +229,7 @@ class TestOrderInvariance:
         assert all(abs(r - 0.25) <= 1e-12 for r in rates.values())
         assert results["order_invariance_gap"] <= 1e-15
         reduced = NoiseParams(jitter_alice=math.fmod(1e17, 2 * math.pi))
-        assert results["exact_s"] == pytest.approx(exact_swap_s(reduced), abs=1e-12)
+        assert results["exact_s"] == pytest.approx(werner_s(reduced), abs=1e-12)
 
 
 class TestRunSwap:
@@ -253,9 +277,10 @@ class TestDepolarizingSweep:
         rows = depolarizing_sweep([0.3])
         assert 0.0 < rows[0][1] < TWO_SQRT2
 
-    def test_rows_equal_exact_swap_s_bit_for_bit(self):
+    def test_rows_equal_closed_form(self):
         # Grids of 1-50 points drawn with replacement from a pool holding
         # both endpoints, so most grids repeat a point.
+        s0 = protocol.exact_s(*protocol.canonical_schemes())
         rng = np.random.default_rng(65)
         for _ in range(100):
             pool = np.concatenate([[0.0, 1.0], rng.uniform(size=8)])
@@ -263,7 +288,8 @@ class TestDepolarizingSweep:
             rows = depolarizing_sweep(grid)
             assert [p for p, _ in rows] == grid.tolist()
             for p, s in rows:
-                assert s == exact_swap_s(NoiseParams(depol_alice=p, depol_bob=p))
+                assert s == s0 * (1 - p) ** 2
+                assert abs(s - postselected_s(NoiseParams(depol_alice=p, depol_bob=p))) <= 1e-14
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="0, 1"):
