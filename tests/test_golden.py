@@ -136,7 +136,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "83472bbed886d12f414b1eb9e94cbb98238f36df708ba8ecb9cb458db70fae6a",
+        "1fdb7f2a069151ef592ce63bb906550bc2e2b0f018644f2de95532339913e698",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -150,12 +150,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "02f1efd0a54eb3423a9e6f0dd3c16d8e7a39772354822d7ea0e0299ac67bde0b",
+        "8a23818d034721589322fb1934798fb59f4280be17aa7164ec44ce2d1d0d67b9",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "98382bdd24626f74ceaaf45bfc95b23d39a42fff67872fff7735f62b3b2cf92d",
+        "997364446b6f4834f332d285eb37b8cb5879909137b9f410a6bf9528c2935aba",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -163,15 +163,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "eba62cae85de363e7fdfe541161ef423d95ae724ee0170f95a0cc2db5c7dcb01",
+        "a54de6813cb0301d100197cff61a483c0948fe1f442c38ea06feac21a4f363ab",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "c5b02d680fcddff8c8b683eba0f0ca30e4d503eb76fd9b3bead10981c37ac463"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "ec541e6250ea4593b7b4a6c83a5862c9131f33350442f7649a4afcd253b6fd10"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "073117cc0046d2fc1cc787213f470af634908768f950e0a7d7473e530649c4dc",
+        "3a9bf3c473f47885f44e6753713ac315660928dfc2b456e793847714fa51366f",
     ),
-    "loophole": (["loophole"], None, "0e93d7fa5e4928618cd05cf9ac40021fcb1a1c66092423acf0488015f944a4a1"),
+    "loophole": (["loophole"], None, "a3b70ceb751c0732e6e8099602c687d52c235adb5fcb882c38dad1a4e6ef118b"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -183,19 +183,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "2fd0ed33bdf42ee9b87d0a049db3766c6c1cda96a605ac82e2c445f890c3f083",
+        "58745ac80cda8965f1a2475103dd92d91fb6904ac1641d2ca36f90d99c628442",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "ec5deb461a8466da30ffadb75e030761b7863c56444949bb1859af496ad5d152",
+        "49ca9a7018840f30383180ef7e8e873053e19818b39a47cfc4da5c86f4d2f166",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "b430c975d5320fe3d73fd6957c5504ef64aab2bbd18e2e40963906f758a7c35d"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3c9dce78d04e675d88b91b7a676ae3d6ea98fad9a1d4e972cb08cc250df8091f"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "f27407e07ef18674928ceadb7c81c59434e5113f3f511b7124f9bf98382ff6f1"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "aa087ac8d7fc4c635cd1e0a16637bb93dc6214a65e66c07b0c279b40434a4cba"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "4913c6cec745f94c19243c9b996d23a9ff8bab156874e3a2ce28dff15d74c58c",
+        "17b46504444e411f5c770687c51596cdbbda0618ecd337de98f140a4189b4bb6",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
