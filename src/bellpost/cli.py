@@ -3,7 +3,7 @@
 One subcommand per scenario mode; an optional JSON config document (file path
 or ``-`` for stdin) supplies the scenario, and flags override individual
 fields.  Every run prints a deterministic report to stdout — identical config
-and seed give byte-identical output except for the trailing duration field.
+and seed give byte-identical output.
 Floats are rounded to 12 significant digits and then written as the shortest
 repr of the rounded value (so 1e12 prints as ``1000000000000.0``); the CSV
 table uses the same rounding, so the two artifacts always agree.
@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-import time
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -482,7 +481,6 @@ def _echo_config(cfg: SimpleNamespace) -> dict:
 
 def run(cfg: SimpleNamespace) -> dict:
     """Execute a validated scenario and return the report document."""
-    start = time.perf_counter()
     results, verdict = _MODES[cfg.mode].run(cfg)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -492,7 +490,6 @@ def run(cfg: SimpleNamespace) -> dict:
         "config": _echo_config(cfg),
         "results": results,
         "verdict": verdict,
-        "duration_s": time.perf_counter() - start,
     }
 
 

@@ -48,12 +48,6 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def _strip_duration(text: str) -> dict:
-    doc = json.loads(text)
-    doc.pop("duration_s", None)
-    return doc
-
-
 class TestParseConfig:
     def test_all_documented_examples_parse(self):
         paths = sorted(EXAMPLES.glob("*.json"))
@@ -268,11 +262,9 @@ class TestRunReports:
         text = render_report(report)
         assert render_report(json.loads(text)) == text
 
-    def test_reports_reproducible_modulo_duration(self):
+    def test_reports_reproducible(self):
         doc = {"mode": "quantum-mc", "trials": 20_000, "seed": 5}
-        a = _strip_duration(render_report(run(config_from_doc(doc))))
-        b = _strip_duration(render_report(run(config_from_doc(doc))))
-        assert json.dumps(a) == json.dumps(b)
+        assert render_report(run(config_from_doc(doc))) == render_report(run(config_from_doc(doc)))
 
     def test_csv_agrees_with_report(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 20_000, "seed": 5}))
@@ -600,7 +592,7 @@ class TestMain:
 
         def call(argv):
             code = main(argv)
-            return code, _strip_duration(capsys.readouterr().out)
+            return code, capsys.readouterr().out
 
         cli._build_parser.cache_clear()
         shared = [call(argv) for argv in sequence]
@@ -651,12 +643,24 @@ class TestMain:
         assert out["error"]["type"] == "EmptyCellError"
         assert "(a=0, b=0)" in out["error"]["message"]
 
-    def test_byte_identical_reruns(self, capsys):
-        assert main(["lhv-mc", "--config", str(EXAMPLES / "lhv_mc.json"), "--trials", "20000"]) == 0
-        first = capsys.readouterr().out
-        assert main(["lhv-mc", "--config", str(EXAMPLES / "lhv_mc.json"), "--trials", "20000"]) == 0
-        second = capsys.readouterr().out
-        assert json.dumps(_strip_duration(first)) == json.dumps(_strip_duration(second))
+    def test_byte_identical_reruns(self, capsys, tmp_path):
+        """Every documented example, and the --grid sweep, prints the same bytes twice.
+
+        ``--out`` writes the bytes that stdout gets.
+        """
+        argvs = [
+            [json.loads(path.read_text())["mode"], "--config", str(path)]
+            for path in sorted(EXAMPLES.glob("*.json"))
+        ]
+        argvs.append(["swap", "--grid", "0,0.25,1"])
+        out = tmp_path / "report.json"
+        for argv in argvs:
+            printed = []
+            for _ in range(2):
+                assert main([*argv, "--out", str(out)]) == 0, argv
+                printed.append(capsys.readouterr().out)
+                assert out.read_bytes() == printed[-1].encode(), argv
+            assert printed[0] == printed[1], argv
 
 
 def test_import_loads_no_logging_or_executor():
