@@ -136,7 +136,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "1fdb7f2a069151ef592ce63bb906550bc2e2b0f018644f2de95532339913e698",
+        "c39d2c1e967dbcf06b6868b5208977bd201697f9005db279efb668267af485d6",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -150,12 +150,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "8a23818d034721589322fb1934798fb59f4280be17aa7164ec44ce2d1d0d67b9",
+        "fe96ddcd813fef68edbe57d255a8996936450be96de28d9b4c9b787c8ac9e5a9",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "997364446b6f4834f332d285eb37b8cb5879909137b9f410a6bf9528c2935aba",
+        "51d88a27fc6f80b4769c2594003960acb50265667d24d3724c32b4b20c6cfb09",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -163,15 +163,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "a54de6813cb0301d100197cff61a483c0948fe1f442c38ea06feac21a4f363ab",
+        "fcc016269eaa8a7d3ace5e94595c50527ef79620e95333fa5b32e60f827dd100",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "ec541e6250ea4593b7b4a6c83a5862c9131f33350442f7649a4afcd253b6fd10"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "0a6ed89205ab0d9a748593539bad9a9f18ea0fc258678d11e2fc6e16c62c96ef"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "3a9bf3c473f47885f44e6753713ac315660928dfc2b456e793847714fa51366f",
+        "93680d0df2e9aa1f6b2c3be307adc6a2b5a4274436f8d39b9b5be7344cd3d485",
     ),
-    "loophole": (["loophole"], None, "a3b70ceb751c0732e6e8099602c687d52c235adb5fcb882c38dad1a4e6ef118b"),
+    "loophole": (["loophole"], None, "d3c91e9d43b6fffc4473d20451506cdab1442628a707a66e81c953fce3b01827"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -183,19 +183,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "58745ac80cda8965f1a2475103dd92d91fb6904ac1641d2ca36f90d99c628442",
+        "f5b99764d7ec9057f3131313f4459b64bb582b9912662a05d7cd3221f63545d5",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "49ca9a7018840f30383180ef7e8e873053e19818b39a47cfc4da5c86f4d2f166",
+        "b7aa29c95ffb4d321ee9f74b02544e437975ae9ab9f906ff905c0ca8d9c81792",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "f27407e07ef18674928ceadb7c81c59434e5113f3f511b7124f9bf98382ff6f1"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "aa087ac8d7fc4c635cd1e0a16637bb93dc6214a65e66c07b0c279b40434a4cba"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "a12abbf3e064b258fa250a06701626d7037798cd9a3b69361afd60a162a8f801"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "57a7e7b6cb5026599ab4983f799c4b37d69adb9dda64fef8af1c0f2c7878f6ac"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "17b46504444e411f5c770687c51596cdbbda0618ecd337de98f140a4189b4bb6",
+        "83dbfb7cd4f04683b2e977a476b46da92f74f7880c5185d8f711bfb9c4ee3f49",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
