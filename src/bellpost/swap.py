@@ -33,6 +33,7 @@ through ``protocol.run_quantum_mc`` with that table; there is no swap sampler.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,6 +154,12 @@ def order_invariance(parties_first: np.ndarray, charlie_first: np.ndarray) -> fl
     return float(np.max(np.abs(parties_first - charlie_first)))
 
 
+@functools.cache
+def _canonical_s() -> float:
+    """``protocol.exact_s`` of the canonical schemes, computed on the first call."""
+    return exact_s(*canonical_schemes())
+
+
 def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
     """Exact CHSH value under symmetric depolarizing strength, one row per p.
 
@@ -165,5 +172,5 @@ def depolarizing_sweep(p_values) -> list[tuple[float, float]]:
     outside = p[~((p >= 0.0) & (p <= 1.0))]
     if outside.size:
         raise ValueError(f"depolarizing strength {float(outside[0])!r} outside [0, 1]")
-    s0 = exact_s(*canonical_schemes())
+    s0 = _canonical_s()
     return [(q, s0 * (1.0 - q) ** 2) for q in p.tolist()]
