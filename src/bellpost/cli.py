@@ -233,8 +233,10 @@ def _verdict_sampled(rep: protocol.BellReport) -> str:
     return "task completed" if rep.p_value < _P_THRESHOLD else "no violation"
 
 
-def _bell_results(rep: protocol.BellReport) -> dict:
-    return {
+def _sampled(tally: protocol.Tally, exact_table: protocol.CondProbTable) -> tuple[dict, str]:
+    """A sampled run's results, its Bell statistics then its table's exact S, and verdict."""
+    rep = protocol.bell_report(tally)
+    results = {
         "e": _e_dict(rep.e),
         "se_e": _e_dict(rep.se_e),
         "s": rep.s,
@@ -243,7 +245,9 @@ def _bell_results(rep: protocol.BellReport) -> dict:
         "n_total": rep.n_total,
         "n_selected": rep.n_selected,
         "selection_rate": rep.n_selected / rep.n_total,
+        "exact_s": protocol.table_s(exact_table),
     }
+    return results, _verdict_sampled(rep)
 
 
 def _no_signaling_gap(table: protocol.CondProbTable) -> float:
@@ -276,21 +280,16 @@ def _run_quantum_exact(cfg: SimpleNamespace) -> tuple[dict, str]:
 def _run_quantum_mc(cfg: SimpleNamespace) -> tuple[dict, str]:
     alice, bob = cfg.schemes
     sel = protocol.selection_probability_table(alice.angles, bob.angles)
-    exact = protocol.table_s(protocol.exact_postselected(alice, bob, sel)[0])
-    rep = protocol.bell_report(protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed, sel))
-    results = _bell_results(rep)
-    results["exact_s"] = exact
-    return results, _verdict_sampled(rep)
+    exact_table = protocol.exact_postselected(alice, bob, sel)[0]
+    return _sampled(protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed, sel), exact_table)
 
 
 def _run_lhv_mc(cfg: SimpleNamespace) -> tuple[dict, str]:
-    exact = protocol.table_s(lhv.exact_postselected(cfg.lhv_model)[0])
-    rep = protocol.bell_report(lhv.simulate_lhv(cfg.lhv_model, cfg.trials, cfg.seed))
-    results = _bell_results(rep)
-    results["exact_s"] = exact
+    exact_table = lhv.exact_postselected(cfg.lhv_model)[0]
+    results, verdict = _sampled(lhv.simulate_lhv(cfg.lhv_model, cfg.trials, cfg.seed), exact_table)
     if cfg.lhv_model.is_deterministic():
         results["s_from_cells"] = lhv.s_from_cells(lhv.cells_from_model(cfg.lhv_model))
-    return results, _verdict_sampled(rep)
+    return results, verdict
 
 
 def _run_lhv_max(cfg: SimpleNamespace) -> tuple[dict, str]:
@@ -332,15 +331,14 @@ def _run_swap(cfg: SimpleNamespace) -> tuple[dict, str]:
         return results, _verdict_exact(best)
     joints = {order: swap.joint_distribution(cfg.noise, order) for order in swap.ORDERS}
     accept = 4.0 * joints[cfg.order]  # p(x, y | a, b) = 1/4 exactly
-    rep = protocol.bell_report(
-        protocol.run_quantum_mc(*protocol.canonical_schemes(), cfg.trials, cfg.seed, accept)
+    exact_table, rates = protocol.postselect(joints["parties-first"])
+    results, verdict = _sampled(
+        protocol.run_quantum_mc(*protocol.canonical_schemes(), cfg.trials, cfg.seed, accept),
+        exact_table,
     )
-    results = _bell_results(rep)
-    table, rates = protocol.postselect(joints["parties-first"])
-    results["exact_s"] = protocol.table_s(table)
     results["selection_rates"] = _e_dict(rates)
     results["order_invariance_gap"] = swap.order_invariance(*joints.values())
-    return results, _verdict_sampled(rep)
+    return results, verdict
 
 
 def _run_check_independence(cfg: SimpleNamespace) -> tuple[dict, str]:
