@@ -59,12 +59,15 @@ class EmptyCellError(Exception):
         super().__init__(f"no selected incidents for basis pair (a={self.a}, b={self.b})")
 
 
-def canonical_angle(theta: float) -> float:
-    """Reduce an angle in radians to the canonical range [0, 2*pi)."""
-    t = math.fmod(float(theta), TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
-    return 0.0 if t >= TWO_PI else t
+def canonical_angle(theta) -> np.ndarray:
+    """Reduce angles in radians, elementwise, to the canonical range [0, 2*pi).
+
+    C ``fmod`` keeps the sign of ``theta``; a negative remainder wraps up by
+    2 pi, and one a rounding step below zero wraps to 2 pi and then to 0.
+    """
+    t = np.fmod(theta, TWO_PI)
+    t = np.where(t < 0.0, t + TWO_PI, t)
+    return np.where(t >= TWO_PI, 0.0, t)
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,7 @@ class PreparationScheme:
             raise ValueError("scheme requires 2x2 angle and prior tables (basis x state)")
         if not np.all(np.isfinite(angles)):
             raise ValueError("state angles must be finite")
-        # canonical_angle, elementwise: C fmod, then one wrap into [0, 2 pi).
-        angles = np.fmod(angles, TWO_PI)
-        angles[angles < 0.0] += TWO_PI
-        angles[angles >= TWO_PI] = 0.0
+        angles = canonical_angle(angles)
         if not np.all(priors >= 0.0):
             raise ValueError("state priors must be nonnegative")
         sums = priors.sum(axis=1)
