@@ -676,7 +676,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         sys.stdout.write(_error_report(exc))
         return 2
-    except (protocol.EmptyCellError, lhv.ZeroSelectionError) as exc:
+    except protocol.EmptyCellError as exc:
         sys.stderr.write(f"undefined statistic: {exc}\n")
         sys.stdout.write(_error_report(exc))
         return 3

@@ -9,9 +9,10 @@ the post-selected CHSH value is a fixed +/-2-coefficient average over cell
 weights, so |S| <= 2 — this module computes the coefficient algebra, the
 exhaustive bound and the two random sweeps that back it (over cell weights and
 over indeterministic response models, each a block of 1 Ki samples at a time),
-the indeterministic (response-average) variant, a generative simulator feeding
-the shared tally pipeline, and the trit-valued discard variant in which
-per-basis discarding inflates S to the algebraic maximum 4.
+the indeterministic (response-average) variant, a simulator that samples a
+model through the shared prepare-and-measure transform, and the trit-valued
+discard variant in which per-basis discarding inflates S to the algebraic
+maximum 4.
 
 The response-model sweep draws a whole block of models in three generator
 calls: the atom counts, the exponentials and the values.  Each model is a flat
@@ -26,16 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import EXACT_TOL, NumericsError
-from .protocol import CondProbTable, Tally, correlations, postselect, sample_tally, table_s
-from .rng import threshold
+from .protocol import CondProbTable, EmptyCellError, Tally, correlations, postselect, table_s
+from .protocol import prepare_and_measure, sample_tally
 
 
 class NondeterministicModelError(Exception):
     """Cell classification requires point-mass response distributions."""
-
-
-class ZeroSelectionError(Exception):
-    """The selection rule accepts no hidden-value mass at all."""
 
 
 def _validate_weights(w, shape) -> np.ndarray:
@@ -246,7 +243,10 @@ class LhvSimModel:
     ``response_a[a, i]`` is P(x = 1 | basis a, lambda_i) and likewise
     ``response_b``; ``select[i, j]`` is the probability Charlie announces c = 1
     for the pair (lambda_i, lambda'_j).  Selection takes no basis argument, so
-    basis independence of the source is structural, not checked.
+    basis independence of the source is structural, not checked.  lambda and
+    lambda' are drawn independently, so before selection the outcomes factor
+    into one marginal per party, and ``simulate_lhv`` samples the model from
+    those marginals and its announced weights.
     """
 
     lambda_values: np.ndarray
@@ -291,60 +291,48 @@ class LhvSimModel:
         )
 
 
-# Row layout of an LHV trial: 0 -> x, with a = bit 0; 1 -> y, with b = bit 0;
-# 2 -> lambda; 3 -> lambda'; 4 -> Charlie's acceptance.
-_COL_X, _COL_Y, _COL_LAM, _COL_LAMP, _COL_C = range(5)
-LHV_WIDTH = 5
+def _tables(m: LhvSimModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The model's marginals and announced weights.
+
+    ``prior_a[a, x]`` = sum_i p_i P(x | a, i) and ``prior_b[b, y]`` likewise;
+    ``w[a, b, x, y]`` = sum_ij p_i p'_j select_ij P(x | a, i) P(y | b, j).
+    """
+    px = np.stack([1.0 - m.response_a, m.response_a], axis=1)  # [a, x, i]
+    py = np.stack([1.0 - m.response_b, m.response_b], axis=1)  # [b, y, j]
+    selected = m.lambda_probs[:, None] * m.lambda_prime_probs[None, :] * m.select
+    w = np.einsum("ij,axi,byj->abxy", selected, px, py)
+    return px @ m.lambda_probs, py @ m.lambda_prime_probs, w
 
 
 def simulate_lhv(m: LhvSimModel, n_trials: int, seed: int) -> Tally:
-    """Sample the classical task; feeds the same tally pipeline as the quantum path.
+    """Sample the classical task through the prepare-and-measure transform.
 
-    Each trial draws ``LHV_WIDTH`` words.  The basis bits a and b are fair
-    coins, bit 0 of the x and y words.  Hidden value i is drawn when its
-    uniform u has cum[i-1] <= u < cum[i] in the cumulative probabilities, the
-    last value taking any u past the end; x = 1 when u < response_a[a, i],
-    likewise y, and Charlie announces when u < select[i, j].  Every cut runs
-    on integer thresholds (rng module): the hidden-value index counts the
-    cumulative thresholds at or below the word's top 53 bits, and the
-    response and selection thresholds are read from flat tables.
+    lambda and lambda' are independent and selection never sees the bases, so
+    before selection p(x, y | a, b) = prior_a[a, x] prior_b[b, y] (``_tables``).
+    A trial draws fair basis coins and x and y from those marginals, as
+    ``protocol.prepare_and_measure`` does, and Charlie announces with
+    probability accept = w / (prior_a prior_b), at most 1 since select_ij <= 1
+    (rejection sampling; von Neumann, NBS AMS 12, 1951).  So (a, b, x, y,
+    c = 1) has probability w[a, b, x, y] / 4 and (a, b, x, y, c = 0) has
+    (prior_a prior_b - w) / 4: the model's own law, up to the rounding of the
+    tables.  Where a marginal is 0, w is 0 and the acceptance is set to 0; one
+    a rounding step above 1 is clipped by ``threshold``.
     """
-    n_lam = m.lambda_probs.size
-    n_lamp = m.lambda_prime_probs.size
-    # Dropping the last cumulative cut caps the index at the last value.
-    cut_lam = threshold(np.cumsum(m.lambda_probs))[:-1]
-    cut_lamp = threshold(np.cumsum(m.lambda_prime_probs))[:-1]
-    cut_x = threshold(m.response_a).ravel()
-    cut_y = threshold(m.response_b).ravel()
-    cut_select = threshold(m.select).ravel()
-
-    def selected_cells(w: np.ndarray) -> np.ndarray:
-        wx, wy = w[:, _COL_X], w[:, _COL_Y]
-        a = (wx & 1).view(np.int64)
-        b = (wy & 1).view(np.int64)
-        lam = np.searchsorted(cut_lam, w[:, _COL_LAM] >> 11, side="right")
-        lamp = np.searchsorted(cut_lamp, w[:, _COL_LAMP] >> 11, side="right")
-        x = (wx >> 11) < cut_x.take(a * n_lam + lam)
-        y = (wy >> 11) < cut_y.take(b * n_lamp + lamp)
-        cell = ((a * 2 + b) * 2 + x) * 2 + y
-        rejected = (w[:, _COL_C] >> 11) >= cut_select.take(lam * n_lamp + lamp)
-        return cell + 16 * rejected
-
-    return sample_tally(seed, n_trials, selected_cells, LHV_WIDTH)
+    prior_a, prior_b, w = _tables(m)
+    marginal = prior_a[:, None, :, None] * prior_b[None, :, None, :]
+    accept = np.divide(w, marginal, out=np.zeros_like(w), where=marginal > 0.0)
+    return sample_tally(seed, n_trials, prepare_and_measure(prior_a, prior_b, accept))
 
 
 def exact_postselected(m: LhvSimModel) -> tuple[CondProbTable, np.ndarray]:
     """Closed-form post-selected statistics of a model, no sampling.
 
-    The [a, b, x, y] weight is sum_ij p_i p'_j select_ij P(x | a, i)
-    P(y | b, j), reduced by ``protocol.postselect``; it returns the
-    conditional table and the per-(a, b) selection rates, and raises
-    EmptyCellError when the selected mass is at most 1e-12.
+    The [a, b, x, y] weight ``w`` of ``_tables`` is reduced by
+    ``protocol.postselect``; it returns the conditional table and the
+    per-(a, b) selection rates, and raises EmptyCellError when the selected
+    mass is at most 1e-12.
     """
-    px = np.stack([1.0 - m.response_a, m.response_a], axis=1)  # [a, x, i]
-    py = np.stack([1.0 - m.response_b, m.response_b], axis=1)  # [b, y, j]
-    selected = m.lambda_probs[:, None] * m.lambda_prime_probs[None, :] * m.select
-    return postselect(np.einsum("ij,axi,byj->abxy", selected, px, py))
+    return postselect(_tables(m)[2])
 
 
 def cells_from_model(m: LhvSimModel) -> CellWeights:
@@ -360,8 +348,9 @@ def cells_from_model(m: LhvSimModel) -> CellWeights:
         )
     selected = m.lambda_probs[:, None] * m.lambda_prime_probs[None, :] * m.select
     total = float(selected.sum())
-    if total <= 0.0:
-        raise ZeroSelectionError("selection rule accepts zero probability mass")
+    if total <= EXACT_TOL:
+        # Selection is basis-blind, so every basis pair is empty alike.
+        raise EmptyCellError(0, 0)
     i_of, j_of = m.response_a.astype(np.int64)[:, :, None]
     k_of, l_of = m.response_b.astype(np.int64)[:, None, :]
     w = np.zeros((2, 2, 2, 2))

@@ -25,13 +25,14 @@ the shares run in parallel.  Memory is O(CPUs x a few MiB) whatever the trial
 count, and since a trial's words depend only on (seed, trial index), the
 tally does not depend on the CPU count.
 
-The transforms cut the raw PCG64DXSM words of each trial directly (rng module):
-a fair coin is bit 0 of a word, and ``u >= p`` on the uniform a word stands
-for is ``(w >> 11) >= threshold(p)``, with every threshold computed once per
-run.  No word is converted to a float, and the tally is the one the float
-comparisons give, bit for bit.  Each transform's module states its row width
-next to its column layout, and a trial draws only the words its transform
-cuts: ``PM_WIDTH`` = 3 for a prepare-and-measure trial here.
+Every sampled mode, the local-hidden-variable one included
+(``lhv.simulate_lhv``), runs the one ``prepare_and_measure`` transform, so
+every trial draws one row of ``PM_WIDTH`` = 3 words.  The transform cuts the
+raw PCG64DXSM words of each trial directly (rng module): a fair coin is bit 0
+of a word, and ``u >= p`` on the uniform a word stands for is
+``(w >> 11) >= threshold(p)``, with every threshold computed once per run.
+No word is converted to a float, and the tally is the one the float
+comparisons give, bit for bit.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ class Tally:
         return int(self.counts.sum())
 
 
-# Trials per block of the streaming sampler: 16 Ki rows of 3 or 5 uint64
-# words is 384 or 640 KiB.  Each thread holds one block and the transform's
+# Trials per block of the streaming sampler: 16 Ki rows of ``PM_WIDTH`` = 3
+# uint64 words is 384 KiB.  Each thread holds one block and the transform's
 # temporaries, so the sampler's memory is O(CPUs x a few MiB) whatever the
 # trial count.
 BLOCK_TRIALS = 1 << 14
@@ -178,19 +179,19 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stream_counts(seed: int, start: int, stop: int, selected_cells, width: int) -> np.ndarray:
+def _stream_counts(seed: int, start: int, stop: int, selected_cells) -> np.ndarray:
     """Flat 16-cell counts of the announced trials start..stop-1, one block at a time."""
     counts = np.zeros(32, dtype=np.int64)
     for lo in range(start, stop, BLOCK_TRIALS):
-        w = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop), width)
+        w = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop), PM_WIDTH)
         counts += np.bincount(selected_cells(w), minlength=32)
     return counts[:16]
 
 
-def sample_tally(seed: int, n_trials: int, selected_cells, width: int) -> Tally:
+def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
     """Stream trials 0..n_trials-1 into a Tally, one share per allowed CPU.
 
-    ``selected_cells(w)`` maps a block of per-trial rows of ``width`` raw
+    ``selected_cells(w)`` maps a block of per-trial rows of ``PM_WIDTH`` raw
     PCG64DXSM words (rng module) to one int64 index per trial: the flat cell
     ((a*2 + b)*2 + x)*2 + y of an announced trial, and that cell + 16 for a
     trial Charlie did not announce.  Indices 16..31 are counted and dropped.
@@ -212,7 +213,7 @@ def sample_tally(seed: int, n_trials: int, selected_cells, width: int) -> Tally:
 
     def stream(i: int) -> None:
         try:
-            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], selected_cells, width)
+            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], selected_cells)
         except BaseException as exc:  # handed to the caller, which re-raises it
             results[i] = exc
 
@@ -379,7 +380,7 @@ def run_quantum_mc(
     if sel is None:
         sel = selection_probability_table(scheme_a.angles, scheme_b.angles)
     cells = prepare_and_measure(scheme_a.priors, scheme_b.priors, sel)
-    return sample_tally(seed, n_trials, cells, PM_WIDTH)
+    return sample_tally(seed, n_trials, cells)
 
 
 @dataclass(frozen=True)

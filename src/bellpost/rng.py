@@ -1,10 +1,10 @@
 """Jumpable random words with a fixed-width row per trial.
 
 Every sampler in this package draws a fixed number of raw 64-bit PCG64DXSM
-words per trial, its row width: 3 for a prepare-and-measure trial
-(``protocol``), 5 for a local-hidden-variable trial (``lhv``).  At width
-``k``, trial ``i`` owns stream positions ``[i*k, (i+1)*k)`` of the PCG64DXSM
-stream keyed by the master seed.  The generator emits one word per step and
+words per trial, its row width: 3 for the prepare-and-measure row
+(``protocol.PM_WIDTH``), which every sampled mode draws.  At width ``k``,
+trial ``i`` owns stream positions ``[i*k, (i+1)*k)`` of the PCG64DXSM stream
+keyed by the master seed.  The generator emits one word per step and
 ``advance(n)`` jumps ``n`` steps in O(log n), so the words a trial sees depend
 only on ``(seed, i)``.  Any partition of the trial range — the sampler's
 fixed-size blocks, or parallel workers handing out disjoint ranges —
@@ -32,10 +32,11 @@ import numbers
 
 import numpy as np
 
-# The widest row a sampler draws (``lhv.simulate_lhv``).  The benchmark's
-# reference, bench/worker.py::philox_reference, reads it; that reference
-# still times Philox until the benchmark follows the PCG64DXSM stream.
-DRAWS_PER_TRIAL = 5
+# The widest row a sampler draws, ``protocol.PM_WIDTH``, which every sampled
+# mode draws.  The benchmark's reference, bench/worker.py::philox_reference,
+# reads it; that reference still times Philox until the benchmark follows the
+# PCG64DXSM stream.
+DRAWS_PER_TRIAL = 3
 
 
 def trial_uniforms_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:

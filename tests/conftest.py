@@ -176,6 +176,50 @@ def random_stochastic_model(rng: np.random.Generator) -> lhv.LhvSimModel:
     )
 
 
+def edge_lhv_model() -> lhv.LhvSimModel:
+    """Four and three hidden values, each with a zero-probability value, and
+    responses and selection probabilities of exactly 0 and 1.  Alice's basis-1
+    marginal is P(x = 0) = 0 and Bob's is P(y = 0) = 1, so ``simulate_lhv``
+    divides by a zero marginal in those cells."""
+    return lhv.LhvSimModel(
+        lambda_values=[0.1, 0.4, 0.6, 0.9],
+        lambda_probs=[0.7, 0.0, 0.2, 0.1],
+        lambda_prime_values=[0.2, 0.5, 0.8],
+        lambda_prime_probs=[0.25, 0.75, 0.0],
+        response_a=[[0.0, 1.0, 0.3, 1.0], [1.0, 0.5, 1.0, 1.0]],
+        response_b=[[0.6, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        select=[[1.0, 0.0, 0.5], [0.3, 1.0, 1.0], [0.0, 0.8, 1.0], [1.0, 0.6, 0.0]],
+    )
+
+
+def lhv_sampling_tables(monkeypatch, m: lhv.LhvSimModel):
+    """(prior_a, prior_b, accept): the tables ``simulate_lhv`` hands to
+    ``protocol.prepare_and_measure`` for model m, caught on their way in."""
+    seen = []
+
+    def spy(*tables):
+        seen.append(tables)
+        return protocol.prepare_and_measure(*tables)
+
+    monkeypatch.setattr(lhv, "prepare_and_measure", spy)
+    lhv.simulate_lhv(m, 1, 0)
+    return seen[-1]
+
+
+def announced_weights_oracle(m: lhv.LhvSimModel) -> np.ndarray:
+    """w[a, b, x, y] = sum_ij p_i p'_j select_ij P(x | a, i) P(y | b, j), one
+    hidden-value pair (i, j) at a time."""
+    w = np.zeros((2, 2, 2, 2))
+    for i in range(m.lambda_probs.size):
+        for j in range(m.lambda_prime_probs.size):
+            pair = m.lambda_probs[i] * m.lambda_prime_probs[j] * m.select[i, j]
+            for a, b, x, y in np.ndindex(2, 2, 2, 2):
+                px = m.response_a[a, i] if x else 1.0 - m.response_a[a, i]
+                py = m.response_b[b, j] if y else 1.0 - m.response_b[b, j]
+                w[a, b, x, y] += pair * px * py
+    return w
+
+
 def random_response_model(rng: np.random.Generator) -> lhv.ResponseModel:
     n = int(rng.integers(1, 6))
     vals = rng.uniform(-1.0, 1.0, size=(4, n))

@@ -14,7 +14,6 @@ from bellpost.lhv import (
     NondeterministicModelError,
     ResponseModel,
     TritCellWeights,
-    ZeroSelectionError,
     cell_coefficient,
     cells_from_model,
     exact_postselected,
@@ -30,11 +29,14 @@ from bellpost.lhv import (
 from bellpost.qcore import NumericsError
 from conftest import (
     CorruptingGenerator,
+    announced_weights_oracle,
+    edge_lhv_model,
     exact_s_of_sim_model,
     lhv_indet_sweep_models,
     lhv_indet_sweep_rows,
     random_deterministic_model,
     random_response_model,
+    lhv_sampling_tables,
     random_stochastic_model,
 )
 
@@ -386,8 +388,10 @@ class TestCellsFromModel:
             cells_from_model(stochastic)
 
     def test_zero_selection_rejected(self):
-        with pytest.raises(ZeroSelectionError):
+        # Selection is basis-blind, so the first basis pair is as empty as any.
+        with pytest.raises(protocol.EmptyCellError) as err:
             cells_from_model(_single_cell_model(0, 0, 0, 0, select=0.0))
+        assert (err.value.a, err.value.b) == (0, 0)
 
 
 class TestExactPostselected:
@@ -408,6 +412,26 @@ class TestExactPostselected:
 
 
 class TestSimulateLhv:
+    def test_tables_factor_the_model_law(self, monkeypatch):
+        # prior_a[a, x] prior_b[b, y] accept[a, b, x, y] is the chance that a
+        # trial of bases (a, b) gives (x, y) and is announced: the model's w.
+        rng = np.random.default_rng(38)
+        models = [edge_lhv_model()]
+        for build in (random_deterministic_model, random_stochastic_model):
+            models += [build(rng) for _ in range(200)]
+        for m in models:
+            prior_a, prior_b, accept = lhv_sampling_tables(monkeypatch, m)
+            marginal = prior_a[:, None, :, None] * prior_b[None, :, None, :]
+            np.testing.assert_allclose(
+                marginal * accept, announced_weights_oracle(m), rtol=0.0, atol=1e-15
+            )
+            # An acceptance a rounding step above 1 cuts like 1 (rng.threshold).
+            assert np.all((accept >= 0.0) & (accept <= 1.0 + 1e-15))
+            assert np.all(accept[marginal == 0.0] == 0.0)
+        # The edge model reaches the zero-marginal branch on both sides.
+        prior_a, prior_b, _ = lhv_sampling_tables(monkeypatch, models[0])
+        assert 0.0 in prior_a[:, 0] and 0.0 in prior_b[:, 1]
+
     def test_deterministic_cell_recovers_its_s(self):
         t = simulate_lhv(_single_cell_model(0, 0, 0, 0), 100_000, seed=30)
         rep = protocol.bell_report(t)

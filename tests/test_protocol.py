@@ -31,7 +31,7 @@ from bellpost.protocol import (
 )
 from bellpost.rng import trial_uniforms_block
 from bellpost.swap import _real_kets
-from conftest import correlation_oracle, mixture, swap_tally
+from conftest import correlation_oracle, edge_lhv_model, lhv_sampling_tables, mixture, swap_tally
 
 PI = math.pi
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -95,38 +95,17 @@ def coin_and_uniform(word) -> tuple[int, float]:
     return word & 1, (word >> 11) * 2.0**-53
 
 
-def quantum_records(words: np.ndarray, alice: PreparationScheme, bob: PreparationScheme):
+def pm_records(words: np.ndarray, priors_a, priors_b, accept):
     """Per-trial float oracle of the prepare-and-measure transform (columns:
     x with the coin a, y with the coin b, acceptance)."""
-    sel = protocol.selection_probability_table(alice.angles, bob.angles)
     records = []
     for row in words:
         a, ux = coin_and_uniform(row[0])
         b, uy = coin_and_uniform(row[1])
         _, uc = coin_and_uniform(row[2])
-        x = int(ux >= alice.priors[a, 0])
-        y = int(uy >= bob.priors[b, 0])
-        c = int(uc < sel[a, b, x, y])
-        records.append(TrialRecord(a, b, x, y, c))
-    return records
-
-
-def lhv_records(words: np.ndarray, m: lhv.LhvSimModel):
-    """Per-trial float oracle of ``simulate_lhv``: hidden values by a float
-    searchsorted, the other cuts by float comparisons (columns: x with the
-    coin a, y with the coin b, lambda, lambda', acceptance)."""
-    cum_lam = np.cumsum(m.lambda_probs)
-    cum_lamp = np.cumsum(m.lambda_prime_probs)
-    records = []
-    for row in words:
-        a, ux = coin_and_uniform(row[0])
-        b, uy = coin_and_uniform(row[1])
-        u_lam, u_lamp, uc = (coin_and_uniform(w)[1] for w in row[2:])
-        lam = min(int(np.searchsorted(cum_lam, u_lam, side="right")), cum_lam.size - 1)
-        lamp = min(int(np.searchsorted(cum_lamp, u_lamp, side="right")), cum_lamp.size - 1)
-        x = int(ux < m.response_a[a, lam])
-        y = int(uy < m.response_b[b, lamp])
-        c = int(uc < m.select[lam, lamp])
+        x = int(ux >= priors_a[a, 0])
+        y = int(uy >= priors_b[b, 0])
+        c = int(uc < accept[a, b, x, y])
         records.append(TrialRecord(a, b, x, y, c))
     return records
 
@@ -459,10 +438,10 @@ class TestRunQuantumMc:
         # 999 trials jump the stream to rows the long draw reaches by drawing.
         monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
         alice, bob = canonical_schemes()
+        sel = protocol.selection_probability_table(alice.angles, bob.angles)
         n, seed = 5_000, 17
-        want = tally_from_records(
-            quantum_records(raw_words(seed, n, protocol.PM_WIDTH), alice, bob), n
-        )
+        words = raw_words(seed, n, protocol.PM_WIDTH)
+        want = tally_from_records(pm_records(words, alice.priors, bob.priors, sel), n)
         got = run_quantum_mc(alice, bob, n, seed)
         np.testing.assert_array_equal(got.counts, want.counts)
 
@@ -472,7 +451,7 @@ class TestRunQuantumMc:
         sel = protocol.selection_probability_table(alice.angles, bob.angles)
         cuts = [0.5, *alice.priors[:, 0], *bob.priors[:, 0], *sel.ravel()]
         words = edge_words(cuts, 4_000, protocol.PM_WIDTH, seed=23)
-        want = tally_from_records(quantum_records(words, alice, bob), 4_000)
+        want = tally_from_records(pm_records(words, alice.priors, bob.priors, sel), 4_000)
         got = sampled_from_words(monkeypatch, words, lambda n: run_quantum_mc(alice, bob, n, 0))
         np.testing.assert_array_equal(got.counts, want.counts)
 
@@ -500,45 +479,25 @@ def _lhv_model() -> lhv.LhvSimModel:
     )
 
 
-def _edge_lhv_model() -> lhv.LhvSimModel:
-    """Four and three hidden values, each with a zero-probability value, and
-    responses and selection probabilities of exactly 0 and 1.  The cumulative
-    lambda probabilities end at 1 - 2**-53, so the largest uniforms fall past
-    the last cut."""
-    return lhv.LhvSimModel(
-        lambda_values=[0.1, 0.4, 0.6, 0.9],
-        lambda_probs=[0.7, 0.0, 0.2, 0.1],
-        lambda_prime_values=[0.2, 0.5, 0.8],
-        lambda_prime_probs=[0.25, 0.75, 0.0],
-        response_a=[[0.0, 1.0, 0.3, 1.0], [1.0, 0.5, 0.0, 0.7]],
-        response_b=[[0.6, 1.0, 0.0], [0.0, 0.2, 1.0]],
-        select=[[1.0, 0.0, 0.5], [0.3, 1.0, 1.0], [0.0, 0.8, 1.0], [1.0, 0.6, 0.0]],
-    )
-
-
 class TestSimulateLhvOracle:
     def test_matches_per_trial_record_oracle(self, monkeypatch):
         monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
-        m = _edge_lhv_model()
+        m = edge_lhv_model()
+        tables = lhv_sampling_tables(monkeypatch, m)
         n, seed = 5_000, 19
-        want = tally_from_records(lhv_records(raw_words(seed, n, lhv.LHV_WIDTH), m), n)
+        want = tally_from_records(pm_records(raw_words(seed, n, protocol.PM_WIDTH), *tables), n)
         got = lhv.simulate_lhv(m, n, seed)
         np.testing.assert_array_equal(got.counts, want.counts)
         assert 0 < got.n_selected < n
 
     def test_cut_edges_match_record_oracle(self, monkeypatch):
-        m = _edge_lhv_model()
-        assert np.cumsum(m.lambda_probs)[-1] == 1.0 - 2.0**-53
-        cuts = [
-            0.5,
-            *np.cumsum(m.lambda_probs),
-            *np.cumsum(m.lambda_prime_probs),
-            *m.response_a.ravel(),
-            *m.response_b.ravel(),
-            *m.select.ravel(),
-        ]
-        words = edge_words(cuts, 4_000, lhv.LHV_WIDTH, seed=29)
-        want = tally_from_records(lhv_records(words, m), 4_000)
+        m = edge_lhv_model()
+        prior_a, prior_b, accept = lhv_sampling_tables(monkeypatch, m)
+        # Alice never draws x = 0 in basis 1, and Bob never y = 1 in basis 1.
+        assert prior_a[1, 0] == 0.0 and prior_b[1, 0] == 1.0
+        cuts = [0.5, *prior_a[:, 0], *prior_b[:, 0], *accept.ravel()]
+        words = edge_words(cuts, 4_000, protocol.PM_WIDTH, seed=29)
+        want = tally_from_records(pm_records(words, prior_a, prior_b, accept), 4_000)
         got = sampled_from_words(monkeypatch, words, lambda n: lhv.simulate_lhv(m, n, 0))
         np.testing.assert_array_equal(got.counts, want.counts)
 
@@ -587,7 +546,7 @@ class TestSampleTally:
         index = cells(trial_uniforms_block(4, 0, n, protocol.PM_WIDTH))
         assert index.shape == (n,)
         want = np.bincount(index, minlength=32)[:16]
-        got = protocol.sample_tally(4, n, cells, protocol.PM_WIDTH)
+        got = protocol.sample_tally(4, n, cells)
         np.testing.assert_array_equal(got.counts.ravel(), want)
         assert got.n_total == n
 
@@ -625,9 +584,7 @@ class TestSampleTally:
         monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="in a helper"):
-            protocol.sample_tally(
-                1, 3 * protocol.BLOCK_TRIALS, failing_in_helpers, protocol.PM_WIDTH
-            )
+            protocol.sample_tally(1, 3 * protocol.BLOCK_TRIALS, failing_in_helpers)
         assert threading.active_count() == before
 
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpost import lhv, protocol
+from bellpost import protocol
 from bellpost.rng import DRAWS_PER_TRIAL, threshold, trial_uniforms_block
 
 STEP = 2.0**-53
-WIDTHS = (protocol.PM_WIDTH, lhv.LHV_WIDTH)
+WIDTHS = (protocol.PM_WIDTH,)
 
 
 def test_row_width_is_jumpable():

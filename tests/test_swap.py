@@ -317,4 +317,4 @@ class TestNoiseParams:
         coins = np.full((2, 2), 0.5)
         cells = protocol.prepare_and_measure(coins, coins, np.ones((2, 2, 2, 2)))
         with pytest.raises(ValueError, match=">= 1"):
-            protocol.sample_tally(0, 0, cells, protocol.PM_WIDTH)
+            protocol.sample_tally(0, 0, cells)
