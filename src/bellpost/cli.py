@@ -31,7 +31,7 @@ from .qcore import EXACT_TOL, NumericsError
 
 # Reports and config documents carry separate versions; a report echoes its
 # config's.  CHANGES.md records what each report schema changed.
-REPORT_SCHEMA_VERSION = 11
+REPORT_SCHEMA_VERSION = 12
 CONFIG_SCHEMA_VERSION = 1
 
 # Margins for the task-completed verdict: a sampled run's violation p-value

@@ -219,7 +219,7 @@ class TestRunReports:
     def test_config_echo_contains_defaults(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 1000}))
         echo = report["config"]
-        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 11
+        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 12
         assert echo["schema_version"] == cli.CONFIG_SCHEMA_VERSION == 1
         assert echo["seed"] == 0
         assert "alice" in echo["schemes"]

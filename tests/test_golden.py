@@ -82,10 +82,10 @@ GOLDEN_COUNTS = {
     ("quantum-priors", 2024, 131075): [2525, 264, 1048, 3834, 1007, 535, 396, 7312, 6753, 788, 305, 1118, 520, 8235, 720, 332],
     ("quantum-priors", 9223372036854775813, 100000): [1908, 187, 777, 2915, 817, 410, 352, 5632, 5091, 607, 198, 904, 361, 6314, 543, 264],
     ("quantum-priors", 9223372036854775813, 131075): [2502, 274, 997, 3826, 1064, 538, 455, 7418, 6595, 773, 259, 1199, 450, 8268, 699, 348],
-    ("lhv-stochastic", 2024, 100000): [3575, 3976, 3057, 3898, 4783, 2666, 4873, 2189, 3391, 4689, 3014, 3207, 5657, 2438, 4139, 2383],
-    ("lhv-stochastic", 2024, 131075): [4713, 5189, 3971, 5140, 6322, 3423, 6333, 2878, 4453, 6117, 3950, 4218, 7427, 3202, 5422, 3092],
-    ("lhv-stochastic", 9223372036854775813, 100000): [3550, 3860, 2945, 3980, 4983, 2592, 4823, 2164, 3605, 4615, 3034, 3240, 5685, 2373, 4058, 2245],
-    ("lhv-stochastic", 9223372036854775813, 131075): [4650, 5098, 3808, 5223, 6492, 3410, 6248, 2903, 4695, 6054, 4010, 4272, 7389, 3115, 5353, 2951],
+    ("lhv-stochastic", 2024, 100000): [3531, 3846, 3034, 3930, 4949, 2588, 4769, 2153, 3554, 4717, 3001, 3348, 5654, 2408, 4024, 2384],
+    ("lhv-stochastic", 2024, 131075): [4626, 4999, 4016, 5168, 6443, 3402, 6311, 2777, 4647, 6105, 4043, 4385, 7361, 3114, 5274, 3109],
+    ("lhv-stochastic", 9223372036854775813, 100000): [3624, 3895, 3011, 3838, 4829, 2688, 4842, 2227, 3470, 4562, 3059, 3409, 5599, 2507, 3995, 2264],
+    ("lhv-stochastic", 9223372036854775813, 131075): [4734, 5168, 3915, 5016, 6350, 3522, 6359, 2937, 4463, 5942, 4004, 4422, 7321, 3261, 5190, 2926],
     ("swap-parties-first", 2024, 100000): [2501, 686, 693, 2393, 2504, 682, 650, 2482, 2504, 672, 671, 2546, 705, 2382, 2449, 643],
     ("swap-parties-first", 2024, 131075): [3274, 871, 918, 3181, 3277, 888, 857, 3195, 3277, 862, 880, 3333, 928, 3051, 3182, 837],
     ("swap-parties-first", 9223372036854775813, 100000): [2517, 693, 640, 2382, 2456, 705, 680, 2532, 2467, 663, 623, 2588, 656, 2526, 2441, 642],
@@ -136,7 +136,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "c39d2c1e967dbcf06b6868b5208977bd201697f9005db279efb668267af485d6",
+        "aef16bb9fb63100437d2ee764ee152fcf97d89a2a842ca0d3ed840ae814e0159",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -150,12 +150,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "fe96ddcd813fef68edbe57d255a8996936450be96de28d9b4c9b787c8ac9e5a9",
+        "42ca95d75b59e56b463dce50469ae873d7ad6e6859dfbff899ace5b07d63ca15",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "51d88a27fc6f80b4769c2594003960acb50265667d24d3724c32b4b20c6cfb09",
+        "35612e6c9fa0f31c3cb6a7dc6df59513eae90862b91898023cfa7996f315d5d5",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -163,15 +163,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "fcc016269eaa8a7d3ace5e94595c50527ef79620e95333fa5b32e60f827dd100",
+        "db2ce3afcc8247530c76f4d7a68b893c06dab2d394624c7496c74667fe74785f",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "0a6ed89205ab0d9a748593539bad9a9f18ea0fc258678d11e2fc6e16c62c96ef"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "7a02cc31d0bdff340d21d75ea7b2887af553c30a1eb992f7eb009136899d351a"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "93680d0df2e9aa1f6b2c3be307adc6a2b5a4274436f8d39b9b5be7344cd3d485",
+        "18e7762bff11540df52553baf86679a58f596771a9b461fa918bc5f184211b82",
     ),
-    "loophole": (["loophole"], None, "d3c91e9d43b6fffc4473d20451506cdab1442628a707a66e81c953fce3b01827"),
+    "loophole": (["loophole"], None, "874279021482136b7eeaa82e301f3563ac66d89875d043a3de0804152454b230"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -183,19 +183,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "f5b99764d7ec9057f3131313f4459b64bb582b9912662a05d7cd3221f63545d5",
+        "4c4caa13978595653e0d49ae9e08af72d040fe3425de7b30f08e822711d5e25a",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "b7aa29c95ffb4d321ee9f74b02544e437975ae9ab9f906ff905c0ca8d9c81792",
+        "d5e5552b89a49381fa5e2efc13f3cfc4bce8cedbd177b57c8b7fcb7b67d92aff",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "a12abbf3e064b258fa250a06701626d7037798cd9a3b69361afd60a162a8f801"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "57a7e7b6cb5026599ab4983f799c4b37d69adb9dda64fef8af1c0f2c7878f6ac"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "0fbecc5535f131e7381379c07831c59039676b58180db5212ef912bfdd2caf74"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3baacfd3a2b9da65da3d5d84904f52e4a682cc81d32ad015a51dafc351b9e25e"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "83dbfb7cd4f04683b2e977a476b46da92f74f7880c5185d8f711bfb9c4ee3f49",
+        "8d48f8b1c2330277ca7f7dc3efba19bd4818cc9134bccb60881daed6dbe690fe",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
