@@ -34,9 +34,9 @@ from conftest import (
     exact_s_of_sim_model,
     lhv_indet_sweep_models,
     lhv_indet_sweep_rows,
+    lhv_sampling_tables,
     random_deterministic_model,
     random_response_model,
-    lhv_sampling_tables,
     random_stochastic_model,
 )
 
