@@ -10,7 +10,7 @@ weights, so |S| <= 2 — this module computes the coefficient algebra, the
 exhaustive bound and the two random sweeps that back it (over cell weights and
 over indeterministic response models, each a block of 1 Ki samples at a time),
 the indeterministic (response-average) variant, a simulator that samples a
-model through the shared prepare-and-measure transform, and the trit-valued
+model's announced law through the shared alias transform, and the trit-valued
 discard variant in which per-basis discarding inflates S to the algebraic
 maximum 4.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .qcore import EXACT_TOL, NumericsError
 from .protocol import CondProbTable, EmptyCellError, Tally, correlations, postselect, table_s
-from .protocol import prepare_and_measure, sample_tally
+from .protocol import announced_cells, sample_tally
 
 
 class NondeterministicModelError(Exception):
@@ -244,9 +244,8 @@ class LhvSimModel:
     ``response_b``; ``select[i, j]`` is the probability Charlie announces c = 1
     for the pair (lambda_i, lambda'_j).  Selection takes no basis argument, so
     basis independence of the source is structural, not checked.  lambda and
-    lambda' are drawn independently, so before selection the outcomes factor
-    into one marginal per party, and ``simulate_lhv`` samples the model from
-    those marginals and its announced weights.
+    lambda' are drawn independently, and ``simulate_lhv`` samples the model
+    from its announced weights.
     """
 
     lambda_values: np.ndarray
@@ -291,48 +290,35 @@ class LhvSimModel:
         )
 
 
-def _tables(m: LhvSimModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The model's marginals and announced weights.
-
-    ``prior_a[a, x]`` = sum_i p_i P(x | a, i) and ``prior_b[b, y]`` likewise;
-    ``w[a, b, x, y]`` = sum_ij p_i p'_j select_ij P(x | a, i) P(y | b, j).
-    """
+def _announced_weights(m: LhvSimModel) -> np.ndarray:
+    """``w[a, b, x, y]`` = sum_ij p_i p'_j select_ij P(x | a, i) P(y | b, j)."""
     px = np.stack([1.0 - m.response_a, m.response_a], axis=1)  # [a, x, i]
     py = np.stack([1.0 - m.response_b, m.response_b], axis=1)  # [b, y, j]
     selected = m.lambda_probs[:, None] * m.lambda_prime_probs[None, :] * m.select
-    w = np.einsum("ij,axi,byj->abxy", selected, px, py)
-    return px @ m.lambda_probs, py @ m.lambda_prime_probs, w
+    return np.einsum("ij,axi,byj->abxy", selected, px, py)
 
 
 def simulate_lhv(m: LhvSimModel, n_trials: int, seed: int) -> Tally:
-    """Sample the classical task through the prepare-and-measure transform.
+    """Sample the classical task through the alias transform.
 
-    lambda and lambda' are independent and selection never sees the bases, so
-    before selection p(x, y | a, b) = prior_a[a, x] prior_b[b, y] (``_tables``).
-    A trial draws fair basis coins and x and y from those marginals, as
-    ``protocol.prepare_and_measure`` does, and Charlie announces with
-    probability accept = w / (prior_a prior_b), at most 1 since select_ij <= 1
-    (rejection sampling; von Neumann, NBS AMS 12, 1951).  So (a, b, x, y,
-    c = 1) has probability w[a, b, x, y] / 4 and (a, b, x, y, c = 0) has
-    (prior_a prior_b - w) / 4: the model's own law, up to the rounding of the
-    tables.  Where a marginal is 0, w is 0 and the acceptance is set to 0; one
-    a rounding step above 1 is clipped by ``threshold``.
+    The bases are fair coins, so a trial is announced in cell (a, b, x, y)
+    with probability w[a, b, x, y] / 4 (``_announced_weights``) and not
+    announced otherwise.  ``protocol.announced_cells`` draws that law from
+    one word a trial: the model's own law, up to the rounding of the table,
+    with no hidden value drawn.
     """
-    prior_a, prior_b, w = _tables(m)
-    marginal = prior_a[:, None, :, None] * prior_b[None, :, None, :]
-    accept = np.divide(w, marginal, out=np.zeros_like(w), where=marginal > 0.0)
-    return sample_tally(seed, n_trials, prepare_and_measure(prior_a, prior_b, accept))
+    return sample_tally(seed, n_trials, announced_cells(0.25 * _announced_weights(m)))
 
 
 def exact_postselected(m: LhvSimModel) -> tuple[CondProbTable, np.ndarray]:
     """Closed-form post-selected statistics of a model, no sampling.
 
-    The [a, b, x, y] weight ``w`` of ``_tables`` is reduced by
+    The [a, b, x, y] weight ``w`` of ``_announced_weights`` is reduced by
     ``protocol.postselect``; it returns the conditional table and the
     per-(a, b) selection rates, and raises EmptyCellError when the selected
     mass is at most 1e-12.
     """
-    return postselect(_tables(m)[2])
+    return postselect(_announced_weights(m))
 
 
 def cells_from_model(m: LhvSimModel) -> CellWeights:

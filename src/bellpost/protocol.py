@@ -26,13 +26,13 @@ count, and since a trial's words depend only on (seed, trial index), the
 tally does not depend on the CPU count.
 
 Every sampled mode, the local-hidden-variable one included
-(``lhv.simulate_lhv``), runs the one ``prepare_and_measure`` transform, so
-every trial draws one row of ``PM_WIDTH`` = 3 words.  The transform cuts the
-raw PCG64DXSM words of each trial directly (rng module): a fair coin is bit 0
-of a word, and ``u >= p`` on the uniform a word stands for is
-``(w >> 11) >= threshold(p)``, with every threshold computed once per run.
-No word is converted to a float, and the tally is the one the float
-comparisons give, bit for bit.
+(``lhv.simulate_lhv``), hands the one ``announced_cells`` transform the
+[a, b, x, y] announced probabilities of its exact path.  A trial's outcome is
+one of 17, an announced cell or "not announced", and the transform draws it
+from one raw PCG64DXSM word (rng module) through a 32-column alias table
+(Walker, ACM TOMS 3, 253, 1977; Vose, IEEE TSE 17, 972, 1991): bits 0-4
+choose the column and bits 11-63, independent of them, make its 53-bit cut.
+No word is converted to a float.
 """
 
 from __future__ import annotations
@@ -164,10 +164,9 @@ class Tally:
         return int(self.counts.sum())
 
 
-# Trials per block of the streaming sampler: 16 Ki rows of ``PM_WIDTH`` = 3
-# uint64 words is 384 KiB.  Each thread holds one block and the transform's
-# temporaries, so the sampler's memory is O(CPUs x a few MiB) whatever the
-# trial count.
+# Trials per block of the streaming sampler: 16 Ki uint64 words, one a trial,
+# is 128 KiB.  Each thread holds one block and the transform's temporaries,
+# so the sampler's memory is O(CPUs x a few MiB) whatever the trial count.
 BLOCK_TRIALS = 1 << 14
 
 
@@ -183,7 +182,7 @@ def _stream_counts(seed: int, start: int, stop: int, selected_cells) -> np.ndarr
     """Flat 16-cell counts of the announced trials start..stop-1, one block at a time."""
     counts = np.zeros(32, dtype=np.int64)
     for lo in range(start, stop, BLOCK_TRIALS):
-        w = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop), PM_WIDTH)
+        w = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop))
         counts += np.bincount(selected_cells(w), minlength=32)
     return counts[:16]
 
@@ -191,19 +190,19 @@ def _stream_counts(seed: int, start: int, stop: int, selected_cells) -> np.ndarr
 def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
     """Stream trials 0..n_trials-1 into a Tally, one share per allowed CPU.
 
-    ``selected_cells(w)`` maps a block of per-trial rows of ``PM_WIDTH`` raw
-    PCG64DXSM words (rng module) to one int64 index per trial: the flat cell
-    ((a*2 + b)*2 + x)*2 + y of an announced trial, and that cell + 16 for a
-    trial Charlie did not announce.  Indices 16..31 are counted and dropped.
+    ``selected_cells(w)`` maps a block of raw PCG64DXSM words, one a trial
+    (rng module), to one int64 index per trial: the flat cell
+    ((a*2 + b)*2 + x)*2 + y of an announced trial, or 16..31 for a trial
+    Charlie did not announce, which is counted and dropped.
     It is called from several threads at once, so it must be thread-safe:
     read its captured arrays, never write them.
 
     The range is split into ``max(1, min(CPUs, n_trials // BLOCK_TRIALS))``
     contiguous shares.  The calling thread streams the first share and one
     helper thread each of the others; an exception raised in a helper is
-    re-raised here once every helper has finished.  A trial's row depends only
-    on (seed, trial index), so the tally depends neither on the block size nor
-    on the number of shares.
+    re-raised here once every helper has finished.  A trial's word depends
+    only on (seed, trial index), so the tally depends neither on the block
+    size nor on the number of shares.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -332,33 +331,46 @@ def check_basis_independence(scheme: PreparationScheme, tol: float) -> tuple[flo
     return distance, distance <= tol
 
 
-# Row layout of a prepare-and-measure trial: 0 -> x, with a = bit 0;
-# 1 -> y, with b = bit 0; 2 -> Charlie's acceptance.
-_COL_X, _COL_Y, _COL_C = range(3)
-PM_WIDTH = 3
+def alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's 32-column alias table (cut, alias) of one trial's 17-outcome law.
 
-
-def prepare_and_measure(priors_a: np.ndarray, priors_b: np.ndarray, accept: np.ndarray):
-    """The ``sample_tally`` transform of a prepare-and-measure trial (``PM_WIDTH`` words).
-
-    The basis bits are fair coins, the state bits follow ``priors_a[a]`` and
-    ``priors_b[b]``, and Charlie announces with probability
-    ``accept[a, b, x, y]``.  The transform returns each trial's flat cell,
-    plus 16 when Charlie does not announce it.
+    ``weights`` are the 16 announced probabilities [a, b, x, y]; outcome 16,
+    "not announced", gets the rest, and columns 17..31 get 0.  Column ``col``
+    keeps itself with probability ``cut[col] * 2**-53`` and otherwise gives
+    way to ``alias[col]``.  Vose's algorithm builds it on Python floats; a
+    column left over when a list runs out keeps itself whole.  A weight a
+    rounding step below 0 draws as 0, and one of 0 is never drawn: it is
+    never large, so never an alias, and its cut is 0.  NaN, or a sum above 1
+    beyond the rounding of two prior sums, raises ValueError.
     """
-    cut_a = threshold(priors_a[:, 0])
-    cut_b = threshold(priors_b[:, 0])
-    cut_accept = threshold(accept).ravel()
+    p = np.maximum(np.ravel(weights), 0.0).tolist()
+    total = math.fsum(p)
+    if not total <= 1.0 + 4.0 * EXACT_TOL:
+        raise ValueError(f"announced weights must sum to at most 1, got {total!r}")
+    scaled = [32.0 * q for q in p] + [32.0 * max(0.0, 1.0 - total)] + [0.0] * 15
+    small = [i for i, q in enumerate(scaled) if q < 1.0]
+    large = [i for i, q in enumerate(scaled) if q >= 1.0]
+    keep, alias = [1.0] * 32, [0] * 32
+    while small and large:
+        s, g = small.pop(), large[-1]
+        keep[s], alias[s] = scaled[s], g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        if scaled[g] < 1.0:
+            small.append(large.pop())
+    return threshold(keep), np.array(alias, dtype=np.int64)
+
+
+def announced_cells(weights):
+    """The ``sample_tally`` transform drawing ``alias_table(weights)``'s law.
+
+    Bits 0-4 of a word choose the column, and ``(w >> 11) < cut[col]`` keeps
+    it; otherwise the trial takes ``alias[col]``.
+    """
+    cut, alias = alias_table(weights)
 
     def selected_cells(w: np.ndarray) -> np.ndarray:
-        wx, wy = w[:, _COL_X], w[:, _COL_Y]
-        a = (wx & 1).view(np.int64)
-        b = (wy & 1).view(np.int64)
-        x = (wx >> 11) >= cut_a.take(a)
-        y = (wy >> 11) >= cut_b.take(b)
-        cell = ((a * 2 + b) * 2 + x) * 2 + y
-        rejected = (w[:, _COL_C] >> 11) >= cut_accept.take(cell)
-        return cell + 16 * rejected
+        col = (w & 31).view(np.int64)
+        return np.where((w >> 11) < cut.take(col), col, alias.take(col))
 
     return selected_cells
 
@@ -375,12 +387,13 @@ def run_quantum_mc(
     ``sel[a, b, x, y]`` is Charlie's acceptance table, by default the
     noiseless |phi+> one, ``selection_probability_table`` of the schemes'
     angles.  A caller that already holds it passes it, and the swap
-    realization passes its noisy table with the canonical schemes.
+    realization passes its noisy table with the canonical schemes.  The bases
+    are fair, so each cell is drawn with 1/4 of its ``exact_postselected`` weight.
     """
     if sel is None:
         sel = selection_probability_table(scheme_a.angles, scheme_b.angles)
-    cells = prepare_and_measure(scheme_a.priors, scheme_b.priors, sel)
-    return sample_tally(seed, n_trials, cells)
+    weights = 0.25 * scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel
+    return sample_tally(seed, n_trials, announced_cells(weights))
 
 
 @dataclass(frozen=True)

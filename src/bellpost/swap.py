@@ -28,7 +28,8 @@ that tallies and scheme pairs go through too.
 
 Remote preparation makes a swap run the canonical prepare-and-measure task
 with Charlie accepting with probability 4 p(x, y, 1 | a, b), so a run samples
-through ``protocol.run_quantum_mc`` with that table; there is no swap sampler.
+``protocol.run_quantum_mc`` with that table: its trials draw the announced
+law p(x, y, 1 | a, b) / 4 through the one alias transform.
 """
 
 from __future__ import annotations

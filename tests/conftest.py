@@ -178,9 +178,9 @@ def random_stochastic_model(rng: np.random.Generator) -> lhv.LhvSimModel:
 
 def edge_lhv_model() -> lhv.LhvSimModel:
     """Four and three hidden values, each with a zero-probability value, and
-    responses and selection probabilities of exactly 0 and 1.  Alice's basis-1
-    marginal is P(x = 0) = 0 and Bob's is P(y = 0) = 1, so ``simulate_lhv``
-    divides by a zero marginal in those cells."""
+    responses and selection probabilities of exactly 0 and 1.  Alice never
+    gives x = 0 in basis 1 and Bob never y = 1 in basis 1, so the announced
+    law has cells of weight exactly 0."""
     return lhv.LhvSimModel(
         lambda_values=[0.1, 0.4, 0.6, 0.9],
         lambda_probs=[0.7, 0.0, 0.2, 0.1],
@@ -192,18 +192,23 @@ def edge_lhv_model() -> lhv.LhvSimModel:
     )
 
 
-def lhv_sampling_tables(monkeypatch, m: lhv.LhvSimModel):
-    """(prior_a, prior_b, accept): the tables ``simulate_lhv`` hands to
-    ``protocol.prepare_and_measure`` for model m, caught on their way in."""
-    seen = []
+def sampled_law(monkeypatch, module, run) -> np.ndarray:
+    """The [a, b, x, y] announced weights that ``run()`` hands to
+    ``protocol.announced_cells`` through ``module``, caught on their way in."""
+    seen, transform = [], protocol.announced_cells
 
-    def spy(*tables):
-        seen.append(tables)
-        return protocol.prepare_and_measure(*tables)
+    def spy(weights):
+        seen.append(weights)
+        return transform(weights)
 
-    monkeypatch.setattr(lhv, "prepare_and_measure", spy)
-    lhv.simulate_lhv(m, 1, 0)
+    monkeypatch.setattr(module, "announced_cells", spy)
+    run()
     return seen[-1]
+
+
+def lhv_sampled_law(monkeypatch, m: lhv.LhvSimModel) -> np.ndarray:
+    """The announced law ``simulate_lhv`` samples for model m."""
+    return sampled_law(monkeypatch, lhv, lambda: lhv.simulate_lhv(m, 1, 0))
 
 
 def announced_weights_oracle(m: lhv.LhvSimModel) -> np.ndarray:

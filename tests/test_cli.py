@@ -219,7 +219,7 @@ class TestRunReports:
     def test_config_echo_contains_defaults(self):
         report = run(config_from_doc({"mode": "quantum-mc", "trials": 1000}))
         echo = report["config"]
-        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 12
+        assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION == 13
         assert echo["schema_version"] == cli.CONFIG_SCHEMA_VERSION == 1
         assert echo["seed"] == 0
         assert "alice" in echo["schemes"]
@@ -234,11 +234,11 @@ class TestRunReports:
         assert run(cfg)["results"]["exact_s"] == pytest.approx(want, abs=1e-12)
 
     def test_one_sign_cells_give_no_violation(self):
-        # 10 selected trials, every cell all one sign: S = 4 with se(S) = 0,
+        # 11 selected trials, every cell all one sign: S = 4 with se(S) = 0,
         # which the distribution-free bound does not count as a violation.
-        report = run(config_from_doc({"mode": "quantum-mc", "trials": 40, "seed": 7}))
+        report = run(config_from_doc({"mode": "quantum-mc", "trials": 40, "seed": 63}))
         results = report["results"]
-        assert (results["s"], results["se_s"], results["n_selected"]) == (4.0, 0.0, 10)
+        assert (results["s"], results["se_s"], results["n_selected"]) == (4.0, 0.0, 11)
         assert results["p_value"] > 0.1
         assert report["verdict"] == "no violation"
 

@@ -34,7 +34,7 @@ from conftest import (
     exact_s_of_sim_model,
     lhv_indet_sweep_models,
     lhv_indet_sweep_rows,
-    lhv_sampling_tables,
+    lhv_sampled_law,
     random_deterministic_model,
     random_response_model,
     random_stochastic_model,
@@ -412,25 +412,24 @@ class TestExactPostselected:
 
 
 class TestSimulateLhv:
-    def test_tables_factor_the_model_law(self, monkeypatch):
-        # prior_a[a, x] prior_b[b, y] accept[a, b, x, y] is the chance that a
-        # trial of bases (a, b) gives (x, y) and is announced: the model's w.
+    def test_table_is_the_model_law(self, monkeypatch):
+        # The law simulate_lhv hands to the alias transform gives a trial of
+        # fair bases (a, b) the model's announced weight w / 4 in each cell,
+        # and "not announced" the rest.
         rng = np.random.default_rng(38)
         models = [edge_lhv_model()]
         for build in (random_deterministic_model, random_stochastic_model):
             models += [build(rng) for _ in range(200)]
         for m in models:
-            prior_a, prior_b, accept = lhv_sampling_tables(monkeypatch, m)
-            marginal = prior_a[:, None, :, None] * prior_b[None, :, None, :]
-            np.testing.assert_allclose(
-                marginal * accept, announced_weights_oracle(m), rtol=0.0, atol=1e-15
-            )
-            # An acceptance a rounding step above 1 cuts like 1 (rng.threshold).
-            assert np.all((accept >= 0.0) & (accept <= 1.0 + 1e-15))
-            assert np.all(accept[marginal == 0.0] == 0.0)
-        # The edge model reaches the zero-marginal branch on both sides.
-        prior_a, prior_b, _ = lhv_sampling_tables(monkeypatch, models[0])
-        assert 0.0 in prior_a[:, 0] and 0.0 in prior_b[:, 1]
+            law = lhv_sampled_law(monkeypatch, m)
+            want = announced_weights_oracle(m) / 4.0
+            np.testing.assert_allclose(law, want, rtol=0.0, atol=1e-16)
+            assert np.all(law[want == 0.0] == 0.0)
+            assert law.sum() <= 1.0
+        # The edge model's law has cells of weight exactly 0: Alice never
+        # gives x = 0 in basis 1, nor Bob y = 1 in basis 1.
+        law = lhv_sampled_law(monkeypatch, models[0])
+        assert np.all(law[1, :, 0, :] == 0.0) and np.all(law[:, 1, :, 1] == 0.0)
 
     def test_deterministic_cell_recovers_its_s(self):
         t = simulate_lhv(_single_cell_model(0, 0, 0, 0), 100_000, seed=30)

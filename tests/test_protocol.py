@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,16 @@ from bellpost.protocol import (
 )
 from bellpost.rng import trial_uniforms_block
 from bellpost.swap import _real_kets
-from conftest import correlation_oracle, edge_lhv_model, lhv_sampling_tables, mixture, swap_tally
+from conftest import (
+    correlation_oracle,
+    edge_lhv_model,
+    lhv_sampled_law,
+    mixture,
+    random_deterministic_model,
+    random_stochastic_model,
+    sampled_law,
+    swap_tally,
+)
 
 PI = math.pi
 TWO_SQRT2 = 2 * math.sqrt(2)
@@ -62,63 +72,63 @@ def tally_from_records(records, n_total: int) -> Tally:
     return Tally(counts, n_total)
 
 
-def raw_words(seed: int, n: int, width: int) -> np.ndarray:
-    """Trials 0..n-1 as rows of ``width`` words of one long raw PCG64DXSM draw.
+def raw_words(seed: int, n: int) -> np.ndarray:
+    """Trials 0..n-1 as one long raw PCG64DXSM draw, one word a trial.
 
-    The draw never calls ``advance``, so it checks the sampler's jumps.  The
-    oracles read coins from bit 0 of these words, which a ``Generator`` drops
-    along with the other low 11 bits.
+    The draw never calls ``advance``, so it checks the sampler's jumps.
     """
-    return np.random.PCG64DXSM(seed).random_raw(n * width).reshape(n, width)
+    return np.random.PCG64DXSM(seed).random_raw(n)
 
 
-def edge_words(probabilities, n: int, width: int, seed: int) -> np.ndarray:
-    """(n, width) words whose top 53 bits k sit on the integer cut of one of
-    the probabilities, one step below it, or at 0, 2**52 or 2**53 - 1.
+def edge_words(cut, n: int, seed: int) -> np.ndarray:
+    """n words whose column (bits 0-4) is random and whose top 53 bits k sit
+    exactly on that column's cut, one step below it, or at 0 or 2**53 - 1.
 
-    The uniform such a word stands for is k * 2**-53, so the float oracles
-    meet every u >= p comparison with u exactly at p's cut and just below it.
-    The low 11 bits, bit 0 (a coin) among them, are random.
+    Bits 5-10, which no transform reads, are random.
     """
-    tops = {0, 2**52, 2**53 - 1}
-    for p in probabilities:
-        cut = math.ceil(float(p) * 2**53)
-        tops.update(k for k in (cut - 1, cut) if 0 <= k < 2**53)
     gen = np.random.default_rng(seed)
-    top = gen.choice(np.array(sorted(tops), dtype=np.uint64), size=(n, width))
-    return (top << 11) | gen.integers(0, 2**11, size=(n, width), dtype=np.uint64)
+    col = gen.integers(0, 32, size=n)
+    tops = np.array([[0, c - 1, c, 2**53 - 1] for c in map(int, cut)], dtype=np.int64)
+    top = tops[col, gen.integers(0, 4, size=n)].clip(0, 2**53 - 1).astype(np.uint64)
+    low = gen.integers(0, 2**6, size=n, dtype=np.uint64) << np.uint64(5)
+    return (top << np.uint64(11)) | low | col.astype(np.uint64)
 
 
-def coin_and_uniform(word) -> tuple[int, float]:
-    """Bit 0 of a word, and the float64 uniform its top 53 bits stand for (rng module)."""
-    word = int(word)
-    return word & 1, (word >> 11) * 2.0**-53
+def alias_records(words: np.ndarray, weights):
+    """Per-trial pure-Python oracle of the alias transform over raw words.
 
-
-def pm_records(words: np.ndarray, priors_a, priors_b, accept):
-    """Per-trial float oracle of the prepare-and-measure transform (columns:
-    x with the coin a, y with the coin b, acceptance)."""
+    Bits 0-4 of a word pick a column of ``protocol.alias_table(weights)``;
+    the column keeps itself when the integer its top 53 bits hold is below
+    the column's cut, and otherwise the trial takes the column's alias.
+    Outcomes 0..15 are the announced cells ((a*2 + b)*2 + x)*2 + y; any other
+    outcome is an unannounced trial, whose record carries c = 0 and no cell.
+    """
+    cut, alias = (t.tolist() for t in protocol.alias_table(weights))
     records = []
-    for row in words:
-        a, ux = coin_and_uniform(row[0])
-        b, uy = coin_and_uniform(row[1])
-        _, uc = coin_and_uniform(row[2])
-        x = int(ux >= priors_a[a, 0])
-        y = int(uy >= priors_b[b, 0])
-        c = int(uc < accept[a, b, x, y])
-        records.append(TrialRecord(a, b, x, y, c))
+    for word in words.tolist():
+        col = word % 32
+        outcome = col if word >> 11 < cut[col] else alias[col]
+        if outcome < 16:
+            a, b, x, y = (outcome >> 3, outcome >> 2 & 1, outcome >> 1 & 1, outcome & 1)
+            records.append(TrialRecord(a, b, x, y, 1))
+        else:
+            records.append(TrialRecord(0, 0, 0, 0, 0))
     return records
 
 
 def sampled_from_words(monkeypatch, words: np.ndarray, run):
     """The tally ``run(n)`` gives when the sampler is fed these words."""
-
-    def block(seed, lo, hi, width):
-        assert width == words.shape[1]
-        return words[lo:hi]
-
-    monkeypatch.setattr(protocol, "trial_uniforms_block", block)
+    monkeypatch.setattr(protocol, "trial_uniforms_block", lambda seed, lo, hi: words[lo:hi])
     return run(words.shape[0])
+
+
+def quantum_weights(alice: PreparationScheme, bob: PreparationScheme) -> np.ndarray:
+    """1/4 priors_a[a, x] priors_b[b, y] sel[a, b, x, y], cell by cell."""
+    sel = protocol.selection_probability_table(alice.angles, bob.angles)
+    w = np.zeros((2, 2, 2, 2))
+    for a, b, x, y in np.ndindex(2, 2, 2, 2):
+        w[a, b, x, y] = 0.25 * alice.priors[a, x] * bob.priors[b, y] * sel[a, b, x, y]
+    return w
 
 
 def exact_table_oracle(alice: PreparationScheme, bob: PreparationScheme):
@@ -433,25 +443,24 @@ class TestRunQuantumMc:
         assert t.counts[:, :, 0, 0].sum() == t.n_selected
 
     def test_matches_per_trial_record_oracle(self, monkeypatch):
-        # The uniforms of the same stream as floats, cut by float comparisons
-        # in a plain per-trial loop: the integer cuts must agree.  Blocks of
-        # 999 trials jump the stream to rows the long draw reaches by drawing.
+        # The words of the same stream, one trial at a time in plain Python:
+        # the vectorized transform must agree.  Blocks of 999 trials jump the
+        # stream to words the long draw reaches by drawing.
         monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
         alice, bob = canonical_schemes()
-        sel = protocol.selection_probability_table(alice.angles, bob.angles)
+        weights = sampled_law(monkeypatch, protocol, lambda: run_quantum_mc(alice, bob, 1, 0))
+        np.testing.assert_array_equal(weights, quantum_weights(alice, bob))
         n, seed = 5_000, 17
-        words = raw_words(seed, n, protocol.PM_WIDTH)
-        want = tally_from_records(pm_records(words, alice.priors, bob.priors, sel), n)
+        want = tally_from_records(alias_records(raw_words(seed, n), weights), n)
         got = run_quantum_mc(alice, bob, n, seed)
         np.testing.assert_array_equal(got.counts, want.counts)
 
     def test_cut_edges_match_record_oracle(self, monkeypatch):
         alice = PreparationScheme([[0.0, PI], [PI / 2, 3 * PI / 2]], [[0.3, 0.7], [1.0, 0.0]])
         bob = PreparationScheme([[PI / 4, 5 * PI / 4], [0.5, 2.0]], [[0.0, 1.0], [0.6, 0.4]])
-        sel = protocol.selection_probability_table(alice.angles, bob.angles)
-        cuts = [0.5, *alice.priors[:, 0], *bob.priors[:, 0], *sel.ravel()]
-        words = edge_words(cuts, 4_000, protocol.PM_WIDTH, seed=23)
-        want = tally_from_records(pm_records(words, alice.priors, bob.priors, sel), 4_000)
+        weights = quantum_weights(alice, bob)
+        words = edge_words(protocol.alias_table(weights)[0], 4_000, seed=23)
+        want = tally_from_records(alias_records(words, weights), 4_000)
         got = sampled_from_words(monkeypatch, words, lambda n: run_quantum_mc(alice, bob, n, 0))
         np.testing.assert_array_equal(got.counts, want.counts)
 
@@ -483,23 +492,94 @@ class TestSimulateLhvOracle:
     def test_matches_per_trial_record_oracle(self, monkeypatch):
         monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
         m = edge_lhv_model()
-        tables = lhv_sampling_tables(monkeypatch, m)
+        weights = lhv_sampled_law(monkeypatch, m)
         n, seed = 5_000, 19
-        want = tally_from_records(pm_records(raw_words(seed, n, protocol.PM_WIDTH), *tables), n)
+        want = tally_from_records(alias_records(raw_words(seed, n), weights), n)
         got = lhv.simulate_lhv(m, n, seed)
         np.testing.assert_array_equal(got.counts, want.counts)
         assert 0 < got.n_selected < n
 
     def test_cut_edges_match_record_oracle(self, monkeypatch):
         m = edge_lhv_model()
-        prior_a, prior_b, accept = lhv_sampling_tables(monkeypatch, m)
+        weights = lhv_sampled_law(monkeypatch, m)
         # Alice never draws x = 0 in basis 1, and Bob never y = 1 in basis 1.
-        assert prior_a[1, 0] == 0.0 and prior_b[1, 0] == 1.0
-        cuts = [0.5, *prior_a[:, 0], *prior_b[:, 0], *accept.ravel()]
-        words = edge_words(cuts, 4_000, protocol.PM_WIDTH, seed=29)
-        want = tally_from_records(pm_records(words, prior_a, prior_b, accept), 4_000)
+        assert np.all(weights[1, :, 0, :] == 0.0) and np.all(weights[:, 1, :, 1] == 0.0)
+        words = edge_words(protocol.alias_table(weights)[0], 4_000, seed=29)
+        want = tally_from_records(alias_records(words, weights), 4_000)
         got = sampled_from_words(monkeypatch, words, lambda n: lhv.simulate_lhv(m, n, 0))
         np.testing.assert_array_equal(got.counts, want.counts)
+
+
+def implied_law(cut, alias) -> list[Fraction]:
+    """The exact law of an alias table: each of the 32 columns has mass 1/32,
+    cut / 2**53 of it kept and the rest handed to the column's alias."""
+    law = [Fraction(0)] * 32
+    for col, (c, target) in enumerate(zip(cut.tolist(), alias.tolist())):
+        kept = Fraction(c, 2**53)
+        law[col] += kept / 32
+        law[target] += (1 - kept) / 32
+    return law
+
+
+def _alias_laws(monkeypatch):
+    """(label, weights) of every law the alias table is checked on, each
+    caught on its way into the transform from the mode that samples it."""
+    rng = np.random.default_rng(71)
+    quantum = [canonical_schemes()]
+    quantum += [(_random_scheme(rng), _random_scheme(rng)) for _ in range(200)]
+    angles = [[0.0, PI], [PI / 2, 3 * PI / 2]]
+    for priors in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.5, 0.5]], [[1.0, 0.0], [1.0, 0.0]]):
+        quantum.append((PreparationScheme(angles, priors), canonical_schemes()[1]))
+    for schemes in quantum:
+        law = sampled_law(monkeypatch, protocol, lambda: run_quantum_mc(*schemes, 1, 0))
+        yield "quantum", law
+    models = [edge_lhv_model()]
+    for build in (random_deterministic_model, random_stochastic_model):
+        models += [build(rng) for _ in range(200)]
+    for m in models:
+        yield "lhv", lhv_sampled_law(monkeypatch, m)
+    for _ in range(200):
+        depol_a, depol_b, mix = rng.uniform(size=3)
+        jitter_a, jitter_b = rng.uniform(0, 2 * PI, size=2)
+        noise = swap.NoiseParams(depol_a, depol_b, jitter_a, jitter_b, mix)
+        for order in swap.ORDERS:
+            law = sampled_law(monkeypatch, protocol, lambda: swap_tally(1, 0, noise, order))
+            yield order, law
+
+
+class TestAliasTable:
+    def test_implied_law_is_the_float_law(self, monkeypatch):
+        # Every outcome's exact mass is within 2 steps of 2**-53 of the law
+        # the float weights denote, "not announced" being 1 minus their
+        # exact sum; an outcome of weight 0 and a padded column get none.
+        for label, weights in _alias_laws(monkeypatch):
+            cut, alias = protocol.alias_table(weights)
+            assert cut.dtype == np.uint64 and all(0 <= c <= 2**53 for c in cut.tolist())
+            want = [Fraction(w) for w in weights.ravel().tolist()]
+            want += [1 - sum(want)] + [Fraction(0)] * 15
+            got = implied_law(cut, alias)
+            assert sum(got) == 1
+            for j, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - w) <= Fraction(2, 2**53), (label, j, float(g - w))
+                if w == 0:
+                    assert g == 0, (label, j)
+
+    def test_draws_follow_the_law(self):
+        # Pearson's chi-squared of 1e6 canonical trials over the 17 outcomes
+        # against the law: 16 degrees of freedom, and 45.92 is their upper
+        # 1e-4 quantile.
+        weights = quantum_weights(*canonical_schemes())
+        index = protocol.announced_cells(weights)(trial_uniforms_block(12, 0, 1_000_000))
+        observed = np.bincount(np.minimum(index, 16), minlength=17)
+        law = np.append(weights.ravel(), 1.0 - weights.sum())
+        expected = 1_000_000 * law
+        assert ((observed - expected) ** 2 / expected).sum() < 45.92
+
+    def test_weights_must_be_a_subprobability(self):
+        with pytest.raises(ValueError, match="at most 1"):
+            protocol.alias_table(np.full((2, 2, 2, 2), 0.25))
+        with pytest.raises(ValueError, match="at most 1"):
+            protocol.alias_table(np.full((2, 2, 2, 2), math.nan))
 
 
 SAMPLED_MODES = {
@@ -522,7 +602,8 @@ SHARE_EDGES = (
 class TestSampleTally:
     @pytest.mark.parametrize("mode", sorted(SAMPLED_MODES))
     def test_peak_memory_does_not_grow_with_trials(self, mode):
-        # A whole (1e6, 3) table of uint64 words alone would be 23 MiB.
+        # A whole table of 1e6 uint64 words alone would be 7.6 MiB, and the
+        # transform's temporaries over it several times that.
         tracemalloc.start()
         try:
             tally = SAMPLED_MODES[mode](1_000_000)
@@ -539,11 +620,8 @@ class TestSampleTally:
     def test_block_edges_match_whole_range(self, n):
         # The same transform applied to the whole trial range in one array:
         # one index per trial, announced cells below 16 and the rest above.
-        alice, bob = canonical_schemes()
-        cells = protocol.prepare_and_measure(
-            alice.priors, bob.priors, protocol.selection_probability_table(alice.angles, bob.angles)
-        )
-        index = cells(trial_uniforms_block(4, 0, n, protocol.PM_WIDTH))
+        cells = protocol.announced_cells(quantum_weights(*canonical_schemes()))
+        index = cells(trial_uniforms_block(4, 0, n))
         assert index.shape == (n,)
         want = np.bincount(index, minlength=32)[:16]
         got = protocol.sample_tally(4, n, cells)
@@ -570,10 +648,7 @@ class TestSampleTally:
             sys.setswitchinterval(interval)
 
     def test_helper_exception_reraised_after_join(self, monkeypatch):
-        alice, bob = canonical_schemes()
-        cells = protocol.prepare_and_measure(
-            alice.priors, bob.priors, protocol.selection_probability_table(alice.angles, bob.angles)
-        )
+        cells = protocol.announced_cells(quantum_weights(*canonical_schemes()))
         main_thread = threading.current_thread()
 
         def failing_in_helpers(u):

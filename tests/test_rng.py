@@ -11,102 +11,105 @@ from bellpost import protocol
 from bellpost.rng import DRAWS_PER_TRIAL, threshold, trial_uniforms_block
 
 STEP = 2.0**-53
-WIDTHS = (protocol.PM_WIDTH,)
 
 
 def test_row_width_is_jumpable():
-    # advance() counts words; a row of any width starts where its trial's
-    # words start in one long draw.
-    for width in range(1, 9):
-        reference = np.random.PCG64DXSM(31).random_raw(65_545 * width)
-        for start in (0, 1, 3, 4, 65_537):
-            for stop in (start, start + 1, start + 8):
-                w = trial_uniforms_block(31, start, stop, width)
-                assert w.dtype == np.uint64 and w.shape == (stop - start, width)
-                np.testing.assert_array_equal(w.ravel(), reference[start * width : stop * width])
+    # advance() counts words; trial i's row is word i of one long draw.
+    reference = np.random.PCG64DXSM(31).random_raw(65_545)
+    for start in (0, 1, 3, 4, 65_537):
+        for stop in (start, start + 1, start + 8):
+            w = trial_uniforms_block(31, start, stop)
+            assert w.dtype == np.uint64 and w.shape == (stop - start,)
+            np.testing.assert_array_equal(w, reference[start:stop])
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_far_jump(seed):
-    # advance() reaches word 5e10: the last eight rows below trial 1e10 are
-    # the tail of a block that starts three trials earlier, each row of that
-    # block is the row of its trial drawn alone, and the block is where 26
+    # advance() reaches word 1e10: the last eight words below trial 1e10 are
+    # the tail of a block that starts three trials earlier, each word of that
+    # block is the word of its trial drawn alone, and the block is where 26
     # shorter jumps, each under 2**31 words, reach.
     first, stop = 10**10 - 8, 10**10
-    block = trial_uniforms_block(seed, first - 3, stop, 5)
-    np.testing.assert_array_equal(trial_uniforms_block(seed, first, stop, 5), block[3:])
+    block = trial_uniforms_block(seed, first - 3, stop)
+    np.testing.assert_array_equal(trial_uniforms_block(seed, first, stop), block[3:])
     for row, trial in enumerate(range(first - 3, stop)):
-        np.testing.assert_array_equal(trial_uniforms_block(seed, trial, trial + 1, 5)[0], block[row])
+        np.testing.assert_array_equal(trial_uniforms_block(seed, trial, trial + 1)[0], block[row])
     reference = np.random.PCG64DXSM(seed)
-    step, rest = divmod((first - 3) * 5, 25)
+    step, rest = divmod(first - 3, 25)
     for _ in range(25):
         reference.advance(step)
     reference.advance(rest)
-    np.testing.assert_array_equal(reference.random_raw(block.size), block.ravel())
+    np.testing.assert_array_equal(reference.random_raw(block.size), block)
 
 
 @pytest.mark.parametrize("p", [0.25, 0.5])
 def test_coin_and_cut_are_independent(p):
-    # Pearson's chi-squared over the 2x2 table of (bit 0, (w >> 11) < cut)
-    # against a fair coin times the cut's probability: 3 degrees of freedom,
-    # and 21.11 is their upper 1e-4 quantile.
-    w = trial_uniforms_block(8, 0, 1_000_000, 4).ravel()
-    coin = (w & np.uint64(1)).astype(np.int64)
+    # Pearson's chi-squared over the 32x2 table of (bits 0-4, (w >> 11) < cut)
+    # against a uniform column, whose bit 0 is a coin, times the cut's
+    # probability: 63 degrees of freedom, and 113.5 is their upper 1e-4
+    # quantile.
+    w = trial_uniforms_block(8, 0, 4_000_000)
+    column = (w & np.uint64(31)).astype(np.int64)
     below = ((w >> np.uint64(11)) < threshold(p)).astype(np.int64)
-    observed = np.bincount(2 * coin + below, minlength=4)
-    expected = w.size * np.array([0.5 * (1 - p), 0.5 * p, 0.5 * (1 - p), 0.5 * p])
-    assert ((observed - expected) ** 2 / expected).sum() < 21.11
+    observed = np.bincount(2 * column + below, minlength=64)
+    expected = w.size / 32 * np.tile([1 - p, p], 32)
+    assert ((observed - expected) ** 2 / expected).sum() < 113.5
 
 
 @pytest.mark.parametrize("seed", [None, True, 1.5, -1, 2**64])
 def test_seed_must_be_an_integer_in_range(seed):
     # No ambient entropy: a seed of None would draw fresh OS entropy.
     with pytest.raises(ValueError, match="seed"):
-        trial_uniforms_block(seed, 0, 2, 3)
+        trial_uniforms_block(seed, 0, 2)
     with pytest.raises(ValueError, match="seed"):
         protocol.run_quantum_mc(*protocol.canonical_schemes(), 1000, seed)
 
 
-def test_draws_per_trial_is_the_widest_row():
-    assert DRAWS_PER_TRIAL == max(WIDTHS)
+def test_draws_per_trial_is_the_widest_row(monkeypatch):
+    # Every sampled mode draws exactly DRAWS_PER_TRIAL words a trial.
+    drawn = []
+
+    def counted(seed, start, stop):
+        drawn.append(trial_uniforms_block(seed, start, stop))
+        return drawn[-1]
+
+    monkeypatch.setattr(protocol, "trial_uniforms_block", counted)
+    protocol.run_quantum_mc(*protocol.canonical_schemes(), 40_000, 1)
+    assert DRAWS_PER_TRIAL == 1
+    assert sum(w.size for w in drawn) == DRAWS_PER_TRIAL * 40_000
 
 
 def test_same_seed_reproduces():
     np.testing.assert_array_equal(
-        trial_uniforms_block(123, 0, 1000, 3), trial_uniforms_block(123, 0, 1000, 3)
+        trial_uniforms_block(123, 0, 1000), trial_uniforms_block(123, 0, 1000)
     )
 
 
 def test_different_seeds_differ():
     assert not np.array_equal(
-        trial_uniforms_block(1, 0, 100, 3), trial_uniforms_block(2, 0, 100, 3)
+        trial_uniforms_block(1, 0, 100), trial_uniforms_block(2, 0, 100)
     )
 
 
 def test_prefix_consistency():
-    full = trial_uniforms_block(9, 0, 500, 5)
-    np.testing.assert_array_equal(trial_uniforms_block(9, 0, 120, 5), full[:120])
+    full = trial_uniforms_block(9, 0, 500)
+    np.testing.assert_array_equal(trial_uniforms_block(9, 0, 120), full[:120])
 
 
 def test_chunked_generation_matches_one_shot():
-    for width in WIDTHS:
-        full = trial_uniforms_block(77, 0, 1000, width)
-        for bounds in ((0, 250), (250, 251), (251, 999), (999, 1000)):
-            np.testing.assert_array_equal(
-                trial_uniforms_block(77, *bounds, width), full[bounds[0] : bounds[1]]
-            )
+    full = trial_uniforms_block(77, 0, 1000)
+    for lo, hi in ((0, 250), (250, 251), (251, 999), (999, 1000)):
+        np.testing.assert_array_equal(trial_uniforms_block(77, lo, hi), full[lo:hi])
 
 
 def test_words_are_generator_uniforms():
     # The top 53 bits of each word, scaled, are the float64 uniform that
     # Generator.random() draws at the same stream position.
-    for width in WIDTHS:
-        generator = np.random.Generator(np.random.PCG64DXSM(5))
-        reference = generator.random(65_538 * width).reshape(-1, width)
-        for trial in (0, 1, 16_383, 16_384, 65_537):
-            w = trial_uniforms_block(5, trial, trial + 1, width)
-            assert w.dtype == np.uint64 and w.shape == (1, width)
-            np.testing.assert_array_equal((w >> 11) * STEP, reference[trial : trial + 1])
+    reference = np.random.Generator(np.random.PCG64DXSM(5)).random(65_538)
+    for trial in (0, 1, 16_383, 16_384, 65_537):
+        w = trial_uniforms_block(5, trial, trial + 1)
+        assert w.dtype == np.uint64 and w.shape == (1,)
+        np.testing.assert_array_equal((w >> 11) * STEP, reference[trial : trial + 1])
 
 
 def _assert_cut_exact(p: float) -> None:
@@ -144,6 +147,6 @@ def test_threshold_elementwise_and_clipped():
 
 def test_invalid_range_rejected():
     with pytest.raises(ValueError, match="range"):
-        trial_uniforms_block(0, 10, 5, 3)
-    with pytest.raises(ValueError, match="width"):
-        trial_uniforms_block(0, 0, 5, 0)
+        trial_uniforms_block(0, 10, 5)
+    with pytest.raises(ValueError, match="range"):
+        trial_uniforms_block(0, -1, 5)

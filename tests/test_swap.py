@@ -314,7 +314,6 @@ class TestNoiseParams:
             joint_distribution(NoiseParams(), "simultaneous")
 
     def test_trials_enforced(self):
-        coins = np.full((2, 2), 0.5)
-        cells = protocol.prepare_and_measure(coins, coins, np.ones((2, 2, 2, 2)))
+        cells = protocol.announced_cells(np.full((2, 2, 2, 2), 1 / 16))
         with pytest.raises(ValueError, match=">= 1"):
             protocol.sample_tally(0, 0, cells)
