@@ -74,26 +74,26 @@ SAMPLERS = {
 # counts[a, b, x, y] flattened in C order, keyed by (sampler, seed, trials).
 # The two swap orderings agree because their joints agree to rounding.
 GOLDEN_COUNTS = {
-    ("quantum-canonical", 2024, 100000): [2710, 494, 461, 2581, 2695, 453, 471, 2682, 2710, 475, 470, 2726, 511, 2601, 2666, 429],
-    ("quantum-canonical", 2024, 131075): [3537, 614, 607, 3434, 3531, 598, 618, 3472, 3534, 613, 631, 3560, 679, 3353, 3476, 568],
-    ("quantum-canonical", 9223372036854775813, 100000): [2738, 450, 444, 2567, 2658, 483, 500, 2705, 2649, 454, 410, 2771, 452, 2721, 2654, 448],
-    ("quantum-canonical", 9223372036854775813, 131075): [3555, 615, 565, 3374, 3507, 617, 638, 3567, 3381, 582, 569, 3631, 596, 3539, 3442, 591],
-    ("quantum-priors", 2024, 100000): [1903, 215, 810, 2899, 772, 402, 293, 5626, 5161, 599, 232, 853, 390, 6311, 556, 263],
-    ("quantum-priors", 2024, 131075): [2525, 264, 1048, 3834, 1007, 535, 396, 7312, 6753, 788, 305, 1118, 520, 8235, 720, 332],
-    ("quantum-priors", 9223372036854775813, 100000): [1908, 187, 777, 2915, 817, 410, 352, 5632, 5091, 607, 198, 904, 361, 6314, 543, 264],
-    ("quantum-priors", 9223372036854775813, 131075): [2502, 274, 997, 3826, 1064, 538, 455, 7418, 6595, 773, 259, 1199, 450, 8268, 699, 348],
-    ("lhv-stochastic", 2024, 100000): [3531, 3846, 3034, 3930, 4949, 2588, 4769, 2153, 3554, 4717, 3001, 3348, 5654, 2408, 4024, 2384],
-    ("lhv-stochastic", 2024, 131075): [4626, 4999, 4016, 5168, 6443, 3402, 6311, 2777, 4647, 6105, 4043, 4385, 7361, 3114, 5274, 3109],
-    ("lhv-stochastic", 9223372036854775813, 100000): [3624, 3895, 3011, 3838, 4829, 2688, 4842, 2227, 3470, 4562, 3059, 3409, 5599, 2507, 3995, 2264],
-    ("lhv-stochastic", 9223372036854775813, 131075): [4734, 5168, 3915, 5016, 6350, 3522, 6359, 2937, 4463, 5942, 4004, 4422, 7321, 3261, 5190, 2926],
-    ("swap-parties-first", 2024, 100000): [2501, 686, 693, 2393, 2504, 682, 650, 2482, 2504, 672, 671, 2546, 705, 2382, 2449, 643],
-    ("swap-parties-first", 2024, 131075): [3274, 871, 918, 3181, 3277, 888, 857, 3195, 3277, 862, 880, 3333, 928, 3051, 3182, 837],
-    ("swap-parties-first", 9223372036854775813, 100000): [2517, 693, 640, 2382, 2456, 705, 680, 2532, 2467, 663, 623, 2588, 656, 2526, 2441, 642],
-    ("swap-parties-first", 9223372036854775813, 131075): [3267, 927, 834, 3119, 3236, 903, 869, 3348, 3141, 838, 842, 3388, 864, 3288, 3171, 850],
-    ("swap-charlie-first", 2024, 100000): [2501, 686, 693, 2393, 2504, 682, 650, 2482, 2504, 672, 671, 2546, 705, 2382, 2449, 643],
-    ("swap-charlie-first", 2024, 131075): [3274, 871, 918, 3181, 3277, 888, 857, 3195, 3277, 862, 880, 3333, 928, 3051, 3182, 837],
-    ("swap-charlie-first", 9223372036854775813, 100000): [2517, 693, 640, 2382, 2456, 705, 680, 2532, 2467, 663, 623, 2588, 656, 2526, 2441, 642],
-    ("swap-charlie-first", 9223372036854775813, 131075): [3267, 927, 834, 3119, 3236, 903, 869, 3348, 3141, 838, 842, 3388, 864, 3288, 3171, 850],
+    ("quantum-canonical", 2024, 100000): [2658, 474, 459, 2613, 2612, 463, 451, 2731, 2747, 458, 422, 2588, 456, 2678, 2707, 469],
+    ("quantum-canonical", 2024, 131075): [3488, 614, 602, 3419, 3445, 608, 575, 3568, 3575, 573, 578, 3420, 596, 3539, 3551, 604],
+    ("quantum-canonical", 9223372036854775813, 100000): [2656, 471, 448, 2670, 2644, 454, 465, 2667, 2648, 463, 466, 2715, 461, 2660, 2663, 454],
+    ("quantum-canonical", 9223372036854775813, 131075): [3476, 604, 604, 3505, 3458, 593, 616, 3552, 3436, 633, 592, 3559, 595, 3492, 3498, 600],
+    ("quantum-priors", 2024, 100000): [1919, 216, 754, 2911, 786, 419, 317, 5738, 5160, 604, 208, 837, 366, 6390, 521, 293],
+    ("quantum-priors", 2024, 131075): [2525, 285, 986, 3801, 1026, 546, 411, 7463, 6775, 751, 287, 1103, 479, 8400, 663, 369],
+    ("quantum-priors", 9223372036854775813, 100000): [1937, 232, 750, 3007, 772, 398, 325, 5536, 5104, 583, 215, 867, 372, 6375, 525, 291],
+    ("quantum-priors", 9223372036854775813, 131075): [2538, 294, 1016, 3955, 1026, 525, 429, 7296, 6672, 799, 277, 1133, 483, 8400, 673, 377],
+    ("lhv-stochastic", 2024, 100000): [3535, 3948, 3046, 3925, 4866, 2627, 4837, 2184, 3535, 4528, 3058, 3208, 5766, 2462, 4059, 2283],
+    ("lhv-stochastic", 2024, 131075): [4655, 5177, 3958, 5128, 6367, 3500, 6329, 2855, 4581, 5939, 3983, 4220, 7525, 3256, 5332, 3005],
+    ("lhv-stochastic", 9223372036854775813, 100000): [3566, 3953, 2993, 3882, 4826, 2669, 4753, 2142, 3510, 4604, 3172, 3251, 5567, 2441, 4041, 2385],
+    ("lhv-stochastic", 9223372036854775813, 131075): [4666, 5175, 3966, 5092, 6333, 3431, 6235, 2876, 4575, 6062, 4126, 4287, 7303, 3199, 5302, 3100],
+    ("swap-parties-first", 2024, 100000): [2439, 708, 660, 2382, 2431, 651, 648, 2541, 2553, 663, 589, 2405, 657, 2469, 2516, 655],
+    ("swap-parties-first", 2024, 131075): [3215, 908, 858, 3122, 3206, 860, 831, 3312, 3325, 830, 795, 3182, 856, 3267, 3296, 849],
+    ("swap-parties-first", 9223372036854775813, 100000): [2466, 664, 641, 2467, 2462, 645, 665, 2473, 2470, 652, 681, 2495, 648, 2448, 2456, 672],
+    ("swap-parties-first", 9223372036854775813, 131075): [3223, 860, 873, 3238, 3208, 848, 873, 3293, 3197, 887, 867, 3265, 851, 3207, 3203, 886],
+    ("swap-charlie-first", 2024, 100000): [2439, 708, 660, 2382, 2431, 651, 648, 2541, 2553, 663, 589, 2405, 657, 2469, 2516, 655],
+    ("swap-charlie-first", 2024, 131075): [3215, 908, 858, 3122, 3206, 860, 831, 3312, 3325, 830, 795, 3182, 856, 3267, 3296, 849],
+    ("swap-charlie-first", 9223372036854775813, 100000): [2466, 664, 641, 2467, 2462, 645, 665, 2473, 2470, 652, 681, 2495, 648, 2448, 2456, 672],
+    ("swap-charlie-first", 9223372036854775813, 131075): [3223, 860, 873, 3238, 3208, 848, 873, 3293, 3197, 887, 867, 3265, 851, 3207, 3203, 886],
 }
 
 
@@ -136,7 +136,7 @@ GOLDEN_REPORTS = {
     "quantum-mc": (
         ["quantum-mc", "--trials", "100000", "--seed", "5"],
         None,
-        "aef16bb9fb63100437d2ee764ee152fcf97d89a2a842ca0d3ed840ae814e0159",
+        "604a692141507e1663cda80bfdd725a91eb2b2e0307b0b51ac7cc350e1d0a8fd",
     ),
     "lhv-mc": (
         ["lhv-mc", "--trials", "100000", "--seed", "7"],
@@ -150,12 +150,12 @@ GOLDEN_REPORTS = {
                 "select": [[0.9, 0.3], [0.5, 0.7], [0.2, 1.0]],
             },
         },
-        "42ca95d75b59e56b463dce50469ae873d7ad6e6859dfbff899ace5b07d63ca15",
+        "7b28e772b244fafdb1e2dacec09057ca8870d364640db53a2356d07eb21f10ce",
     ),
     "swap": (
         ["swap", "--trials", "100000", "--seed", "11"],
         {"mode": "swap", "order": "charlie-first", "noise": NOISE},
-        "35612e6c9fa0f31c3cb6a7dc6df59513eae90862b91898023cfa7996f315d5d5",
+        "15320f2a66de616a69db3179b74e59c8aaf8df141c36181cf3a63d5c7de32cd5",
     ),
     "quantum-exact": (
         ["quantum-exact"],
@@ -163,15 +163,15 @@ GOLDEN_REPORTS = {
             "mode": "quantum-exact",
             "schemes": dict(zip(("alice", "bob"), map(_scheme_doc, _prior_schemes()))),
         },
-        "db2ce3afcc8247530c76f4d7a68b893c06dab2d394624c7496c74667fe74785f",
+        "630ccfbfadad6b4cd4f9e439c4d700e98fe46b5a7685f3f07c0b57e78f0fa9fd",
     ),
-    "quantum-exact-canonical": (["quantum-exact"], None, "7a02cc31d0bdff340d21d75ea7b2887af553c30a1eb992f7eb009136899d351a"),
+    "quantum-exact-canonical": (["quantum-exact"], None, "20078a294f9d69184c458e5d2b2999e50bd57a6c10a7f27c0eda805cea24d648"),
     "check-independence": (
         ["check-independence"],
         {"mode": "check-independence", "schemes": PERTURBED_SCHEMES, "tol": 1e-6},
-        "18e7762bff11540df52553baf86679a58f596771a9b461fa918bc5f184211b82",
+        "975fe6cc55b557b440156ecaf0d0c1ab6c9ae5388358aa4b06f0a7036d43a63b",
     ),
-    "loophole": (["loophole"], None, "874279021482136b7eeaa82e301f3563ac66d89875d043a3de0804152454b230"),
+    "loophole": (["loophole"], None, "562c2000d36b76a74ea680ad3110a7e8b93dfc9fc09cd9ff869973c38f277148"),
     "lhv-indet": (
         ["lhv-indet", "--seed", "3"],
         {
@@ -183,19 +183,19 @@ GOLDEN_REPORTS = {
                 ]
             },
         },
-        "4c4caa13978595653e0d49ae9e08af72d040fe3425de7b30f08e822711d5e25a",
+        "ea191fb2b70c5e66b2aed64fff8491c212f4f224055f9ea80c39f5486d51dffa",
     ),
     "lhv-indet-sweep": (
         ["lhv-indet", "--seed", "3"],
         {"mode": "lhv-indet", "samples": 2500},
-        "d5e5552b89a49381fa5e2efc13f3cfc4bce8cedbd177b57c8b7fcb7b67d92aff",
+        "759bd6622bf1fb92c7f57728252436f24b576c421e91e202d5da520703621a9a",
     ),
-    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "0fbecc5535f131e7381379c07831c59039676b58180db5212ef912bfdd2caf74"),
-    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "3baacfd3a2b9da65da3d5d84904f52e4a682cc81d32ad015a51dafc351b9e25e"),
+    "lhv-max": (["lhv-max", "--seed", "3"], {"mode": "lhv-max", "samples": 50}, "4c5365ae8b7cc7076494aece3f705d178786b5b4941ef10dda25b9e10cb3f029"),
+    "swap-sweep": (["swap", "--grid", "0,0.25,1"], None, "cedfbc09ac1e338810f8526795c6eb4aba0d6735d72e23115cefd4f186550ae7"),
     "swap-parties-first": (
         ["swap", "--trials", "100000", "--seed", "13"],
         {"mode": "swap", "order": "parties-first", "noise": NOISE},
-        "8d48f8b1c2330277ca7f7dc3efba19bd4818cc9134bccb60881daed6dbe690fe",
+        "26b9c0ea76cd84d7926724e878cfebeb6ec313b2de023ebe0df84b3f9d3c6574",
     ),
     # Alice sends |0> in basis 0 and Bob always sends |1>, so basis pairs
     # (0, 0) and (0, 1) are never announced; the error names the first.
