@@ -343,7 +343,7 @@ def alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
     never large, so never an alias, and its cut is 0.  NaN, or a sum above 1
     beyond the rounding of two prior sums, raises ValueError.
     """
-    p = np.maximum(np.ravel(weights), 0.0).tolist()
+    p = np.ravel(weights).tolist()
     total = math.fsum(p)
     if not total <= 1.0 + 4.0 * EXACT_TOL:
         raise ValueError(f"announced weights must sum to at most 1, got {total!r}")

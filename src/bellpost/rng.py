@@ -10,15 +10,15 @@ workers handing out disjoint ranges — reproduces bit-identical samples.
 The samplers never convert a word to a float.  The uniform that
 ``Generator(PCG64DXSM(seed)).random()`` would return at the same stream
 position is ``u = (w >> 11) * 2**-53``, so every cut ``u < p`` on it has the
-exact integer form ``(w >> 11) < threshold(p)``.  The low bits of a word,
-which no such cut reads, pick among 2**k equally likely choices, so one word
-carries a uniform choice from bits 0-4 and an independent 53-bit cut from
-bits 11-63 (``protocol.announced_cells``).  PCG64DXSM's output function folds
-the whole 128-bit state into each word by xorshifts and a multiply, so its
-low bits are not the short-period low bits of the underlying congruential
-state, and the PCG family passes TestU01's BigCrush (O'Neill, "PCG: A Family
-of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-Number Generation", HMC-CS-2014-0905, 2014).
+exact integer form ``(w >> 11) < threshold(p)``.  Bits 0-4 of a word, which
+no such cut reads, pick one of 32 equally likely columns, so one word carries
+a column and an independent 53-bit cut from bits 11-63
+(``protocol.announced_cells``).  PCG64DXSM's output function folds the whole
+128-bit state into each word by xorshifts and a multiply, so its low bits are
+not the short-period low bits of the underlying congruential state, and the
+PCG family passes TestU01's BigCrush (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number Generation",
+HMC-CS-2014-0905, 2014).
 
 The seed must be an integer in [0, 2**64 - 1], the CLI's range; no ambient
 entropy is ever used.
