@@ -28,7 +28,7 @@ import numpy as np
 
 from .qcore import EXACT_TOL, NumericsError
 from .protocol import CondProbTable, EmptyCellError, Tally, correlations, postselect, table_s
-from .protocol import announced_cells, sample_tally
+from .protocol import sample_tally
 
 
 class NondeterministicModelError(Exception):
@@ -303,11 +303,11 @@ def simulate_lhv(m: LhvSimModel, n_trials: int, seed: int) -> Tally:
 
     The bases are fair coins, so a trial is announced in cell (a, b, x, y)
     with probability w[a, b, x, y] / 4 (``_announced_weights``) and not
-    announced otherwise.  ``protocol.announced_cells`` draws that law from
+    announced otherwise.  ``protocol.sample_tally`` draws that law from
     one word a trial: the model's own law, up to the rounding of the table,
     with no hidden value drawn.
     """
-    return sample_tally(seed, n_trials, announced_cells(0.25 * _announced_weights(m)))
+    return sample_tally(seed, n_trials, 0.25 * _announced_weights(m))
 
 
 def exact_postselected(m: LhvSimModel) -> tuple[CondProbTable, np.ndarray]:

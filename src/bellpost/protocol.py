@@ -19,20 +19,21 @@ basis-independence check that makes the task nontrivial and the closed-form
 error bars and violation p-value of sampled runs.
 
 ``sample_tally`` splits the trial range into one contiguous share per CPU the
-process may run on and streams each share in blocks of ``BLOCK_TRIALS`` trials
-on its own thread; numpy releases the GIL for the draws and the array work, so
-the shares run in parallel.  Memory is O(CPUs x a few MiB) whatever the trial
-count, and since a trial's words depend only on (seed, trial index), the
-tally does not depend on the CPU count.
+process may run on.  Each share's thread jumps one PCG64DXSM generator to the
+share's first trial and streams it in blocks of ``BLOCK_TRIALS`` trials; numpy
+releases the GIL for the draws and the array work, so the shares run in
+parallel.  Memory is O(CPUs x a few MiB) whatever the trial count, and since a
+trial's word depends only on (seed, trial index), the tally does not depend on
+the CPU count.
 
 Every sampled mode, the local-hidden-variable one included
-(``lhv.simulate_lhv``), hands the one ``announced_cells`` transform the
-[a, b, x, y] announced probabilities of its exact path.  A trial's outcome is
-one of 17, an announced cell or "not announced", and the transform draws it
-from one raw PCG64DXSM word (rng module) through a 32-column alias table
-(Walker, ACM TOMS 3, 253, 1977; Vose, IEEE TSE 17, 972, 1991): bits 0-4
-choose the column and bits 11-63, independent of them, make its 53-bit cut.
-No word is converted to a float.
+(``lhv.simulate_lhv``), hands ``sample_tally`` the [a, b, x, y] announced
+probabilities of its exact path.  A trial's outcome is one of 17, an
+announced cell or "not announced", drawn from one raw PCG64DXSM word (rng
+module) through a 32-column alias table (Walker, ACM TOMS 3, 253, 1977;
+Vose, IEEE TSE 17, 972, 1991): bits 0-4 choose the column and bits 11-63,
+independent of them, make its 53-bit cut.  Trials are counted by (column,
+kept), and one exact fold maps the counts to outcomes; no word becomes a float.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import EXACT_TOL
-from .rng import threshold, trial_uniforms_block
+from .rng import threshold, trial_stream
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -165,8 +166,8 @@ class Tally:
 
 
 # Trials per block of the streaming sampler: 16 Ki uint64 words, one a trial,
-# is 128 KiB.  Each thread holds one block and the transform's temporaries,
-# so the sampler's memory is O(CPUs x a few MiB) whatever the trial count.
+# is 128 KiB.  A share draws one block at a time from its generator, so the
+# sampler's memory is O(CPUs x a few MiB) whatever the trial count.
 BLOCK_TRIALS = 1 << 14
 
 
@@ -178,41 +179,47 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stream_counts(seed: int, start: int, stop: int, selected_cells) -> np.ndarray:
-    """Flat 16-cell counts of the announced trials start..stop-1, one block at a time."""
-    counts = np.zeros(32, dtype=np.int64)
+def _stream_counts(seed: int, start: int, stop: int, cut: np.ndarray) -> np.ndarray:
+    """Counts of trials start..stop-1 in bins ``col + 32 * kept``, a block at a time."""
+    counts = np.zeros(64, dtype=np.int64)
+    words = trial_stream(seed, start, stop)
     for lo in range(start, stop, BLOCK_TRIALS):
-        w = trial_uniforms_block(seed, lo, min(lo + BLOCK_TRIALS, stop))
-        counts += np.bincount(selected_cells(w), minlength=32)
-    return counts[:16]
+        w = words.random_raw(min(BLOCK_TRIALS, stop - lo))
+        col = (w & 31).view(np.int64)
+        kept = (w >> 11) < cut.take(col)
+        counts += np.bincount(col + 32 * kept, minlength=64)
+    return counts
 
 
-def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
+def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     """Stream trials 0..n_trials-1 into a Tally, one share per allowed CPU.
 
-    ``selected_cells(w)`` maps a block of raw PCG64DXSM words, one a trial
-    (rng module), to one int64 index per trial: the flat cell
-    ((a*2 + b)*2 + x)*2 + y of an announced trial, or 16..31 for a trial
-    Charlie did not announce, which is counted and dropped.
-    It is called from several threads at once, so it must be thread-safe:
-    read its captured arrays, never write them.
+    ``weights`` are the 16 announced probabilities [a, b, x, y] of one trial;
+    ``alias_table(weights)`` draws its 17-outcome law, with "not announced"
+    counted and dropped.  A trial's word picks the column ``w & 31``, which
+    keeps itself when ``(w >> 11) < cut[col]`` and otherwise gives way to
+    ``alias[col]``.  Each share counts its trials by (column, kept) in 64
+    bins, and the summed bins are folded once, exactly in integers, into
+    the outcomes: kept trials to their column, the rest to its alias.
 
     The range is split into ``max(1, min(CPUs, n_trials // BLOCK_TRIALS))``
     contiguous shares.  The calling thread streams the first share and one
-    helper thread each of the others; an exception raised in a helper is
+    helper thread each of the others, each from its own generator jumped
+    once to the share's first trial; an exception raised in a helper is
     re-raised here once every helper has finished.  A trial's word depends
     only on (seed, trial index), so the tally depends neither on the block
     size nor on the number of shares.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    cut, alias = alias_table(weights)
     shares = max(1, min(_cpu_count(), n_trials // BLOCK_TRIALS))
     bounds = [n_trials * i // shares for i in range(shares + 1)]
     results: list = [None] * shares
 
     def stream(i: int) -> None:
         try:
-            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], selected_cells)
+            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], cut)
         except BaseException as exc:  # handed to the caller, which re-raises it
             results[i] = exc
 
@@ -225,7 +232,9 @@ def sample_tally(seed: int, n_trials: int, selected_cells) -> Tally:
     for r in results:
         if isinstance(r, BaseException):
             raise r
-    return Tally(sum(results).reshape(2, 2, 2, 2), n_trials)
+    aliased, kept = sum(results).reshape(2, 32)
+    np.add.at(kept, alias, aliased)
+    return Tally(kept[:16].reshape(2, 2, 2, 2), n_trials)
 
 
 @dataclass(frozen=True)
@@ -360,21 +369,6 @@ def alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
     return threshold(keep), np.array(alias, dtype=np.int64)
 
 
-def announced_cells(weights):
-    """The ``sample_tally`` transform drawing ``alias_table(weights)``'s law.
-
-    Bits 0-4 of a word choose the column, and ``(w >> 11) < cut[col]`` keeps
-    it; otherwise the trial takes ``alias[col]``.
-    """
-    cut, alias = alias_table(weights)
-
-    def selected_cells(w: np.ndarray) -> np.ndarray:
-        col = (w & 31).view(np.int64)
-        return np.where((w >> 11) < cut.take(col), col, alias.take(col))
-
-    return selected_cells
-
-
 def run_quantum_mc(
     scheme_a: PreparationScheme,
     scheme_b: PreparationScheme,
@@ -393,7 +387,7 @@ def run_quantum_mc(
     if sel is None:
         sel = selection_probability_table(scheme_a.angles, scheme_b.angles)
     weights = 0.25 * scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel
-    return sample_tally(seed, n_trials, announced_cells(weights))
+    return sample_tally(seed, n_trials, weights)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Every sampler in this package draws one raw 64-bit PCG64DXSM word per trial:
 trial ``i`` owns word ``i`` of the PCG64DXSM stream keyed by the master seed.
 The generator emits one word per step and ``advance(n)`` jumps ``n`` steps in
 O(log n), so the word a trial sees depends only on ``(seed, i)``.  Any
-partition of the trial range — the sampler's fixed-size blocks, or parallel
-workers handing out disjoint ranges — reproduces bit-identical samples.
+partition of the trial range reproduces bit-identical samples: the sampler
+jumps one generator per share to its first trial (``trial_stream``) and
+draws the share's blocks by continuing it.
 
 The samplers never convert a word to a float.  The uniform that
 ``Generator(PCG64DXSM(seed)).random()`` would return at the same stream
@@ -13,7 +14,7 @@ position is ``u = (w >> 11) * 2**-53``, so every cut ``u < p`` on it has the
 exact integer form ``(w >> 11) < threshold(p)``.  Bits 0-4 of a word, which
 no such cut reads, pick one of 32 equally likely columns, so one word carries
 a column and an independent 53-bit cut from bits 11-63
-(``protocol.announced_cells``).  PCG64DXSM's output function folds the whole
+(``protocol.sample_tally``).  PCG64DXSM's output function folds the whole
 128-bit state into each word by xorshifts and a multiply, so its low bits are
 not the short-period low bits of the underlying congruential state, and the
 PCG family passes TestU01's BigCrush (O'Neill, "PCG: A Family of Simple Fast
@@ -30,30 +31,32 @@ import numbers
 
 import numpy as np
 
-# Words a sampled trial draws.  The benchmark's reference,
-# bench/worker.py::philox_reference, draws rows * DRAWS_PER_TRIAL words, so at
-# one word a trial it draws as many words as the samplers do (``rng.bytes`` /
-# 8); it still times Philox until the benchmark follows the PCG64DXSM stream.
+# Words a sampled trial draws.  bench/worker.py::philox_reference draws
+# rows * DRAWS_PER_TRIAL words, rows being the words its tracer sees
+# ``trial_uniforms_block`` return: 0, as the samplers use ``trial_stream``.
 DRAWS_PER_TRIAL = 1
 
 
-def trial_uniforms_block(seed: int, start: int, stop: int) -> np.ndarray:
-    """Raw uint64 PCG64DXSM words of trials start..stop-1, shape (stop - start,).
+def trial_stream(seed: int, start: int, stop: int) -> np.random.PCG64DXSM:
+    """The PCG64DXSM stream jumped to word ``start``, trial ``start``'s word.
 
-    The stream is jumped to word ``start``, trial ``start``'s word.  Word
-    ``w`` stands for the uniform ``(w >> 11) * 2**-53``; cut it with
-    ``threshold``.  A seed that is not an integer in [0, 2**64 - 1] (a bool,
-    a float or None among them) raises ValueError.
+    Each ``random_raw(k)`` continues it, so trials start..stop-1 may be drawn
+    in any number of calls.  Word ``w`` stands for the uniform
+    ``(w >> 11) * 2**-53``; cut it with ``threshold``.  A seed that is not an
+    integer in [0, 2**64 - 1] (a bool, a float or None among them), or a
+    range other than 0 <= start <= stop, raises ValueError.
     """
     integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
     if not (integral and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
     if not 0 <= start <= stop:
         raise ValueError(f"invalid trial range [{start}, {stop})")
-    bitgen = np.random.PCG64DXSM(seed)
-    if start:
-        bitgen.advance(start)
-    return bitgen.random_raw(stop - start)
+    return np.random.PCG64DXSM(seed).advance(start)
+
+
+def trial_uniforms_block(seed: int, start: int, stop: int) -> np.ndarray:
+    """Raw uint64 PCG64DXSM words of trials start..stop-1, shape (stop - start,)."""
+    return trial_stream(seed, start, stop).random_raw(stop - start)
 
 
 def threshold(p) -> np.ndarray:

@@ -194,15 +194,17 @@ def edge_lhv_model() -> lhv.LhvSimModel:
 
 def sampled_law(monkeypatch, module, run) -> np.ndarray:
     """The [a, b, x, y] announced weights that ``run()`` hands to
-    ``protocol.announced_cells`` through ``module``, caught on their way in."""
-    seen, transform = [], protocol.announced_cells
+    ``protocol.sample_tally`` through ``module``, caught on their way in.
+    The spy is gone once ``run()`` returns."""
+    seen, sampler = [], protocol.sample_tally
 
-    def spy(weights):
+    def spy(seed, n_trials, weights):
         seen.append(weights)
-        return transform(weights)
+        return sampler(seed, n_trials, weights)
 
-    monkeypatch.setattr(module, "announced_cells", spy)
-    run()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "sample_tally", spy)
+        run()
     return seen[-1]
 
 

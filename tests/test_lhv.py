@@ -413,7 +413,7 @@ class TestExactPostselected:
 
 class TestSimulateLhv:
     def test_table_is_the_model_law(self, monkeypatch):
-        # The law simulate_lhv hands to the alias transform gives a trial of
+        # The law simulate_lhv hands to the sampler gives a trial of
         # fair bases (a, b) the model's announced weight w / 4 in each cell,
         # and "not announced" the rest.
         rng = np.random.default_rng(38)

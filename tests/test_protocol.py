@@ -6,9 +6,12 @@ import threading
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpost import lhv, protocol, swap
 from bellpost.protocol import (
@@ -116,9 +119,32 @@ def alias_records(words: np.ndarray, weights):
     return records
 
 
+def alias_outcomes(words: np.ndarray, weights) -> np.ndarray:
+    """Each word's outcome through ``protocol.alias_table(weights)``, the
+    whole array at once: its column if the cut keeps it, else the alias."""
+    cut, alias = protocol.alias_table(weights)
+    col = (words & np.uint64(31)).astype(np.int64)
+    return np.where((words >> np.uint64(11)) < cut[col], col, alias[col])
+
+
 def sampled_from_words(monkeypatch, words: np.ndarray, run):
-    """The tally ``run(n)`` gives when the sampler is fed these words."""
-    monkeypatch.setattr(protocol, "trial_uniforms_block", lambda seed, lo, hi: words[lo:hi])
+    """The tally ``run(n)`` gives when the sampler is fed these words.
+
+    Each share's stream hands out the words from its first trial on, as many
+    as each draw asks for, and never past the share's end.
+    """
+
+    def fed(seed, start, stop):
+        at = [start]
+
+        def random_raw(k):
+            at[0] += k
+            assert at[0] <= stop
+            return words[at[0] - k : at[0]]
+
+        return SimpleNamespace(random_raw=random_raw)
+
+    monkeypatch.setattr(protocol, "trial_stream", fed)
     return run(words.shape[0])
 
 
@@ -444,8 +470,9 @@ class TestRunQuantumMc:
 
     def test_matches_per_trial_record_oracle(self, monkeypatch):
         # The words of the same stream, one trial at a time in plain Python:
-        # the vectorized transform must agree.  Blocks of 999 trials jump the
-        # stream to words the long draw reaches by drawing.
+        # the vectorized sampler must agree.  With blocks of 999 trials the
+        # range splits into shares, each jumped to words the long draw
+        # reaches by drawing.
         monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
         alice, bob = canonical_schemes()
         weights = sampled_law(monkeypatch, protocol, lambda: run_quantum_mc(alice, bob, 1, 0))
@@ -523,7 +550,7 @@ def implied_law(cut, alias) -> list[Fraction]:
 
 def _alias_laws(monkeypatch):
     """(label, weights) of every law the alias table is checked on, each
-    caught on its way into the transform from the mode that samples it."""
+    caught on its way into the sampler from the mode that samples it."""
     rng = np.random.default_rng(71)
     quantum = [canonical_schemes()]
     quantum += [(_random_scheme(rng), _random_scheme(rng)) for _ in range(200)]
@@ -569,8 +596,8 @@ class TestAliasTable:
         # against the law: 16 degrees of freedom, and 45.92 is their upper
         # 1e-4 quantile.
         weights = quantum_weights(*canonical_schemes())
-        index = protocol.announced_cells(weights)(trial_uniforms_block(12, 0, 1_000_000))
-        observed = np.bincount(np.minimum(index, 16), minlength=17)
+        tally = protocol.sample_tally(12, 1_000_000, weights)
+        observed = np.append(tally.counts.ravel(), 1_000_000 - tally.n_selected)
         law = np.append(weights.ravel(), 1.0 - weights.sum())
         expected = 1_000_000 * law
         assert ((observed - expected) ** 2 / expected).sum() < 45.92
@@ -580,6 +607,48 @@ class TestAliasTable:
             protocol.alias_table(np.full((2, 2, 2, 2), 0.25))
         with pytest.raises(ValueError, match="at most 1"):
             protocol.alias_table(np.full((2, 2, 2, 2), math.nan))
+
+
+class TestAliasFold:
+    """The sampler counts trials by (column, kept) and folds the 64 counts
+    once through the alias table; the per-trial oracle takes each trial's
+    outcome on its own."""
+
+    @staticmethod
+    def _assert_fold_matches_oracle(monkeypatch, weights, words) -> None:
+        want = tally_from_records(alias_records(words, weights), words.size)
+        got = sampled_from_words(monkeypatch, words, lambda n: protocol.sample_tally(0, n, weights))
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    def test_sampled_laws_match_record_oracle(self, monkeypatch):
+        # Every 7th random quantum, LHV and swap law, on raw and cut-edge
+        # words.  Their columns give way to "not announced" and to many
+        # distinct announced cells.
+        targets, labels = set(), set()
+        for k, (label, weights) in enumerate(_alias_laws(monkeypatch)):
+            if k % 7:
+                continue
+            cut, alias = protocol.alias_table(weights)
+            labels.add(label)
+            targets |= {int(alias[c]) for c in range(32) if cut[c] < 2**53}
+            for words in (raw_words(k, 300), edge_words(cut, 300, seed=k)):
+                self._assert_fold_matches_oracle(monkeypatch, weights, words)
+        assert labels == {"quantum", "lhv", *swap.ORDERS}
+        assert 16 in targets and len(targets - {16}) >= 8
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=17, max_size=17).filter(lambda p: sum(p) > 0.0),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_random_subprobabilities_match_record_oracle(self, mass, seed):
+        # Outcome 16, "not announced", takes the 17th share of the mass,
+        # which may be 0; any outcome may have weight exactly 0.
+        weights = np.array(mass[:16]).reshape(2, 2, 2, 2) / math.fsum(mass)
+        cut = protocol.alias_table(weights)[0]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for words in (raw_words(seed, 200), edge_words(cut, 200, seed=seed)):
+                self._assert_fold_matches_oracle(monkeypatch, weights, words)
 
 
 SAMPLED_MODES = {
@@ -618,13 +687,13 @@ class TestSampleTally:
         "n", [1, protocol.BLOCK_TRIALS, protocol.BLOCK_TRIALS + 1, 65_536, 65_537]
     )
     def test_block_edges_match_whole_range(self, n):
-        # The same transform applied to the whole trial range in one array:
-        # one index per trial, announced cells below 16 and the rest above.
-        cells = protocol.announced_cells(quantum_weights(*canonical_schemes()))
-        index = cells(trial_uniforms_block(4, 0, n))
+        # The same law applied to the whole trial range in one array: one
+        # outcome per trial, announced cells below 16 and the rest above.
+        weights = quantum_weights(*canonical_schemes())
+        index = alias_outcomes(trial_uniforms_block(4, 0, n), weights)
         assert index.shape == (n,)
         want = np.bincount(index, minlength=32)[:16]
-        got = protocol.sample_tally(4, n, cells)
+        got = protocol.sample_tally(4, n, weights)
         np.testing.assert_array_equal(got.counts.ravel(), want)
         assert got.n_total == n
 
@@ -648,18 +717,20 @@ class TestSampleTally:
             sys.setswitchinterval(interval)
 
     def test_helper_exception_reraised_after_join(self, monkeypatch):
-        cells = protocol.announced_cells(quantum_weights(*canonical_schemes()))
         main_thread = threading.current_thread()
+        stream = protocol.trial_stream
 
-        def failing_in_helpers(u):
+        def failing_in_helpers(seed, start, stop):
             if threading.current_thread() is not main_thread:
-                raise RuntimeError("transform failed in a helper")
-            return cells(u)
+                raise RuntimeError("draw failed in a helper")
+            return stream(seed, start, stop)
 
+        monkeypatch.setattr(protocol, "trial_stream", failing_in_helpers)
         monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
+        weights = quantum_weights(*canonical_schemes())
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="in a helper"):
-            protocol.sample_tally(1, 3 * protocol.BLOCK_TRIALS, failing_in_helpers)
+            protocol.sample_tally(1, 3 * protocol.BLOCK_TRIALS, weights)
         assert threading.active_count() == before
 
 

@@ -1,6 +1,7 @@
 """The per-trial substream contract: values depend only on (seed, trial)."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpost import protocol
-from bellpost.rng import DRAWS_PER_TRIAL, threshold, trial_uniforms_block
+from bellpost.rng import DRAWS_PER_TRIAL, threshold, trial_stream, trial_uniforms_block
 
 STEP = 2.0**-53
 
@@ -65,18 +66,49 @@ def test_seed_must_be_an_integer_in_range(seed):
         protocol.run_quantum_mc(*protocol.canonical_schemes(), 1000, seed)
 
 
-def test_draws_per_trial_is_the_widest_row(monkeypatch):
-    # Every sampled mode draws exactly DRAWS_PER_TRIAL words a trial.
-    drawn = []
+def counted_streams(monkeypatch) -> list:
+    """Record the sampler's streams: one (start, stop, blocks drawn) a
+    generator built, with every block of words drawn from it."""
+    built = []
 
     def counted(seed, start, stop):
-        drawn.append(trial_uniforms_block(seed, start, stop))
-        return drawn[-1]
+        bitgen, blocks = trial_stream(seed, start, stop), []
+        built.append((start, stop, blocks))
 
-    monkeypatch.setattr(protocol, "trial_uniforms_block", counted)
+        def random_raw(k):
+            blocks.append(bitgen.random_raw(k))
+            return blocks[-1]
+
+        return SimpleNamespace(random_raw=random_raw)
+
+    monkeypatch.setattr(protocol, "trial_stream", counted)
+    return built
+
+
+def test_draws_per_trial_is_the_widest_row(monkeypatch):
+    # Every sampled mode draws exactly DRAWS_PER_TRIAL words a trial.
+    built = counted_streams(monkeypatch)
     protocol.run_quantum_mc(*protocol.canonical_schemes(), 40_000, 1)
     assert DRAWS_PER_TRIAL == 1
+    drawn = [w for _, _, blocks in built for w in blocks]
     assert sum(w.size for w in drawn) == DRAWS_PER_TRIAL * 40_000
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_one_generator_per_share(monkeypatch, cpus):
+    # Each share builds one generator, jumped once to its first trial, and
+    # draws its several blocks by continuing it: the words drawn, share by
+    # share and block by block, are the trials' words, each drawn once.
+    n = 5 * protocol.BLOCK_TRIALS + 7
+    monkeypatch.setattr(protocol, "_cpu_count", lambda: cpus)
+    built = counted_streams(monkeypatch)
+    protocol.run_quantum_mc(*protocol.canonical_schemes(), n, 1)
+    built.sort(key=lambda share: share[0])
+    bounds = [n * i // cpus for i in range(cpus + 1)]
+    assert [(start, stop) for start, stop, _ in built] == list(zip(bounds, bounds[1:]))
+    assert all(len(blocks) > 1 for _, _, blocks in built)
+    drawn = np.concatenate([w for _, _, blocks in built for w in blocks])
+    np.testing.assert_array_equal(drawn, np.random.PCG64DXSM(1).random_raw(n))
 
 
 def test_same_seed_reproduces():

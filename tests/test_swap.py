@@ -314,6 +314,5 @@ class TestNoiseParams:
             joint_distribution(NoiseParams(), "simultaneous")
 
     def test_trials_enforced(self):
-        cells = protocol.announced_cells(np.full((2, 2, 2, 2), 1 / 16))
         with pytest.raises(ValueError, match=">= 1"):
-            protocol.sample_tally(0, 0, cells)
+            protocol.sample_tally(0, 0, np.full((2, 2, 2, 2), 1 / 16))
