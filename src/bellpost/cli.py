@@ -104,7 +104,7 @@ def _scheme(obj, path: str) -> protocol.PreparationScheme:
         basis = _object(obj[f"basis{a}"], ("angles",), ("priors",), bpath)
         angles.append(_numbers(basis["angles"], 2, f"{bpath}.angles"))
         row = _numbers(basis.get("priors", [0.5, 0.5]), 2, f"{bpath}.priors")
-        if any(p < 0.0 for p in row) or abs(sum(row) - 1.0) > 1e-12:
+        if any(p < 0.0 for p in row) or abs(sum(row) - 1.0) > EXACT_TOL:
             raise ConfigError(f"{bpath}.priors: must be nonnegative and sum to 1, got {row}")
         priors.append(row)
     return protocol.PreparationScheme(angles, priors)

@@ -694,6 +694,19 @@ def test_readme_report_schema_version_is_current():
     assert stated == [str(cli.REPORT_SCHEMA_VERSION)]
 
 
+def test_readme_sampler_sizes_are_current():
+    """README's block size and split threshold are protocol.BLOCK_TRIALS and SHARE_TRIALS."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+
+    def stated(before: str) -> list[int]:
+        found = re.findall(before + r" (\d{1,3}(?: \d{3})*) trials", text)
+        return [int(n.replace(" ", "")) for n in found]
+
+    assert stated("blocks of") == [protocol.BLOCK_TRIALS] * 2
+    assert stated("shares of at least") == [protocol.SHARE_TRIALS]
+    assert stated("fewer than") == [2 * protocol.SHARE_TRIALS]
+
+
 def test_readme_schema_table_lists_the_config_fields():
     """README's config table names each field of cli._FIELDS, in order, with its modes.
 

@@ -99,7 +99,7 @@ def test_one_generator_per_share(monkeypatch, cpus):
     # Each share builds one generator, jumped once to its first trial, and
     # draws its several blocks by continuing it: the words drawn, share by
     # share and block by block, are the trials' words, each drawn once.
-    n = 5 * protocol.BLOCK_TRIALS + 7
+    n = 3 * protocol.SHARE_TRIALS + 7
     monkeypatch.setattr(protocol, "_cpu_count", lambda: cpus)
     built = counted_streams(monkeypatch)
     protocol.run_quantum_mc(*protocol.canonical_schemes(), n, 1)
