@@ -20,16 +20,14 @@ error bars and violation p-value of sampled runs.
 
 ``sample_tally`` splits the trial range into contiguous shares of at least
 ``SHARE_TRIALS`` trials, at most one per CPU the calling thread may run on.
-Each share jumps one PCG64DXSM generator to its first trial and streams it
-in blocks of ``BLOCK_TRIALS`` trials.  numpy releases the GIL for the draws
-and the array work, but the threads hand the GIL back and forth at every
-numpy call of every block, and starting one costs about 0.1 ms, so a
-smaller run streams on the calling thread alone.  Above that, each share's
-thread is pinned to its own CPU: where the kernel does not balance load, an
-unpinned helper often stays on its creator's CPU.  Memory is O(CPUs x a few
-MiB) whatever the trial count, and since a trial's word depends only on
-(seed, trial index), the tally depends neither on the CPU count nor on the
-share count.
+Each share's thread jumps one PCG64DXSM generator to the share's first trial
+and streams it in blocks of ``BLOCK_TRIALS`` trials.  numpy releases the GIL
+for the draws and the array work, but the threads still hand the GIL back and
+forth at every numpy call of every block, and starting one costs about
+0.1 ms, so a smaller run streams on the calling thread alone.  Memory is
+O(CPUs x a few MiB) whatever the trial count, and since a trial's word
+depends only on (seed, trial index), the tally depends neither on the CPU
+count nor on the share count.
 
 Every sampled mode, the local-hidden-variable one included
 (``lhv.simulate_lhv``), hands ``sample_tally`` the [a, b, x, y] announced
@@ -175,35 +173,21 @@ class Tally:
 # sampler's memory is O(CPUs x a few MiB) whatever the trial count.
 BLOCK_TRIALS = 1 << 14
 
-# Trials per share.  A second share costs a thread start and a GIL hand-off
-# at every numpy call of every block.  Measured on a shared 2-CPU VM, two
-# pinned shares beat one in most alternating calls from 2 x 2**17 trials on,
-# and in few below.
+# Trials per share: a run splits only from 2 x SHARE_TRIALS trials on.  A
+# second share costs a thread start and a GIL hand-off at every numpy call
+# of every block, and below 1e5 trials it lost to one share on a shared
+# 2-CPU VM.  The value sits above the largest such run and below 1e7; where
+# between them two shares start to pay depends on the host and is not
+# settled.
 SHARE_TRIALS = 1 << 17
-
-
-def _cpu_mask() -> set[int]:
-    """The calling thread's CPU affinity mask; every CPU where the platform has none."""
-    try:
-        return os.sched_getaffinity(0)
-    except AttributeError:
-        return set(range(os.cpu_count() or 1))
 
 
 def _cpu_count() -> int:
     """The number of CPUs the calling thread may run on."""
-    return len(_cpu_mask())
-
-
-def _set_affinity(cpus: set[int]) -> None:
-    """Restrict the calling thread to ``cpus`` if the platform and the kernel allow it.
-
-    Placement never changes a tally, so a refusal leaves the thread where it is.
-    """
     try:
-        os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):
-        pass
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _stream_counts(seed: int, start: int, stop: int, cut: np.ndarray) -> np.ndarray:
@@ -218,41 +202,6 @@ def _stream_counts(seed: int, start: int, stop: int, cut: np.ndarray) -> np.ndar
     return counts
 
 
-def _stream_shares(seed: int, n_trials: int, shares: int, cut: np.ndarray) -> np.ndarray:
-    """Summed ``_stream_counts`` of ``shares`` contiguous shares, one thread and CPU each.
-
-    The calling thread streams share 0 and a helper thread each other; share
-    i pins its thread to the caller's i-th CPU, modulo their number.  The
-    caller's mask is restored before the helpers are joined, and an
-    exception raised in a helper is re-raised once all have finished.
-    """
-    mask = _cpu_mask()
-    cpus = sorted(mask)
-    bounds = [n_trials * i // shares for i in range(shares + 1)]
-    results: list = [None] * shares
-
-    def stream(i: int) -> None:
-        try:
-            _set_affinity({cpus[i % len(cpus)]})
-            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], cut)
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            results[i] = exc
-
-    helpers = [threading.Thread(target=stream, args=(i,)) for i in range(1, shares)]
-    for t in helpers:
-        t.start()
-    try:
-        stream(0)
-    finally:
-        _set_affinity(mask)
-        for t in helpers:
-            t.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
-    return sum(results)
-
-
 def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     """Stream trials 0..n_trials-1 into a Tally, in shares of at least SHARE_TRIALS.
 
@@ -265,23 +214,38 @@ def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     the outcomes: kept trials to their column, the rest to its alias.
 
     The range is split into ``max(1, min(CPUs, n_trials // SHARE_TRIALS))``
-    contiguous shares, each streamed from its own generator jumped once to
-    its first trial.  Below 2 x SHARE_TRIALS trials a second thread costs
-    more than it saves, so one share runs on the calling thread alone;
-    several run pinned to separate CPUs (``_stream_shares``), since a thread
-    the kernel does not move often stays on its creator's CPU.  A trial's
-    word depends only on (seed, trial index), so the tally depends neither
-    on the block size nor on the shares or their placement.
+    contiguous shares, so a run of fewer than 2 x SHARE_TRIALS trials
+    streams on the calling thread alone and starts no thread.  The calling
+    thread streams the first share and one helper thread each of the
+    others, each from its own generator jumped once to the share's first
+    trial; an exception raised in a helper is re-raised here once every
+    helper has finished.  A trial's word depends only on (seed, trial
+    index), so the tally depends neither on the block size nor on the
+    number of shares.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     cut, alias = alias_table(weights)
     shares = max(1, min(_cpu_count(), n_trials // SHARE_TRIALS))
-    if shares == 1:
-        counts = _stream_counts(seed, 0, n_trials, cut)
-    else:
-        counts = _stream_shares(seed, n_trials, shares, cut)
-    aliased, kept = counts.reshape(2, 32)
+    bounds = [n_trials * i // shares for i in range(shares + 1)]
+    results: list = [None] * shares
+
+    def stream(i: int) -> None:
+        try:
+            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], cut)
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            results[i] = exc
+
+    helpers = [threading.Thread(target=stream, args=(i,)) for i in range(1, shares)]
+    for t in helpers:
+        t.start()
+    stream(0)
+    for t in helpers:
+        t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    aliased, kept = sum(results).reshape(2, 32)
     np.add.at(kept, alias, aliased)
     return Tally(kept[:16].reshape(2, 2, 2, 2), n_trials)
 

@@ -1,8 +1,6 @@
 """Tests for the three-party task: schemes, tallies, exact statistics, sampling."""
 
-import errno
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -734,11 +732,9 @@ class TestSampleTally:
         monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
         weights = quantum_weights(*canonical_schemes())
         before = threading.active_count()
-        mask = protocol._cpu_mask()
         with pytest.raises(RuntimeError, match="in a helper"):
             protocol.sample_tally(1, 3 * protocol.SHARE_TRIALS, weights)
         assert threading.active_count() == before
-        assert protocol._cpu_mask() == mask
 
     def test_split_starts_at_two_share_trials(self, monkeypatch):
         # Below 2 x SHARE_TRIALS trials the calling thread streams the whole
@@ -760,73 +756,6 @@ class TestSampleTally:
         streamed.clear()
         protocol.sample_tally(1, n, weights)
         assert sorted(streamed) == [(0, n // 2, True), (n // 2, n, False)]
-
-
-class TestSharePlacement:
-    """Each share's thread is pinned to one CPU; the caller gets its mask back."""
-
-    @pytest.mark.parametrize("mask, shares", [({3, 5}, 2), ({0, 2, 7}, 3), ({1, 4}, 3)])
-    def test_each_share_pins_one_cpu_of_the_mask(self, monkeypatch, mask, shares):
-        # The CPUs need not exist: sched_setaffinity only records who asked
-        # for what, so the shares run wherever the kernel puts them.
-        pins = []
-        monkeypatch.setattr(protocol, "_cpu_mask", lambda: set(mask))
-        monkeypatch.setattr(protocol, "_cpu_count", lambda: shares)
-        monkeypatch.setattr(
-            os, "sched_setaffinity",
-            lambda pid, cpus: pins.append((threading.current_thread(), set(cpus))),
-            raising=False,
-        )
-        weights = quantum_weights(*canonical_schemes())
-        n = shares * protocol.SHARE_TRIALS + 5
-        got = protocol.sample_tally(2, n, weights)
-        caller = threading.current_thread()
-        first, restored = [cpus for thread, cpus in pins if thread is caller]
-        assert restored == mask
-        pinned = [first] + [cpus for thread, cpus in pins if thread is not caller]
-        assert len(pinned) == len(pins) - 1 == shares
-        assert all(len(cpus) == 1 and cpus <= mask for cpus in pinned)
-        if shares <= len(mask):
-            assert len(set.union(*pinned)) == shares
-        monkeypatch.setattr(protocol, "_cpu_count", lambda: 1)
-        np.testing.assert_array_equal(got.counts, protocol.sample_tally(2, n, weights).counts)
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
-    def test_shares_run_pinned_and_the_mask_comes_back(self, monkeypatch):
-        before = os.sched_getaffinity(0)
-        masks = []
-        stream = protocol._stream_counts
-
-        def spy(seed, start, stop, cut):
-            masks.append(os.sched_getaffinity(0))
-            return stream(seed, start, stop, cut)
-
-        monkeypatch.setattr(protocol, "_stream_counts", spy)
-        monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
-        protocol.sample_tally(2, 3 * protocol.SHARE_TRIALS, quantum_weights(*canonical_schemes()))
-        assert os.sched_getaffinity(0) == before
-        assert len(masks) == 3
-        assert all(len(m) == 1 and m <= before for m in masks)
-
-    @pytest.mark.parametrize("refusal", ["raises", "missing", "no-affinity-calls"])
-    def test_refused_pinning_leaves_every_tally(self, monkeypatch, refusal):
-        if refusal == "raises":
-
-            def refuse(pid, cpus):
-                raise OSError(errno.EINVAL, "Invalid argument")
-
-            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-        else:
-            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        if refusal == "no-affinity-calls":
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        n = 3 * protocol.SHARE_TRIALS + 1
-        for mode in sorted(SAMPLED_MODES):
-            monkeypatch.setattr(protocol, "_cpu_count", lambda: 1)
-            want = SAMPLED_MODES[mode](n)
-            monkeypatch.setattr(protocol, "_cpu_count", lambda: 3)
-            got = SAMPLED_MODES[mode](n)
-            np.testing.assert_array_equal(got.counts, want.counts)
 
 
 class TestBellReport:
