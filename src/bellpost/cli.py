@@ -233,9 +233,18 @@ def _verdict_sampled(rep: protocol.BellReport) -> str:
     return "task completed" if rep.p_value < _P_THRESHOLD else "no violation"
 
 
-def _sampled(tally: protocol.Tally, exact_table: protocol.CondProbTable) -> tuple[dict, str]:
-    """A sampled run's results, its Bell statistics then its table's exact S, and verdict."""
-    rep = protocol.bell_report(tally)
+def _sampled(
+    cfg: SimpleNamespace, law: np.ndarray, exact_law: np.ndarray | None = None
+) -> tuple[dict, str, np.ndarray]:
+    """A sampled run of the announced law W[a, b, x, y]: results, verdict and exact rates.
+
+    ``exact_law`` (by default ``law``) is post-selected first, so an empty
+    basis pair raises EmptyCellError before any trial is drawn; then
+    ``cfg.trials`` trials of ``law`` are sampled.  The results are the Bell
+    statistics, then the exact table's S.
+    """
+    exact_table, rates = protocol.postselect(law if exact_law is None else exact_law)
+    rep = protocol.bell_report(protocol.sample_tally(cfg.seed, cfg.trials, law))
     results = {
         "e": _e_dict(rep.e),
         "se_e": _e_dict(rep.se_e),
@@ -247,7 +256,7 @@ def _sampled(tally: protocol.Tally, exact_table: protocol.CondProbTable) -> tupl
         "selection_rate": rep.n_selected / rep.n_total,
         "exact_s": protocol.table_s(exact_table),
     }
-    return results, _verdict_sampled(rep)
+    return results, _verdict_sampled(rep), rates
 
 
 def _no_signaling_gap(table: protocol.CondProbTable) -> float:
@@ -278,15 +287,12 @@ def _run_quantum_exact(cfg: SimpleNamespace) -> tuple[dict, str]:
 
 
 def _run_quantum_mc(cfg: SimpleNamespace) -> tuple[dict, str]:
-    alice, bob = cfg.schemes
-    sel = protocol.selection_probability_table(alice.angles, bob.angles)
-    exact_table = protocol.exact_postselected(alice, bob, sel)[0]
-    return _sampled(protocol.run_quantum_mc(alice, bob, cfg.trials, cfg.seed, sel), exact_table)
+    results, verdict, _ = _sampled(cfg, protocol.announced_weights(*cfg.schemes))
+    return results, verdict
 
 
 def _run_lhv_mc(cfg: SimpleNamespace) -> tuple[dict, str]:
-    exact_table = lhv.exact_postselected(cfg.lhv_model)[0]
-    results, verdict = _sampled(lhv.simulate_lhv(cfg.lhv_model, cfg.trials, cfg.seed), exact_table)
+    results, verdict, _ = _sampled(cfg, lhv.announced_weights(cfg.lhv_model))
     if cfg.lhv_model.is_deterministic():
         results["s_from_cells"] = lhv.s_from_cells(lhv.cells_from_model(cfg.lhv_model))
     return results, verdict
@@ -330,12 +336,7 @@ def _run_swap(cfg: SimpleNamespace) -> tuple[dict, str]:
         results = {"sweep": [{"p": p, "s_exact": s} for p, s in rows]}
         return results, _verdict_exact(best)
     joints = {order: swap.joint_distribution(cfg.noise, order) for order in swap.ORDERS}
-    accept = 4.0 * joints[cfg.order]  # p(x, y | a, b) = 1/4 exactly
-    exact_table, rates = protocol.postselect(joints["parties-first"])
-    results, verdict = _sampled(
-        protocol.run_quantum_mc(*protocol.canonical_schemes(), cfg.trials, cfg.seed, accept),
-        exact_table,
-    )
+    results, verdict, rates = _sampled(cfg, joints[cfg.order], joints["parties-first"])
     results["selection_rates"] = _e_dict(rates)
     results["order_invariance_gap"] = swap.order_invariance(*joints.values())
     return results, verdict

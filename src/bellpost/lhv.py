@@ -9,10 +9,10 @@ the post-selected CHSH value is a fixed +/-2-coefficient average over cell
 weights, so |S| <= 2 — this module computes the coefficient algebra, the
 exhaustive bound and the two random sweeps that back it (over cell weights and
 over indeterministic response models, each a block of 1 Ki samples at a time),
-the indeterministic (response-average) variant, a simulator that samples a
-model's announced law through the shared alias transform, and the trit-valued
-discard variant in which per-basis discarding inflates S to the algebraic
-maximum 4.
+the indeterministic (response-average) variant, a model's announced law
+(which ``protocol.postselect`` reduces and ``protocol.sample_tally`` samples,
+with no hidden value drawn), and the trit-valued discard variant in which
+per-basis discarding inflates S to the algebraic maximum 4.
 
 The response-model sweep draws a whole block of models in three generator
 calls: the atom counts, the exponentials and the values.  Each model is a flat
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import EXACT_TOL, NumericsError
-from .protocol import CondProbTable, EmptyCellError, Tally, correlations, postselect, table_s
-from .protocol import sample_tally
+from .protocol import EmptyCellError, correlations, postselect, table_s
 
 
 class NondeterministicModelError(Exception):
@@ -244,8 +243,7 @@ class LhvSimModel:
     ``response_b``; ``select[i, j]`` is the probability Charlie announces c = 1
     for the pair (lambda_i, lambda'_j).  Selection takes no basis argument, so
     basis independence of the source is structural, not checked.  lambda and
-    lambda' are drawn independently, and ``simulate_lhv`` samples the model
-    from its announced weights.
+    lambda' are drawn independently; ``announced_weights`` is the model's law.
     """
 
     lambda_values: np.ndarray
@@ -290,35 +288,17 @@ class LhvSimModel:
         )
 
 
-def _announced_weights(m: LhvSimModel) -> np.ndarray:
-    """``w[a, b, x, y]`` = sum_ij p_i p'_j select_ij P(x | a, i) P(y | b, j)."""
+def announced_weights(m: LhvSimModel) -> np.ndarray:
+    """The announced law W[a, b, x, y] = P(x, y, c = 1 | a, b) of a model.
+
+    W = sum_ij p_i p'_j select_ij P(x | a, i) P(y | b, j): the model's own
+    law, which ``protocol.postselect`` reduces and ``protocol.sample_tally``
+    samples, with no hidden value drawn.
+    """
     px = np.stack([1.0 - m.response_a, m.response_a], axis=1)  # [a, x, i]
     py = np.stack([1.0 - m.response_b, m.response_b], axis=1)  # [b, y, j]
     selected = m.lambda_probs[:, None] * m.lambda_prime_probs[None, :] * m.select
     return np.einsum("ij,axi,byj->abxy", selected, px, py)
-
-
-def simulate_lhv(m: LhvSimModel, n_trials: int, seed: int) -> Tally:
-    """Sample the classical task through the alias transform.
-
-    The bases are fair coins, so a trial is announced in cell (a, b, x, y)
-    with probability w[a, b, x, y] / 4 (``_announced_weights``) and not
-    announced otherwise.  ``protocol.sample_tally`` draws that law from
-    one word a trial: the model's own law, up to the rounding of the table,
-    with no hidden value drawn.
-    """
-    return sample_tally(seed, n_trials, 0.25 * _announced_weights(m))
-
-
-def exact_postselected(m: LhvSimModel) -> tuple[CondProbTable, np.ndarray]:
-    """Closed-form post-selected statistics of a model, no sampling.
-
-    The [a, b, x, y] weight ``w`` of ``_announced_weights`` is reduced by
-    ``protocol.postselect``; it returns the conditional table and the
-    per-(a, b) selection rates, and raises EmptyCellError when the selected
-    mass is at most 1e-12.
-    """
-    return postselect(_announced_weights(m))
 
 
 def cells_from_model(m: LhvSimModel) -> CellWeights:

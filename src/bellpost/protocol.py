@@ -29,11 +29,13 @@ O(CPUs x a few MiB) whatever the trial count, and since a trial's word
 depends only on (seed, trial index), the tally depends neither on the CPU
 count nor on the share count.
 
-Every sampled mode, the local-hidden-variable one included
-(``lhv.simulate_lhv``), hands ``sample_tally`` the [a, b, x, y] announced
-probabilities of its exact path.  A trial's outcome is one of 17, an
-announced cell or "not announced", drawn from one raw PCG64DXSM word (rng
-module) through a 32-column alias table (Walker, ACM TOMS 3, 253, 1977;
+A strategy fixes only its announced law W[a, b, x, y] = P(x, y, c = 1 | a, b):
+``announced_weights`` here, ``lhv.announced_weights`` and
+``swap.joint_distribution`` build it.  Its exact result is ``postselect(W)``,
+and a sampled mode hands ``sample_tally`` W itself.  The bases are fair
+coins, so a trial draws W / 4; its outcome is one of 17, an announced
+cell or "not announced", drawn from one raw PCG64DXSM word (rng module)
+through a 32-column alias table (Walker, ACM TOMS 3, 253, 1977;
 Vose, IEEE TSE 17, 972, 1991): bits 0-4 choose the column and bits 11-63,
 independent of them, make its 53-bit cut.  Trials are counted by (column,
 kept), and one exact fold maps the counts to outcomes; no word becomes a float.
@@ -205,11 +207,12 @@ def _stream_counts(seed: int, start: int, stop: int, cut: np.ndarray) -> np.ndar
 def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     """Stream trials 0..n_trials-1 into a Tally, in shares of at least SHARE_TRIALS.
 
-    ``weights`` are the 16 announced probabilities [a, b, x, y] of one trial;
-    ``alias_table(weights)`` draws its 17-outcome law, with "not announced"
-    counted and dropped.  A trial's word picks the column ``w & 31``, which
-    keeps itself when ``(w >> 11) < cut[col]`` and otherwise gives way to
-    ``alias[col]``.  Each share counts its trials by (column, kept) in 64
+    ``weights`` are the announced law W[a, b, x, y] = P(x, y, c = 1 | a, b).
+    The bases are fair coins, so one trial is announced in cell (a, b, x, y)
+    with probability W / 4; ``alias_table`` of that draws its 17-outcome law,
+    with "not announced" counted and dropped.  A trial's word picks the
+    column ``w & 31``, which keeps itself when ``(w >> 11) < cut[col]`` and
+    otherwise gives way to ``alias[col]``.  Each share counts its trials by (column, kept) in 64
     bins, and the summed bins are folded once, exactly in integers, into
     the outcomes: kept trials to their column, the rest to its alias.
 
@@ -225,7 +228,7 @@ def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    cut, alias = alias_table(weights)
+    cut, alias = alias_table(0.25 * np.asarray(weights))
     shares = max(1, min(_cpu_count(), n_trials // SHARE_TRIALS))
     bounds = [n_trials * i // shares for i in range(shares + 1)]
     results: list = [None] * shares
@@ -311,21 +314,27 @@ def selection_probability_table(angles_a: np.ndarray, angles_b: np.ndarray) -> n
     return 0.25 * (1.0 + np.cos(angles_a[:, None, :, None] - angles_b[None, :, None, :]))
 
 
+def announced_weights(scheme_a: PreparationScheme, scheme_b: PreparationScheme) -> np.ndarray:
+    """The announced law W[a, b, x, y] = P(x, y, c = 1 | a, b) of a scheme pair.
+
+    W is the product of the state priors and Charlie's |phi+> acceptance,
+    ``selection_probability_table`` of the schemes' angles.
+    """
+    sel = selection_probability_table(scheme_a.angles, scheme_b.angles)
+    return scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel
+
+
 def exact_postselected(
-    scheme_a: PreparationScheme, scheme_b: PreparationScheme, sel: np.ndarray | None = None
+    scheme_a: PreparationScheme, scheme_b: PreparationScheme
 ) -> tuple[CondProbTable, np.ndarray]:
-    """Closed-form post-selected statistics, no sampling.
+    """Closed-form post-selected statistics, no sampling: ``postselect`` of the announced law.
 
     Returns the exact conditional table and the per-(a, b) selection rates
     (probability that a trial with that basis pair is announced).  Rates at
     rounding-noise level (below 1e-12) count as empty: they are zero up to the
-    precision of the underlying Born probabilities.  A caller that already
-    holds ``selection_probability_table`` of the schemes' angles passes it as
-    ``sel``.
+    precision of the underlying Born probabilities.
     """
-    if sel is None:
-        sel = selection_probability_table(scheme_a.angles, scheme_b.angles)
-    return postselect(scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel)
+    return postselect(announced_weights(scheme_a, scheme_b))
 
 
 def table_s(table: CondProbTable) -> float:
@@ -356,10 +365,11 @@ def check_basis_independence(scheme: PreparationScheme, tol: float) -> tuple[flo
 def alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
     """Walker's 32-column alias table (cut, alias) of one trial's 17-outcome law.
 
-    ``weights`` are the 16 announced probabilities [a, b, x, y]; outcome 16,
-    "not announced", gets the rest, and columns 17..31 get 0.  Column ``col``
-    keeps itself with probability ``cut[col] * 2**-53`` and otherwise gives
-    way to ``alias[col]``.  Vose's algorithm builds it on Python floats; a
+    ``weights`` are one trial's 16 announced probabilities [a, b, x, y], W / 4
+    for fair bases (``sample_tally``); outcome 16, "not announced", gets the
+    rest, and columns 17..31 get 0.  Column ``col`` keeps itself with
+    probability ``cut[col] * 2**-53`` and otherwise gives way to
+    ``alias[col]``.  Vose's algorithm builds it on Python floats; a
     column left over when a list runs out keeps itself whole.  A weight a
     rounding step below 0 draws as 0, and one of 0 is never drawn: it is
     never large, so never an alias, and its cut is 0.  NaN, or a sum above 1
@@ -368,7 +378,7 @@ def alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
     p = np.ravel(weights).tolist()
     total = math.fsum(p)
     if not total <= 1.0 + 4.0 * EXACT_TOL:
-        raise ValueError(f"announced weights must sum to at most 1, got {total!r}")
+        raise ValueError(f"one trial's announced weights must sum to at most 1, got {total!r}")
     scaled = [32.0 * q for q in p] + [32.0 * max(0.0, 1.0 - total)] + [0.0] * 15
     small = [i for i, q in enumerate(scaled) if q < 1.0]
     large = [i for i, q in enumerate(scaled) if q >= 1.0]
@@ -380,27 +390,6 @@ def alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
         if scaled[g] < 1.0:
             small.append(large.pop())
     return threshold(keep), np.array(alias, dtype=np.int64)
-
-
-def run_quantum_mc(
-    scheme_a: PreparationScheme,
-    scheme_b: PreparationScheme,
-    n_trials: int,
-    seed: int,
-    sel: np.ndarray | None = None,
-) -> Tally:
-    """Sample the quantum task; deterministic in (schemes, n_trials, seed).
-
-    ``sel[a, b, x, y]`` is Charlie's acceptance table, by default the
-    noiseless |phi+> one, ``selection_probability_table`` of the schemes'
-    angles.  A caller that already holds it passes it, and the swap
-    realization passes its noisy table with the canonical schemes.  The bases
-    are fair, so each cell is drawn with 1/4 of its ``exact_postselected`` weight.
-    """
-    if sel is None:
-        sel = selection_probability_table(scheme_a.angles, scheme_b.angles)
-    weights = 0.25 * scheme_a.priors[:, None, :, None] * scheme_b.priors[None, :, None, :] * sel
-    return sample_tally(seed, n_trials, weights)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ import numbers
 
 import numpy as np
 
-# Words a sampled trial draws.  bench/worker.py::philox_reference draws
-# rows * DRAWS_PER_TRIAL words, rows being the words its tracer sees
-# ``trial_uniforms_block`` return: 0, as the samplers use ``trial_stream``.
+# Words a sampled trial draws from its ``trial_stream``.  Only the benchmark
+# reads it: bench/worker.py::philox_reference draws rows * DRAWS_PER_TRIAL
+# words.
 DRAWS_PER_TRIAL = 1
 
 
@@ -52,11 +52,6 @@ def trial_stream(seed: int, start: int, stop: int) -> np.random.PCG64DXSM:
     if not 0 <= start <= stop:
         raise ValueError(f"invalid trial range [{start}, {stop})")
     return np.random.PCG64DXSM(seed).advance(start)
-
-
-def trial_uniforms_block(seed: int, start: int, stop: int) -> np.ndarray:
-    """Raw uint64 PCG64DXSM words of trials start..stop-1, shape (stop - start,)."""
-    return trial_stream(seed, start, stop).random_raw(stop - start)
 
 
 def threshold(p) -> np.ndarray:

@@ -22,14 +22,9 @@ the post-selected CHSH value is 2 sqrt(2) eta cos(j_A - j_B) for jitters j_A
 and j_B; the depolarizing sweep takes it at eta = (1 - p)^2.  The
 charlie-first joint, a four-qubit density-matrix evolution written as tensor
 contractions, is the independent reference behind ``order_invariance``.  A
-joint holds only the announced probabilities p(x, y, 1 | a, b); its
-post-selected table is ``protocol.postselect`` of them, the one reduction
-that tallies and scheme pairs go through too.
-
-Remote preparation makes a swap run the canonical prepare-and-measure task
-with Charlie accepting with probability 4 p(x, y, 1 | a, b), so a run samples
-``protocol.run_quantum_mc`` with that table: its trials draw the announced
-law p(x, y, 1 | a, b) / 4 through the one alias transform.
+joint holds only the announced probabilities p(x, y, 1 | a, b), the announced
+law W of the other modes: its post-selected table is ``protocol.postselect``
+of it, and a sampled run hands it to ``protocol.sample_tally`` as it is.
 """
 
 from __future__ import annotations

@@ -135,9 +135,9 @@ def charlie_first_joint_oracle(noise: swap.NoiseParams) -> np.ndarray:
 
 
 def swap_tally(n: int, seed: int, noise=None, order: str = "parties-first") -> protocol.Tally:
-    """A sampled swap run's tally, built as the CLI builds it."""
+    """A sampled swap run's tally: the order's joint is the announced law it samples."""
     joint = swap.joint_distribution(noise or swap.NoiseParams(), order)
-    return protocol.run_quantum_mc(*protocol.canonical_schemes(), n, seed, 4.0 * joint)
+    return protocol.sample_tally(seed, n, joint)
 
 
 def correlation_oracle(table, a: int, b: int) -> float:
@@ -192,10 +192,10 @@ def edge_lhv_model() -> lhv.LhvSimModel:
     )
 
 
-def sampled_law(monkeypatch, module, run) -> np.ndarray:
-    """The [a, b, x, y] announced weights that ``run()`` hands to
-    ``protocol.sample_tally`` through ``module``, caught on their way in.
-    The spy is gone once ``run()`` returns."""
+def sampled_law(monkeypatch, run) -> np.ndarray:
+    """The announced law W[a, b, x, y] that ``run()`` hands to
+    ``protocol.sample_tally``, caught on its way in.  The spy is gone once
+    ``run()`` returns."""
     seen, sampler = [], protocol.sample_tally
 
     def spy(seed, n_trials, weights):
@@ -203,14 +203,10 @@ def sampled_law(monkeypatch, module, run) -> np.ndarray:
         return sampler(seed, n_trials, weights)
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "sample_tally", spy)
+        patch.setattr(protocol, "sample_tally", spy)
         run()
-    return seen[-1]
-
-
-def lhv_sampled_law(monkeypatch, m: lhv.LhvSimModel) -> np.ndarray:
-    """The announced law ``simulate_lhv`` samples for model m."""
-    return sampled_law(monkeypatch, lhv, lambda: lhv.simulate_lhv(m, 1, 0))
+    assert len(seen) == 1
+    return seen[0]
 
 
 def announced_weights_oracle(m: lhv.LhvSimModel) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bellpost import cli, lhv, protocol, swap
-from bellpost.rng import trial_uniforms_block
+from bellpost.rng import trial_stream
 from conftest import random_deterministic_model, swap_tally, trace_distance
 from test_swap import remote_state_check
 
@@ -42,7 +42,8 @@ def test_criterion_1_quantum_violation_exact():
 
 def test_criterion_2_quantum_violation_sampled():
     start = time.perf_counter()
-    tally = protocol.run_quantum_mc(*protocol.canonical_schemes(), n_trials=10**6, seed=42)
+    law = protocol.announced_weights(*protocol.canonical_schemes())
+    tally = protocol.sample_tally(42, 10**6, law)
     rep = protocol.bell_report(tally)
     elapsed = time.perf_counter() - start
     ok = abs(rep.s - TWO_SQRT2) <= 5 * rep.se_s and rep.se_s < 0.02 and elapsed < 30.0
@@ -88,7 +89,7 @@ def test_criterion_5_pipeline_consistency():
     for _ in range(20):
         m = random_deterministic_model(rng)
         exact = lhv.s_from_cells(lhv.cells_from_model(m))
-        tally = lhv.simulate_lhv(m, 10**6, seed=int(rng.integers(2**32)))
+        tally = protocol.sample_tally(int(rng.integers(2**32)), 10**6, lhv.announced_weights(m))
         rep = protocol.bell_report(tally)
         diff = abs(rep.s - exact)
         # single-support models yield a point-mass tally with a zero error bar
@@ -212,10 +213,9 @@ def test_criterion_10_reproducibility():
     # Chunked generation is the execution-order/thread-count independence
     # guarantee: any partition of the trial range yields the same words, one
     # a trial, as every sampler draws.
-    full = trial_uniforms_block(123, 0, 10_000)
-    chunked = np.concatenate(
-        [trial_uniforms_block(123, lo, hi) for lo, hi in ((0, 2500), (2500, 9001), (9001, 10_000))]
-    )
+    full = trial_stream(123, 0, 10_000).random_raw(10_000)
+    chunks = ((0, 2500), (2500, 9001), (9001, 10_000))
+    chunked = np.concatenate([trial_stream(123, lo, hi).random_raw(hi - lo) for lo, hi in chunks])
     chunks_match = bool(np.array_equal(full, chunked))
 
     ok = identical and chunks_match

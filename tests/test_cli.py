@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellpost import cli, protocol
+from bellpost import cli, lhv, protocol, swap
 from bellpost.cli import ConfigError, config_from_doc, main, render_csv, render_report, run
 from bellpost.qcore import NumericsError
-from conftest import CorruptingGenerator, exact_s_of_sim_model, reference_render
+from conftest import CorruptingGenerator, exact_s_of_sim_model, reference_render, sampled_law
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -233,6 +233,38 @@ class TestRunReports:
         want = exact_s_of_sim_model(cfg.lhv_model)
         assert run(cfg)["results"]["exact_s"] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("mode, order", [
+        ("quantum-mc", None),
+        ("lhv-mc", None),
+        ("swap", "parties-first"),
+        ("swap", "charlie-first"),
+    ])
+    def test_sampled_modes_sample_the_announced_law(self, monkeypatch, mode, order):
+        # The array each sampled mode hands the sampler is, bit for bit, the
+        # announced law W[a, b, x, y] of its builder.
+        docs = {
+            "quantum-mc": {"schemes": _schemes_doc(priors=[0.3, 0.7])},
+            "lhv-mc": {"lhv_model": {
+                "lambda": {"values": [0.2, 0.8], "probs": [0.4, 0.6]},
+                "lambda_prime": {"values": [0.5], "probs": [1.0]},
+                "response_a": [[0.1, 0.9], [0.7, 0.2]],
+                "response_b": [[0.4], [0.6]],
+                "select": [[0.9], [0.4]],
+            }},
+            "swap": {"order": order, "noise": {"depol_alice": 0.1, "jitter_bob": 0.3,
+                                               "charlie_mix": 0.2}},
+        }
+        cfg = config_from_doc({"mode": mode, "trials": 1000, **docs[mode]})
+        law = sampled_law(monkeypatch, lambda: run(cfg))
+        builders = {
+            "quantum-mc": lambda: protocol.announced_weights(*cfg.schemes),
+            "lhv-mc": lambda: lhv.announced_weights(cfg.lhv_model),
+            "swap": lambda: swap.joint_distribution(cfg.noise, order),
+        }
+        want = builders[mode]()
+        assert law.shape == want.shape == (2, 2, 2, 2)
+        assert law.tobytes() == want.tobytes()
+
     def test_one_sign_cells_give_no_violation(self):
         # 11 selected trials, every cell all one sign: S = 4 with se(S) = 0,
         # which the distribution-free bound does not count as a violation.
@@ -367,29 +399,6 @@ class TestMain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "loophole"}))
         assert main(["lhv-max", "--config", str(cfg)]) == 2
-
-    def test_empty_cell_exit_code(self, capsys, tmp_path):
-        # A model whose selection rule never fires produces an empty tally.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "mode": "lhv-mc",
-                    "trials": 100,
-                    "lhv_model": {
-                        "lambda": {"values": [0.5], "probs": [1.0]},
-                        "lambda_prime": {"values": [0.5], "probs": [1.0]},
-                        "response_a": [[0.0], [0.0]],
-                        "response_b": [[0.0], [0.0]],
-                        "select": [[0.0]],
-                    },
-                }
-            )
-        )
-        rc = main(["lhv-mc", "--config", str(cfg)])
-        assert rc == 3
-        out = json.loads(capsys.readouterr().out)
-        assert out["error"]["type"] == "EmptyCellError"
 
     def test_all_discarded_loophole_exits_3(self, capsys, tmp_path):
         # Alice keeps i = 0 under basis 0 and discards under basis 1, so
@@ -627,18 +636,44 @@ class TestMain:
         assert main(["quantum-mc", "--trials", "2000"]) == 0
         assert len(calls) == 1
 
-    def test_quantum_mc_zero_rate_exits_3_before_sampling(self, capsys, monkeypatch, tmp_path):
-        # Alice sends |0> in basis 0 and Bob always sends |1>, so the exact
-        # rates of pairs (0, 0) and (0, 1) are zero; the error names the first.
+    def test_lhv_mc_builds_one_announced_law(self, capsys, monkeypatch):
+        calls = []
+        original = cli.lhv.announced_weights
+
+        def counted(m):
+            calls.append(1)
+            return original(m)
+
+        monkeypatch.setattr(cli.lhv, "announced_weights", counted)
+        assert main(["lhv-mc", "--config", str(EXAMPLES / "lhv_mc.json"), "--trials", "2000"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["quantum-mc", "lhv-mc"])
+    def test_zero_rate_exits_3_before_sampling(self, capsys, monkeypatch, tmp_path, mode):
+        # quantum-mc: Alice sends |0> in basis 0 and Bob always sends |1>, so
+        # the exact rates of pairs (0, 0) and (0, 1) are zero.  lhv-mc: the
+        # selection never fires, so every pair is empty.  The error names the
+        # first empty pair.
         def never(*args):
             raise AssertionError("sampled a run whose exact table is undefined")
 
-        monkeypatch.setattr(cli.protocol, "run_quantum_mc", never)
-        schemes = _schemes_doc(angles=[0.0, 0.0])
-        schemes["bob"] = {f"basis{b}": {"angles": [math.pi, math.pi]} for b in (0, 1)}
+        monkeypatch.setattr(protocol, "sample_tally", never)
+        if mode == "quantum-mc":
+            schemes = _schemes_doc(angles=[0.0, 0.0])
+            schemes["bob"] = {f"basis{b}": {"angles": [math.pi, math.pi]} for b in (0, 1)}
+            doc = {"mode": mode, "schemes": schemes}
+        else:
+            point = {"values": [0.5], "probs": [1.0]}
+            doc = {"mode": mode, "lhv_model": {
+                "lambda": point,
+                "lambda_prime": point,
+                "response_a": [[0.0], [0.0]],
+                "response_b": [[0.0], [0.0]],
+                "select": [[0.0]],
+            }}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "quantum-mc", "schemes": schemes}))
-        assert main(["quantum-mc", "--config", str(cfg)]) == 3
+        cfg.write_text(json.dumps(doc))
+        assert main([mode, "--config", str(cfg)]) == 3
         out = _strict_json(capsys.readouterr().out)
         assert out["error"]["type"] == "EmptyCellError"
         assert "(a=0, b=0)" in out["error"]["message"]

@@ -8,9 +8,11 @@ digests below were recorded from the samplers and must never move without a
 ``cli.REPORT_SCHEMA_VERSION``.
 
 Trial counts: 100 000, and 131 075, which is odd and above 8 * 16 384, so
-the sampler's 16 384-trial blocks, its per-CPU shares and any partition of
-the trial range into power-of-two blocks all end in a partial block.  Seeds:
-a small one and one above 2**63.
+the sampler's 16 384-trial blocks and any partition of the trial range into
+power-of-two blocks end in a partial block.  Both counts are below
+2 * SHARE_TRIALS, so every golden tally streams on one share; that a run
+split into shares gives the same tally is ``SHARE_EDGES``' job in
+test_protocol.py.  Seeds: a small one and one above 2**63.
 """
 
 import hashlib
@@ -58,11 +60,13 @@ NOISE = {
 }
 
 SAMPLERS = {
-    "quantum-canonical": lambda n, seed: protocol.run_quantum_mc(
-        *protocol.canonical_schemes(), n, seed
+    "quantum-canonical": lambda n, seed: protocol.sample_tally(
+        seed, n, protocol.announced_weights(*protocol.canonical_schemes())
     ),
-    "quantum-priors": lambda n, seed: protocol.run_quantum_mc(*_prior_schemes(), n, seed),
-    "lhv-stochastic": lambda n, seed: lhv.simulate_lhv(MODEL, n, seed),
+    "quantum-priors": lambda n, seed: protocol.sample_tally(
+        seed, n, protocol.announced_weights(*_prior_schemes())
+    ),
+    "lhv-stochastic": lambda n, seed: protocol.sample_tally(seed, n, lhv.announced_weights(MODEL)),
     "swap-parties-first": lambda n, seed: swap_tally(
         n, seed, swap.NoiseParams(**NOISE), "parties-first"
     ),

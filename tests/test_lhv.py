@@ -15,8 +15,8 @@ from bellpost.lhv import (
     ResponseModel,
     TritCellWeights,
     cell_coefficient,
+    announced_weights,
     cells_from_model,
-    exact_postselected,
     loophole_max_example,
     max_abs_s_deterministic,
     random_max_abs_s,
@@ -24,7 +24,6 @@ from bellpost.lhv import (
     s_from_cells,
     s_indeterministic,
     s_with_discards,
-    simulate_lhv,
 )
 from bellpost.qcore import NumericsError
 from conftest import (
@@ -34,7 +33,6 @@ from conftest import (
     exact_s_of_sim_model,
     lhv_indet_sweep_models,
     lhv_indet_sweep_rows,
-    lhv_sampled_law,
     random_deterministic_model,
     random_response_model,
     random_stochastic_model,
@@ -400,44 +398,44 @@ class TestExactPostselected:
         for build in (random_stochastic_model, random_deterministic_model):
             for _ in range(200):
                 m = build(rng)
-                table, rates = exact_postselected(m)
+                table, rates = protocol.postselect(announced_weights(m))
                 assert abs(protocol.table_s(table) - exact_s_of_sim_model(m)) <= 1e-12
                 selected = m.lambda_probs @ m.select @ m.lambda_prime_probs
                 np.testing.assert_allclose(rates, selected, rtol=1e-12, atol=0.0)
 
     def test_zero_selection_raises_empty_cell(self):
         with pytest.raises(protocol.EmptyCellError) as err:
-            exact_postselected(_single_cell_model(0, 0, 0, 0, select=0.0))
+            protocol.postselect(announced_weights(_single_cell_model(0, 0, 0, 0, select=0.0)))
         assert (err.value.a, err.value.b) == (0, 0)
 
 
 class TestSimulateLhv:
-    def test_table_is_the_model_law(self, monkeypatch):
-        # The law simulate_lhv hands to the sampler gives a trial of
-        # fair bases (a, b) the model's announced weight w / 4 in each cell,
-        # and "not announced" the rest.
+    def test_table_is_the_model_law(self):
+        # The announced law that lhv-mc samples gives each basis pair (a, b)
+        # the model's weight w in each cell and "not announced" the rest.
         rng = np.random.default_rng(38)
         models = [edge_lhv_model()]
         for build in (random_deterministic_model, random_stochastic_model):
             models += [build(rng) for _ in range(200)]
         for m in models:
-            law = lhv_sampled_law(monkeypatch, m)
-            want = announced_weights_oracle(m) / 4.0
-            np.testing.assert_allclose(law, want, rtol=0.0, atol=1e-16)
+            law = announced_weights(m)
+            want = announced_weights_oracle(m)
+            np.testing.assert_allclose(law, want, rtol=0.0, atol=4e-16)
             assert np.all(law[want == 0.0] == 0.0)
-            assert law.sum() <= 1.0
+            assert np.all(law.sum(axis=(2, 3)) <= 1.0)
         # The edge model's law has cells of weight exactly 0: Alice never
         # gives x = 0 in basis 1, nor Bob y = 1 in basis 1.
-        law = lhv_sampled_law(monkeypatch, models[0])
+        law = announced_weights(models[0])
         assert np.all(law[1, :, 0, :] == 0.0) and np.all(law[:, 1, :, 1] == 0.0)
 
     def test_deterministic_cell_recovers_its_s(self):
-        t = simulate_lhv(_single_cell_model(0, 0, 0, 0), 100_000, seed=30)
+        t = protocol.sample_tally(30, 100_000, announced_weights(_single_cell_model(0, 0, 0, 0)))
         rep = protocol.bell_report(t)
         assert rep.s == 2.0  # the only outcome is (x,y)=(0,0) in every cell
 
     def test_zero_selection_gives_empty_tally(self):
-        t = simulate_lhv(_single_cell_model(0, 0, 0, 0, select=0.0), 10_000, seed=31)
+        law = announced_weights(_single_cell_model(0, 0, 0, 0, select=0.0))
+        t = protocol.sample_tally(31, 10_000, law)
         assert t.n_selected == 0
         with pytest.raises(protocol.EmptyCellError):
             protocol.postselect(t.counts)
@@ -446,7 +444,7 @@ class TestSimulateLhv:
         rng = np.random.default_rng(32)
         for _ in range(3):
             m = random_stochastic_model(rng)
-            t = simulate_lhv(m, 1_000_000, seed=int(rng.integers(2**32)))
+            t = protocol.sample_tally(int(rng.integers(2**32)), 1_000_000, announced_weights(m))
             rep = protocol.bell_report(t)
             assert abs(rep.s) <= 2.0 + 5 * rep.se_s
 
@@ -454,7 +452,7 @@ class TestSimulateLhv:
         rng = np.random.default_rng(33)
         for _ in range(3):
             m = random_deterministic_model(rng)
-            t = simulate_lhv(m, 1_000_000, seed=int(rng.integers(2**32)))
+            t = protocol.sample_tally(int(rng.integers(2**32)), 1_000_000, announced_weights(m))
             rep = protocol.bell_report(t)
             assert abs(rep.s - s_from_cells(cells_from_model(m))) <= 5 * rep.se_s
 
@@ -463,7 +461,7 @@ class TestSimulateLhv:
         # marginal cannot depend on Bob's basis beyond sampling noise.
         rng = np.random.default_rng(34)
         m = random_stochastic_model(rng)
-        t = simulate_lhv(m, 1_000_000, seed=35)
+        t = protocol.sample_tally(35, 1_000_000, announced_weights(m))
         p = protocol.postselect(t.counts)[0].probs
         counts_ab = t.counts.sum(axis=(2, 3))
         for a in (0, 1):
@@ -478,8 +476,8 @@ class TestSimulateLhv:
 
     def test_reproducible(self):
         m = _single_cell_model(1, 0, 1, 1, select=0.7)
-        t1 = simulate_lhv(m, 50_000, seed=36)
-        t2 = simulate_lhv(m, 50_000, seed=36)
+        t1 = protocol.sample_tally(36, 50_000, announced_weights(m))
+        t2 = protocol.sample_tally(36, 50_000, announced_weights(m))
         np.testing.assert_array_equal(t1.counts, t2.counts)
 
 

@@ -30,19 +30,17 @@ from bellpost.protocol import (
     exact_postselected,
     exact_s,
     postselect,
-    run_quantum_mc,
+    sample_tally,
     table_s,
 )
-from bellpost.rng import trial_uniforms_block
+from bellpost.rng import trial_stream
 from bellpost.swap import _real_kets
 from conftest import (
     correlation_oracle,
     edge_lhv_model,
-    lhv_sampled_law,
     mixture,
     random_deterministic_model,
     random_stochastic_model,
-    sampled_law,
     swap_tally,
 )
 
@@ -149,11 +147,11 @@ def sampled_from_words(monkeypatch, words: np.ndarray, run):
 
 
 def quantum_weights(alice: PreparationScheme, bob: PreparationScheme) -> np.ndarray:
-    """1/4 priors_a[a, x] priors_b[b, y] sel[a, b, x, y], cell by cell."""
+    """The announced law priors_a[a, x] priors_b[b, y] sel[a, b, x, y], cell by cell."""
     sel = protocol.selection_probability_table(alice.angles, bob.angles)
     w = np.zeros((2, 2, 2, 2))
     for a, b, x, y in np.ndindex(2, 2, 2, 2):
-        w[a, b, x, y] = 0.25 * alice.priors[a, x] * bob.priors[b, y] * sel[a, b, x, y]
+        w[a, b, x, y] = alice.priors[a, x] * bob.priors[b, y] * sel[a, b, x, y]
     return w
 
 
@@ -447,60 +445,63 @@ def _distance_oracle(angles, priors) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho[0] - rho[1]))))
 
 
+CANONICAL_LAW = protocol.announced_weights(*canonical_schemes())
+
+
 class TestRunQuantumMc:
+    """``sample_tally`` of a scheme pair's announced law, as ``quantum-mc`` runs it."""
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
-            run_quantum_mc(*canonical_schemes(), n_trials=0, seed=0)
+            sample_tally(0, 0, CANONICAL_LAW)
 
     def test_single_trial(self):
-        t = run_quantum_mc(*canonical_schemes(), n_trials=1, seed=0)
+        t = sample_tally(0, 1, CANONICAL_LAW)
         assert t.n_total == 1
         assert t.n_selected in (0, 1)
 
     def test_selection_rate_near_quarter(self):
         n = 1_000_000
-        t = run_quantum_mc(*canonical_schemes(), n_trials=n, seed=42)
+        t = sample_tally(42, n, CANONICAL_LAW)
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert abs(t.n_selected / n - 0.25) < 5 * sigma
 
     def test_fixed_preparation_selects_only_00(self):
-        t = run_quantum_mc(always_zero_scheme(), always_zero_scheme(), 10_000, seed=1)
+        law = protocol.announced_weights(always_zero_scheme(), always_zero_scheme())
+        t = sample_tally(1, 10_000, law)
         assert t.n_selected > 0
         assert t.counts[:, :, 0, 0].sum() == t.n_selected
 
     def test_matches_per_trial_record_oracle(self, monkeypatch):
         # The words of the same stream, one trial at a time in plain Python:
         # the vectorized sampler must agree.  With blocks of 999 trials the
-        # range splits into shares, each jumped to words the long draw
-        # reaches by drawing.
+        # share draws several partial blocks by continuing its generator.
         monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
         alice, bob = canonical_schemes()
-        weights = sampled_law(monkeypatch, protocol, lambda: run_quantum_mc(alice, bob, 1, 0))
-        np.testing.assert_array_equal(weights, quantum_weights(alice, bob))
+        law = protocol.announced_weights(alice, bob)
+        np.testing.assert_array_equal(law, quantum_weights(alice, bob))
         n, seed = 5_000, 17
-        want = tally_from_records(alias_records(raw_words(seed, n), weights), n)
-        got = run_quantum_mc(alice, bob, n, seed)
+        want = tally_from_records(alias_records(raw_words(seed, n), law / 4), n)
+        got = sample_tally(seed, n, law)
         np.testing.assert_array_equal(got.counts, want.counts)
 
     def test_cut_edges_match_record_oracle(self, monkeypatch):
         alice = PreparationScheme([[0.0, PI], [PI / 2, 3 * PI / 2]], [[0.3, 0.7], [1.0, 0.0]])
         bob = PreparationScheme([[PI / 4, 5 * PI / 4], [0.5, 2.0]], [[0.0, 1.0], [0.6, 0.4]])
-        weights = quantum_weights(alice, bob)
-        words = edge_words(protocol.alias_table(weights)[0], 4_000, seed=23)
-        want = tally_from_records(alias_records(words, weights), 4_000)
-        got = sampled_from_words(monkeypatch, words, lambda n: run_quantum_mc(alice, bob, n, 0))
+        law = quantum_weights(alice, bob)
+        words = edge_words(protocol.alias_table(law / 4)[0], 4_000, seed=23)
+        want = tally_from_records(alias_records(words, law / 4), 4_000)
+        got = sampled_from_words(monkeypatch, words, lambda n: sample_tally(0, n, law))
         np.testing.assert_array_equal(got.counts, want.counts)
 
     def test_reproducible_and_chunk_independent(self):
-        t1 = run_quantum_mc(*canonical_schemes(), n_trials=50_000, seed=9)
-        t2 = run_quantum_mc(*canonical_schemes(), n_trials=50_000, seed=9)
+        t1 = sample_tally(9, 50_000, CANONICAL_LAW)
+        t2 = sample_tally(9, 50_000, CANONICAL_LAW)
         np.testing.assert_array_equal(t1.counts, t2.counts)
 
     def test_mc_agrees_with_exact(self):
-        alice, bob = canonical_schemes()
-        t = run_quantum_mc(alice, bob, 1_000_000, seed=42)
-        rep = bell_report(t)
-        assert abs(rep.s - exact_s(alice, bob)) < 5 * rep.se_s
+        rep = bell_report(sample_tally(42, 1_000_000, CANONICAL_LAW))
+        assert abs(rep.s - exact_s(*canonical_schemes())) < 5 * rep.se_s
 
 
 def _lhv_model() -> lhv.LhvSimModel:
@@ -516,24 +517,24 @@ def _lhv_model() -> lhv.LhvSimModel:
 
 
 class TestSimulateLhvOracle:
+    """``sample_tally`` of a model's announced law, as ``lhv-mc`` runs it."""
+
     def test_matches_per_trial_record_oracle(self, monkeypatch):
         monkeypatch.setattr(protocol, "BLOCK_TRIALS", 999)
-        m = edge_lhv_model()
-        weights = lhv_sampled_law(monkeypatch, m)
+        law = lhv.announced_weights(edge_lhv_model())
         n, seed = 5_000, 19
-        want = tally_from_records(alias_records(raw_words(seed, n), weights), n)
-        got = lhv.simulate_lhv(m, n, seed)
+        want = tally_from_records(alias_records(raw_words(seed, n), law / 4), n)
+        got = sample_tally(seed, n, law)
         np.testing.assert_array_equal(got.counts, want.counts)
         assert 0 < got.n_selected < n
 
     def test_cut_edges_match_record_oracle(self, monkeypatch):
-        m = edge_lhv_model()
-        weights = lhv_sampled_law(monkeypatch, m)
+        law = lhv.announced_weights(edge_lhv_model())
         # Alice never draws x = 0 in basis 1, and Bob never y = 1 in basis 1.
-        assert np.all(weights[1, :, 0, :] == 0.0) and np.all(weights[:, 1, :, 1] == 0.0)
-        words = edge_words(protocol.alias_table(weights)[0], 4_000, seed=29)
-        want = tally_from_records(alias_records(words, weights), 4_000)
-        got = sampled_from_words(monkeypatch, words, lambda n: lhv.simulate_lhv(m, n, 0))
+        assert np.all(law[1, :, 0, :] == 0.0) and np.all(law[:, 1, :, 1] == 0.0)
+        words = edge_words(protocol.alias_table(law / 4)[0], 4_000, seed=29)
+        want = tally_from_records(alias_records(words, law / 4), 4_000)
+        got = sampled_from_words(monkeypatch, words, lambda n: sample_tally(0, n, law))
         np.testing.assert_array_equal(got.counts, want.counts)
 
 
@@ -548,9 +549,9 @@ def implied_law(cut, alias) -> list[Fraction]:
     return law
 
 
-def _alias_laws(monkeypatch):
-    """(label, weights) of every law the alias table is checked on, each
-    caught on its way into the sampler from the mode that samples it."""
+def _alias_laws():
+    """(label, one trial's law W / 4) of every law the alias table is checked
+    on, W built by the announced-law builder of the mode that samples it."""
     rng = np.random.default_rng(71)
     quantum = [canonical_schemes()]
     quantum += [(_random_scheme(rng), _random_scheme(rng)) for _ in range(200)]
@@ -558,28 +559,26 @@ def _alias_laws(monkeypatch):
     for priors in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.5, 0.5]], [[1.0, 0.0], [1.0, 0.0]]):
         quantum.append((PreparationScheme(angles, priors), canonical_schemes()[1]))
     for schemes in quantum:
-        law = sampled_law(monkeypatch, protocol, lambda: run_quantum_mc(*schemes, 1, 0))
-        yield "quantum", law
+        yield "quantum", protocol.announced_weights(*schemes) / 4
     models = [edge_lhv_model()]
     for build in (random_deterministic_model, random_stochastic_model):
         models += [build(rng) for _ in range(200)]
     for m in models:
-        yield "lhv", lhv_sampled_law(monkeypatch, m)
+        yield "lhv", lhv.announced_weights(m) / 4
     for _ in range(200):
         depol_a, depol_b, mix = rng.uniform(size=3)
         jitter_a, jitter_b = rng.uniform(0, 2 * PI, size=2)
         noise = swap.NoiseParams(depol_a, depol_b, jitter_a, jitter_b, mix)
         for order in swap.ORDERS:
-            law = sampled_law(monkeypatch, protocol, lambda: swap_tally(1, 0, noise, order))
-            yield order, law
+            yield order, swap.joint_distribution(noise, order) / 4
 
 
 class TestAliasTable:
-    def test_implied_law_is_the_float_law(self, monkeypatch):
+    def test_implied_law_is_the_float_law(self):
         # Every outcome's exact mass is within 2 steps of 2**-53 of the law
         # the float weights denote, "not announced" being 1 minus their
         # exact sum; an outcome of weight 0 and a padded column get none.
-        for label, weights in _alias_laws(monkeypatch):
+        for label, weights in _alias_laws():
             cut, alias = protocol.alias_table(weights)
             assert cut.dtype == np.uint64 and all(0 <= c <= 2**53 for c in cut.tolist())
             want = [Fraction(w) for w in weights.ravel().tolist()]
@@ -595,8 +594,8 @@ class TestAliasTable:
         # Pearson's chi-squared of 1e6 canonical trials over the 17 outcomes
         # against the law: 16 degrees of freedom, and 45.92 is their upper
         # 1e-4 quantile.
-        weights = quantum_weights(*canonical_schemes())
-        tally = protocol.sample_tally(12, 1_000_000, weights)
+        weights = quantum_weights(*canonical_schemes()) / 4
+        tally = sample_tally(12, 1_000_000, 4 * weights)
         observed = np.append(tally.counts.ravel(), 1_000_000 - tally.n_selected)
         law = np.append(weights.ravel(), 1.0 - weights.sum())
         expected = 1_000_000 * law
@@ -616,8 +615,9 @@ class TestAliasFold:
 
     @staticmethod
     def _assert_fold_matches_oracle(monkeypatch, weights, words) -> None:
+        # ``weights`` are one trial's law, so the sampler gets W = 4 weights.
         want = tally_from_records(alias_records(words, weights), words.size)
-        got = sampled_from_words(monkeypatch, words, lambda n: protocol.sample_tally(0, n, weights))
+        got = sampled_from_words(monkeypatch, words, lambda n: sample_tally(0, n, 4 * weights))
         np.testing.assert_array_equal(got.counts, want.counts)
 
     def test_sampled_laws_match_record_oracle(self, monkeypatch):
@@ -625,7 +625,7 @@ class TestAliasFold:
         # words.  Their columns give way to "not announced" and to many
         # distinct announced cells.
         targets, labels = set(), set()
-        for k, (label, weights) in enumerate(_alias_laws(monkeypatch)):
+        for k, (label, weights) in enumerate(_alias_laws()):
             if k % 7:
                 continue
             cut, alias = protocol.alias_table(weights)
@@ -652,8 +652,8 @@ class TestAliasFold:
 
 
 SAMPLED_MODES = {
-    "quantum-mc": lambda n: run_quantum_mc(*canonical_schemes(), n, seed=3),
-    "lhv-mc": lambda n: lhv.simulate_lhv(_lhv_model(), n, seed=3),
+    "quantum-mc": lambda n: sample_tally(3, n, CANONICAL_LAW),
+    "lhv-mc": lambda n: sample_tally(3, n, lhv.announced_weights(_lhv_model())),
     "swap": lambda n: swap_tally(n, 3),
 }
 
@@ -692,11 +692,11 @@ class TestSampleTally:
     def test_block_edges_match_whole_range(self, n):
         # The same law applied to the whole trial range in one array: one
         # outcome per trial, announced cells below 16 and the rest above.
-        weights = quantum_weights(*canonical_schemes())
-        index = alias_outcomes(trial_uniforms_block(4, 0, n), weights)
+        law = quantum_weights(*canonical_schemes())
+        index = alias_outcomes(trial_stream(4, 0, n).random_raw(n), law / 4)
         assert index.shape == (n,)
         want = np.bincount(index, minlength=32)[:16]
-        got = protocol.sample_tally(4, n, weights)
+        got = sample_tally(4, n, law)
         np.testing.assert_array_equal(got.counts.ravel(), want)
         assert got.n_total == n
 

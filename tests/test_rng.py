@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpost import protocol
-from bellpost.rng import DRAWS_PER_TRIAL, threshold, trial_stream, trial_uniforms_block
+from bellpost.rng import DRAWS_PER_TRIAL, threshold, trial_stream
 
 STEP = 2.0**-53
+CANONICAL_LAW = protocol.announced_weights(*protocol.canonical_schemes())
 
 
 def test_row_width_is_jumpable():
@@ -19,7 +20,7 @@ def test_row_width_is_jumpable():
     reference = np.random.PCG64DXSM(31).random_raw(65_545)
     for start in (0, 1, 3, 4, 65_537):
         for stop in (start, start + 1, start + 8):
-            w = trial_uniforms_block(31, start, stop)
+            w = trial_stream(31, start, stop).random_raw(stop - start)
             assert w.dtype == np.uint64 and w.shape == (stop - start,)
             np.testing.assert_array_equal(w, reference[start:stop])
 
@@ -31,10 +32,10 @@ def test_far_jump(seed):
     # block is the word of its trial drawn alone, and the block is where 26
     # shorter jumps, each under 2**31 words, reach.
     first, stop = 10**10 - 8, 10**10
-    block = trial_uniforms_block(seed, first - 3, stop)
-    np.testing.assert_array_equal(trial_uniforms_block(seed, first, stop), block[3:])
+    block = trial_stream(seed, first - 3, stop).random_raw(11)
+    np.testing.assert_array_equal(trial_stream(seed, first, stop).random_raw(8), block[3:])
     for row, trial in enumerate(range(first - 3, stop)):
-        np.testing.assert_array_equal(trial_uniforms_block(seed, trial, trial + 1)[0], block[row])
+        assert trial_stream(seed, trial, trial + 1).random_raw() == block[row]
     reference = np.random.PCG64DXSM(seed)
     step, rest = divmod(first - 3, 25)
     for _ in range(25):
@@ -49,7 +50,7 @@ def test_coin_and_cut_are_independent(p):
     # against a uniform column, whose bit 0 is a coin, times the cut's
     # probability: 63 degrees of freedom, and 113.5 is their upper 1e-4
     # quantile.
-    w = trial_uniforms_block(8, 0, 4_000_000)
+    w = trial_stream(8, 0, 4_000_000).random_raw(4_000_000)
     column = (w & np.uint64(31)).astype(np.int64)
     below = ((w >> np.uint64(11)) < threshold(p)).astype(np.int64)
     observed = np.bincount(2 * column + below, minlength=64)
@@ -61,9 +62,9 @@ def test_coin_and_cut_are_independent(p):
 def test_seed_must_be_an_integer_in_range(seed):
     # No ambient entropy: a seed of None would draw fresh OS entropy.
     with pytest.raises(ValueError, match="seed"):
-        trial_uniforms_block(seed, 0, 2)
+        trial_stream(seed, 0, 2)
     with pytest.raises(ValueError, match="seed"):
-        protocol.run_quantum_mc(*protocol.canonical_schemes(), 1000, seed)
+        protocol.sample_tally(seed, 1000, CANONICAL_LAW)
 
 
 def counted_streams(monkeypatch) -> list:
@@ -88,7 +89,7 @@ def counted_streams(monkeypatch) -> list:
 def test_draws_per_trial_is_the_widest_row(monkeypatch):
     # Every sampled mode draws exactly DRAWS_PER_TRIAL words a trial.
     built = counted_streams(monkeypatch)
-    protocol.run_quantum_mc(*protocol.canonical_schemes(), 40_000, 1)
+    protocol.sample_tally(1, 40_000, CANONICAL_LAW)
     assert DRAWS_PER_TRIAL == 1
     drawn = [w for _, _, blocks in built for w in blocks]
     assert sum(w.size for w in drawn) == DRAWS_PER_TRIAL * 40_000
@@ -102,7 +103,7 @@ def test_one_generator_per_share(monkeypatch, cpus):
     n = 3 * protocol.SHARE_TRIALS + 7
     monkeypatch.setattr(protocol, "_cpu_count", lambda: cpus)
     built = counted_streams(monkeypatch)
-    protocol.run_quantum_mc(*protocol.canonical_schemes(), n, 1)
+    protocol.sample_tally(1, n, CANONICAL_LAW)
     built.sort(key=lambda share: share[0])
     bounds = [n * i // cpus for i in range(cpus + 1)]
     assert [(start, stop) for start, stop, _ in built] == list(zip(bounds, bounds[1:]))
@@ -113,25 +114,25 @@ def test_one_generator_per_share(monkeypatch, cpus):
 
 def test_same_seed_reproduces():
     np.testing.assert_array_equal(
-        trial_uniforms_block(123, 0, 1000), trial_uniforms_block(123, 0, 1000)
+        trial_stream(123, 0, 1000).random_raw(1000), trial_stream(123, 0, 1000).random_raw(1000)
     )
 
 
 def test_different_seeds_differ():
     assert not np.array_equal(
-        trial_uniforms_block(1, 0, 100), trial_uniforms_block(2, 0, 100)
+        trial_stream(1, 0, 100).random_raw(100), trial_stream(2, 0, 100).random_raw(100)
     )
 
 
 def test_prefix_consistency():
-    full = trial_uniforms_block(9, 0, 500)
-    np.testing.assert_array_equal(trial_uniforms_block(9, 0, 120), full[:120])
+    full = trial_stream(9, 0, 500).random_raw(500)
+    np.testing.assert_array_equal(trial_stream(9, 0, 120).random_raw(120), full[:120])
 
 
 def test_chunked_generation_matches_one_shot():
-    full = trial_uniforms_block(77, 0, 1000)
+    full = trial_stream(77, 0, 1000).random_raw(1000)
     for lo, hi in ((0, 250), (250, 251), (251, 999), (999, 1000)):
-        np.testing.assert_array_equal(trial_uniforms_block(77, lo, hi), full[lo:hi])
+        np.testing.assert_array_equal(trial_stream(77, lo, hi).random_raw(hi - lo), full[lo:hi])
 
 
 def test_words_are_generator_uniforms():
@@ -139,7 +140,7 @@ def test_words_are_generator_uniforms():
     # Generator.random() draws at the same stream position.
     reference = np.random.Generator(np.random.PCG64DXSM(5)).random(65_538)
     for trial in (0, 1, 16_383, 16_384, 65_537):
-        w = trial_uniforms_block(5, trial, trial + 1)
+        w = trial_stream(5, trial, trial + 1).random_raw(1)
         assert w.dtype == np.uint64 and w.shape == (1,)
         np.testing.assert_array_equal((w >> 11) * STEP, reference[trial : trial + 1])
 
@@ -179,6 +180,6 @@ def test_threshold_elementwise_and_clipped():
 
 def test_invalid_range_rejected():
     with pytest.raises(ValueError, match="range"):
-        trial_uniforms_block(0, 10, 5)
+        trial_stream(0, 10, 5)
     with pytest.raises(ValueError, match="range"):
-        trial_uniforms_block(0, -1, 5)
+        trial_stream(0, -1, 5)
