@@ -21,13 +21,17 @@ error bars and violation p-value of sampled runs.
 ``sample_tally`` splits the trial range into contiguous shares of at least
 ``SHARE_TRIALS`` trials, at most one per CPU the calling thread may run on.
 Each share's thread jumps one PCG64DXSM generator to the share's first trial
-and streams it in blocks of ``BLOCK_TRIALS`` trials.  numpy releases the GIL
-for the draws and the array work, but the threads still hand the GIL back and
-forth at every numpy call of every block, and starting one costs about
-0.1 ms, so a smaller run streams on the calling thread alone.  Memory is
-O(CPUs x a few MiB) whatever the trial count, and since a trial's word
-depends only on (seed, trial index), the tally depends neither on the CPU
-count nor on the share count.
+and streams it in blocks.  numpy releases the GIL for the draws and the
+elementwise work, but not in ``np.bincount``, which holds it throughout
+(two threads counting ran no faster than one, on a shared 2-CPU VM, where
+two drawing ran 1.87 times as fast), and the threads hand the GIL back and
+forth at every numpy call of every block.  Starting a thread costs about
+0.1 ms, so a smaller run streams on the calling thread alone, in blocks of
+``BLOCK_TRIALS`` that stay in cache; each share of a split run streams
+blocks of ``SPLIT_BLOCK_TRIALS``, twice as long, which halves the hand-offs
+per trial.  Memory is O(CPUs x a few MiB) whatever the trial count, and
+since a trial's word depends only on (seed, trial index), the tally depends
+neither on the CPU count, the share count nor the block size.
 
 A strategy fixes only its announced law W[a, b, x, y] = P(x, y, c = 1 | a, b):
 ``announced_weights`` here, ``lhv.announced_weights`` and
@@ -183,6 +187,14 @@ BLOCK_TRIALS = 1 << 14
 # settled.
 SHARE_TRIALS = 1 << 17
 
+# Trials per block of each share of a split run: 32 Ki words, 256 KiB.
+# Shares hand the GIL to each other at every numpy call, and blocks twice as
+# long make half as many calls a trial: on a shared 2-CPU VM a 1e7-trial
+# run on two shares took 55-59 ms against 66-73 ms with blocks of
+# BLOCK_TRIALS.  A run on one share hands the GIL to no one and keeps
+# BLOCK_TRIALS.
+SPLIT_BLOCK_TRIALS = 1 << 15
+
 
 def _cpu_count() -> int:
     """The number of CPUs the calling thread may run on."""
@@ -192,15 +204,36 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stream_counts(seed: int, start: int, stop: int, cut: np.ndarray) -> np.ndarray:
-    """Counts of trials start..stop-1 in bins ``col + 32 * kept``, a block at a time."""
-    counts = np.zeros(64, dtype=np.int64)
+def _stream_counts(seed: int, start: int, stop: int, cut: np.ndarray, block: int) -> np.ndarray:
+    """Counts of trials start..stop-1 in 95 bins, ``block`` trials at a time.
+
+    A kept trial of column ``col`` lands in bin ``63 + col`` and one that
+    gives way to the alias in bin ``col``; bins 32..62 stay 0.
+    """
+    counts = np.zeros(95, dtype=np.int64)
     words = trial_stream(seed, start, stop)
-    for lo in range(start, stop, BLOCK_TRIALS):
-        w = words.random_raw(min(BLOCK_TRIALS, stop - lo))
-        col = (w & 31).view(np.int64)
-        kept = (w >> 11) < cut.take(col)
-        counts += np.bincount(col + 32 * kept, minlength=64)
+    # Two rows for the whole share, so that a block allocates only its
+    # words: with fresh temporaries at every block, the C allocator gave the
+    # freed 256 KiB ones back to the OS and faulted them in again, about
+    # 29 500 page faults a 1e7-trial call on a shared 2-CPU VM.  The words
+    # stay as drawn.
+    buf = np.empty((2, min(block, stop - start)), dtype=np.uint64)
+    for lo in range(start, stop, block):
+        w = words.random_raw(min(block, stop - lo))
+        d, c = buf[:, : w.size]
+        np.bitwise_and(w, 31, out=d)
+        # mode="clip" (every column is in range) lets take write into c
+        # directly, and int64 indices need no cast to intp.
+        cut.take(d.view(np.int64), out=c, mode="clip")
+        np.right_shift(w, 11, out=d)
+        # hi = w >> 11 < 2**53 and every cut <= 2**53, so hi - cut is below
+        # 2**53 for a trial the cut rejects and, wrapping silently as numpy's
+        # uint64 array arithmetic does, at least 2**64 - 2**53 for one it
+        # keeps: its top 6 bits read 0 or 63.
+        d -= c
+        d >>= 58
+        d += np.bitwise_and(w, 31, out=c)
+        counts += np.bincount(d.view(np.int64), minlength=95)
     return counts
 
 
@@ -212,30 +245,34 @@ def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     with probability W / 4; ``alias_table`` of that draws its 17-outcome law,
     with "not announced" counted and dropped.  A trial's word picks the
     column ``w & 31``, which keeps itself when ``(w >> 11) < cut[col]`` and
-    otherwise gives way to ``alias[col]``.  Each share counts its trials by (column, kept) in 64
-    bins, and the summed bins are folded once, exactly in integers, into
-    the outcomes: kept trials to their column, the rest to its alias.
+    otherwise gives way to ``alias[col]``.  Each share counts its trials by
+    (column, kept) in 95 bins, aliased ones in bins 0..31 and kept ones in
+    63..94, and the summed bins are folded once, exactly in integers, into
+    the outcomes: kept trials to their column, the rest to its alias.  A
+    basis pair whose W sums above 1 (beyond rounding), or to NaN, raises
+    ValueError: fair bases give each pair a quarter of the trials.
 
     The range is split into ``max(1, min(CPUs, n_trials // SHARE_TRIALS))``
     contiguous shares, so a run of fewer than 2 x SHARE_TRIALS trials
-    streams on the calling thread alone and starts no thread.  The calling
-    thread streams the first share and one helper thread each of the
-    others, each from its own generator jumped once to the share's first
-    trial; an exception raised in a helper is re-raised here once every
-    helper has finished.  A trial's word depends only on (seed, trial
-    index), so the tally depends neither on the block size nor on the
-    number of shares.
+    streams on the calling thread alone, in blocks of BLOCK_TRIALS, and
+    starts no thread.  The calling thread streams the first share and one
+    helper thread each of the others, each from its own generator jumped
+    once to the share's first trial and in blocks of SPLIT_BLOCK_TRIALS; an
+    exception raised in a helper is re-raised here once every helper has
+    finished.  A trial's word depends only on (seed, trial index), so the
+    tally depends neither on the block size nor on the number of shares.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     cut, alias = alias_table(0.25 * np.asarray(weights))
     shares = max(1, min(_cpu_count(), n_trials // SHARE_TRIALS))
+    block = BLOCK_TRIALS if shares == 1 else SPLIT_BLOCK_TRIALS
     bounds = [n_trials * i // shares for i in range(shares + 1)]
     results: list = [None] * shares
 
     def stream(i: int) -> None:
         try:
-            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], cut)
+            results[i] = _stream_counts(seed, bounds[i], bounds[i + 1], cut, block)
         except BaseException as exc:  # handed to the caller, which re-raises it
             results[i] = exc
 
@@ -248,7 +285,8 @@ def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     for r in results:
         if isinstance(r, BaseException):
             raise r
-    aliased, kept = sum(results).reshape(2, 32)
+    counts = sum(results)
+    aliased, kept = counts[:32], counts[63:]
     np.add.at(kept, alias, aliased)
     return Tally(kept[:16].reshape(2, 2, 2, 2), n_trials)
 
@@ -372,13 +410,20 @@ def alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
     ``alias[col]``.  Vose's algorithm builds it on Python floats; a
     column left over when a list runs out keeps itself whole.  A weight a
     rounding step below 0 draws as 0, and one of 0 is never drawn: it is
-    never large, so never an alias, and its cut is 0.  NaN, or a sum above 1
-    beyond the rounding of two prior sums, raises ValueError.
+    never large, so never an alias, and its cut is 0.  Fair bases give each
+    basis pair a quarter of the trials, so NaN, or a pair whose four weights
+    sum above 1/4 beyond the rounding of two prior sums (its W above 1),
+    raises ValueError.
     """
     p = np.ravel(weights).tolist()
+    for k in range(4):
+        pair = math.fsum(p[4 * k : 4 * k + 4])
+        if not pair <= 0.25 + EXACT_TOL:
+            raise ValueError(
+                f"basis pair (a={k >> 1}, b={k & 1}) must announce with probability"
+                f" at most 1, got {4.0 * pair!r}"
+            )
     total = math.fsum(p)
-    if not total <= 1.0 + 4.0 * EXACT_TOL:
-        raise ValueError(f"one trial's announced weights must sum to at most 1, got {total!r}")
     scaled = [32.0 * q for q in p] + [32.0 * max(0.0, 1.0 - total)] + [0.0] * 15
     small = [i for i, q in enumerate(scaled) if q < 1.0]
     large = [i for i, q in enumerate(scaled) if q >= 1.0]

@@ -140,6 +140,14 @@ def swap_tally(n: int, seed: int, noise=None, order: str = "parties-first") -> p
     return protocol.sample_tally(seed, n, joint)
 
 
+def alias_outcomes(words: np.ndarray, weights) -> np.ndarray:
+    """Each word's outcome through ``protocol.alias_table(weights)``, the
+    whole array at once: its column if the cut keeps it, else the alias."""
+    cut, alias = protocol.alias_table(weights)
+    col = (words & np.uint64(31)).astype(np.int64)
+    return np.where((words >> np.uint64(11)) < cut[col], col, alias[col])
+
+
 def correlation_oracle(table, a: int, b: int) -> float:
     """E(a, b) of one basis pair, computed cell by cell from a CondProbTable."""
     cell = table.probs[a, b]

@@ -730,14 +730,16 @@ def test_readme_report_schema_version_is_current():
 
 
 def test_readme_sampler_sizes_are_current():
-    """README's block size and split threshold are protocol.BLOCK_TRIALS and SHARE_TRIALS."""
+    """README's block sizes and split threshold are protocol.BLOCK_TRIALS,
+    SPLIT_BLOCK_TRIALS and SHARE_TRIALS."""
     text = " ".join((ROOT / "README.md").read_text().split())
 
     def stated(before: str) -> list[int]:
         found = re.findall(before + r" (\d{1,3}(?: \d{3})*) trials", text)
         return [int(n.replace(" ", "")) for n in found]
 
-    assert stated("blocks of") == [protocol.BLOCK_TRIALS] * 2
+    one, split = protocol.BLOCK_TRIALS, protocol.SPLIT_BLOCK_TRIALS
+    assert stated("blocks of") == [one, split, one, split]
     assert stated("shares of at least") == [protocol.SHARE_TRIALS]
     assert stated("fewer than") == [2 * protocol.SHARE_TRIALS]
 

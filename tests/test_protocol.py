@@ -36,6 +36,7 @@ from bellpost.protocol import (
 from bellpost.rng import trial_stream
 from bellpost.swap import _real_kets
 from conftest import (
+    alias_outcomes,
     correlation_oracle,
     edge_lhv_model,
     mixture,
@@ -115,14 +116,6 @@ def alias_records(words: np.ndarray, weights):
         else:
             records.append(TrialRecord(0, 0, 0, 0, 0))
     return records
-
-
-def alias_outcomes(words: np.ndarray, weights) -> np.ndarray:
-    """Each word's outcome through ``protocol.alias_table(weights)``, the
-    whole array at once: its column if the cut keeps it, else the alias."""
-    cut, alias = protocol.alias_table(weights)
-    col = (words & np.uint64(31)).astype(np.int64)
-    return np.where((words >> np.uint64(11)) < cut[col], col, alias[col])
 
 
 def sampled_from_words(monkeypatch, words: np.ndarray, run):
@@ -455,6 +448,23 @@ class TestRunQuantumMc:
         with pytest.raises(ValueError, match=">= 1"):
             sample_tally(0, 0, CANONICAL_LAW)
 
+    def test_each_basis_pair_announces_at_most_once(self):
+        # Under fair bases each pair's W is a probability: W[0, 0, 0, 0] = 2
+        # would give pair (0, 0) half the trials, not a quarter.
+        w = np.zeros((2, 2, 2, 2))
+        w[0, 0, 0, 0], w[1, 1, 1, 1] = 2.0, 1.0
+        with pytest.raises(ValueError, match=r"basis pair \(a=0, b=0\).* at most 1, got 2\.0"):
+            sample_tally(0, 100_000, w)
+        w[0, 0, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="at most 1, got nan"):
+            sample_tally(0, 100_000, w)
+        # Every pair announcing always is the largest law: W sums to 4.
+        w = np.zeros((2, 2, 2, 2))
+        w[:, :, 0, 1] = 1.0
+        t = sample_tally(0, 1_000, w)
+        assert t.n_selected == 1_000
+        assert t.counts[:, :, 0, 1].sum() == 1_000
+
     def test_single_trial(self):
         t = sample_tally(0, 1, CANONICAL_LAW)
         assert t.n_total == 1
@@ -608,6 +618,21 @@ class TestAliasTable:
             protocol.alias_table(np.full((2, 2, 2, 2), math.nan))
 
 
+def pair_normalised_law(masses) -> np.ndarray:
+    """W[a, b, x, y] from four lists of five masses, one a basis pair: its
+    four cells and its "not announced" share, scaled to sum to 1."""
+    return np.array([[q / math.fsum(m) for q in m[:4]] for m in masses]).reshape(2, 2, 2, 2)
+
+
+# Random announced laws of fair-basis strategies: each basis pair's W sums
+# to 1 up to rounding or less.
+PAIR_LAWS = st.lists(
+    st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5).filter(lambda m: sum(m) > 0.0),
+    min_size=4,
+    max_size=4,
+).map(pair_normalised_law)
+
+
 class TestAliasFold:
     """The sampler counts trials by (column, kept) and folds the 64 counts
     once through the alias table; the per-trial oracle takes each trial's
@@ -637,18 +662,64 @@ class TestAliasFold:
         assert 16 in targets and len(targets - {16}) >= 8
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        st.lists(st.floats(0.0, 1.0), min_size=17, max_size=17).filter(lambda p: sum(p) > 0.0),
-        st.integers(0, 2**64 - 1),
-    )
-    def test_random_subprobabilities_match_record_oracle(self, mass, seed):
-        # Outcome 16, "not announced", takes the 17th share of the mass,
-        # which may be 0; any outcome may have weight exactly 0.
-        weights = np.array(mass[:16]).reshape(2, 2, 2, 2) / math.fsum(mass)
+    @given(PAIR_LAWS, st.integers(0, 2**64 - 1))
+    def test_random_subprobabilities_match_record_oracle(self, law, seed):
+        # Any cell may have weight exactly 0, and so may a basis pair's
+        # "not announced" share; with every pair's share 0, outcome 16 is
+        # never drawn.
+        weights = law / 4
         cut = protocol.alias_table(weights)[0]
         with pytest.MonkeyPatch.context() as monkeypatch:
             for words in (raw_words(seed, 200), edge_words(cut, 200, seed=seed)):
                 self._assert_fold_matches_oracle(monkeypatch, weights, words)
+
+
+def edge_words_of(cut) -> np.ndarray:
+    """Words whose top 53 bits hi sit on each column's cut edge, hi = cut - 1
+    and hi = cut, with hi = 0 and 2**53 - 1 in every column whose cut is 0
+    or 2**53, and the words 0 and 2**64 - 1.  Bits 5-10 are all 0 or all 1."""
+    tops = []
+    for col, c in enumerate(cut.tolist()):
+        his = [c - 1, c] + ([0, 2**53 - 1] if c in (0, 2**53) else [])
+        tops += [(hi, col) for hi in his if 0 <= hi < 2**53]
+    words = [hi << 11 | low << 5 | col for hi, col in tops for low in (0, 63)]
+    return np.array(words + [0, 2**64 - 1], dtype=np.uint64)
+
+
+class TestStreamCounts:
+    """``_stream_counts`` bins a block with one uint64 subtraction per trial;
+    the reference is the cut ``(w >> 11) < cut[col]`` itself."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("block", [5, protocol.SPLIT_BLOCK_TRIALS])
+    @pytest.mark.parametrize("law", ["canonical", "charlie-first"])
+    def test_edge_words_match_the_cut(self, monkeypatch, law, block):
+        if law == "canonical":
+            weights = CANONICAL_LAW
+        else:
+            noise = swap.NoiseParams(0.1, 0.2, 0.3, 0.4, 0.25)
+            weights = swap.joint_distribution(noise, "charlie-first")
+        cut = protocol.alias_table(weights / 4)[0]
+        assert {0, 2**53} <= set(cut.tolist())
+        words = edge_words_of(cut)
+        col = (words & np.uint64(31)).astype(np.int64)
+        kept = (words >> np.uint64(11)) < cut[col]
+        want = np.bincount(col + 32 * kept, minlength=64)
+        got = sampled_from_words(
+            monkeypatch, words, lambda n: protocol._stream_counts(0, 0, n, cut, block)
+        )
+        assert got.shape == (95,)
+        np.testing.assert_array_equal(got[:32], want[:32])
+        assert not got[32:63].any()
+        np.testing.assert_array_equal(got[63:], want[32:])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(PAIR_LAWS, st.integers(0, 2**64 - 1), st.integers(1, 2 * protocol.BLOCK_TRIALS + 1))
+    def test_random_laws_match_whole_range(self, law, seed, n):
+        index = alias_outcomes(raw_words(seed, n), law / 4)
+        want = np.bincount(index, minlength=32)[:16]
+        np.testing.assert_array_equal(sample_tally(seed, n, law).counts.ravel(), want)
 
 
 SAMPLED_MODES = {
@@ -659,39 +730,49 @@ SAMPLED_MODES = {
 
 
 # Trial counts below one block, the golden pins' odd count, the largest run
-# of one share, the smallest of two (whose shares end on block edges), and
-# one that splits into as many shares as the test's CPUs (2, 3 or 5), ending
-# off block edges.
+# of one share, the smallest of two (whose shares end on block edges), two
+# shares that each end one trial past a split run's block edge, and one that
+# splits into as many shares as the test's CPUs (2, 3 or 5), ending off
+# block edges.
+SPLIT_PAST_EDGE = 2 * (protocol.SHARE_TRIALS + protocol.SPLIT_BLOCK_TRIALS + 1)
 SHARE_EDGES = (
     protocol.BLOCK_TRIALS - 1,
     131_075,
     2 * protocol.SHARE_TRIALS - 1,
     2 * protocol.SHARE_TRIALS,
+    SPLIT_PAST_EDGE,
     5 * protocol.SHARE_TRIALS + protocol.BLOCK_TRIALS // 2 + 1,
 )
 
 
 class TestSampleTally:
     @pytest.mark.parametrize("mode", sorted(SAMPLED_MODES))
-    def test_peak_memory_does_not_grow_with_trials(self, mode):
+    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch, mode):
         # A whole table of 1e6 uint64 words alone would be 7.6 MiB, and the
-        # transform's temporaries over it several times that.
-        tracemalloc.start()
-        try:
-            tally = SAMPLED_MODES[mode](1_000_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert tally.n_total == 1_000_000
-        assert peak < 16 * 2**20
+        # transform's temporaries over it several times that.  One share
+        # streams blocks of BLOCK_TRIALS, and each of two shares, one on a
+        # helper thread, blocks of SPLIT_BLOCK_TRIALS.
+        for cpus in (1, 2):
+            monkeypatch.setattr(protocol, "_cpu_count", lambda: cpus)
+            tracemalloc.start()
+            try:
+                tally = SAMPLED_MODES[mode](1_000_000)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert tally.n_total == 1_000_000
+            assert peak < 16 * 2**20, cpus
 
     # 65 536 is four blocks: an edge several blocks in, and one trial past it.
+    # SPLIT_PAST_EDGE runs two shares, each ending one trial past a block
+    # edge of a split run.
     @pytest.mark.parametrize(
-        "n", [1, protocol.BLOCK_TRIALS, protocol.BLOCK_TRIALS + 1, 65_536, 65_537]
+        "n", [1, protocol.BLOCK_TRIALS, protocol.BLOCK_TRIALS + 1, 65_536, 65_537, SPLIT_PAST_EDGE]
     )
-    def test_block_edges_match_whole_range(self, n):
+    def test_block_edges_match_whole_range(self, monkeypatch, n):
         # The same law applied to the whole trial range in one array: one
         # outcome per trial, announced cells below 16 and the rest above.
+        monkeypatch.setattr(protocol, "_cpu_count", lambda: 2)
         law = quantum_weights(*canonical_schemes())
         index = alias_outcomes(trial_stream(4, 0, n).random_raw(n), law / 4)
         assert index.shape == (n,)
@@ -739,13 +820,16 @@ class TestSampleTally:
     def test_split_starts_at_two_share_trials(self, monkeypatch):
         # Below 2 x SHARE_TRIALS trials the calling thread streams the whole
         # range alone, however many CPUs it may use; from there on it splits.
+        # A single share streams blocks of BLOCK_TRIALS, and each share of a
+        # split run blocks of SPLIT_BLOCK_TRIALS.
         caller = threading.current_thread()
-        streamed = []
+        streamed, blocks = [], []
         stream = protocol._stream_counts
 
-        def spy(seed, start, stop, cut):
+        def spy(seed, start, stop, cut, block):
             streamed.append((start, stop, threading.current_thread() is caller))
-            return stream(seed, start, stop, cut)
+            blocks.append(block)
+            return stream(seed, start, stop, cut, block)
 
         monkeypatch.setattr(protocol, "_stream_counts", spy)
         monkeypatch.setattr(protocol, "_cpu_count", lambda: 4)
@@ -753,9 +837,12 @@ class TestSampleTally:
         n = 2 * protocol.SHARE_TRIALS
         protocol.sample_tally(1, n - 1, weights)
         assert streamed == [(0, n - 1, True)]
+        assert blocks == [protocol.BLOCK_TRIALS]
         streamed.clear()
+        blocks.clear()
         protocol.sample_tally(1, n, weights)
         assert sorted(streamed) == [(0, n // 2, True), (n // 2, n, False)]
+        assert blocks == [protocol.SPLIT_BLOCK_TRIALS] * 2
 
 
 class TestBellReport:
