@@ -29,9 +29,10 @@ forth at every numpy call of every block.  Starting a thread costs about
 0.1 ms, so a smaller run streams on the calling thread alone, in blocks of
 ``BLOCK_TRIALS`` that stay in cache; each share of a split run streams
 blocks of ``SPLIT_BLOCK_TRIALS``, twice as long, which halves the hand-offs
-per trial.  Memory is O(CPUs x a few MiB) whatever the trial count, and
-since a trial's word depends only on (seed, trial index), the tally depends
-neither on the CPU count, the share count nor the block size.
+per trial (the constants give the measurements behind both sizes).  Memory
+is O(CPUs x a few MiB) whatever the trial count, and since a trial's word
+depends only on (seed, trial index), the tally depends neither on the CPU
+count, the share count nor the block size.
 
 A strategy fixes only its announced law W[a, b, x, y] = P(x, y, c = 1 | a, b):
 ``announced_weights`` here, ``lhv.announced_weights`` and
@@ -174,9 +175,11 @@ class Tally:
         return int(self.counts.sum())
 
 
-# Trials per block of the streaming sampler: 16 Ki uint64 words, one a trial,
+# Trials per block of a run on one share: 16 Ki uint64 words, one a trial,
 # is 128 KiB.  A share draws one block at a time from its generator, so the
-# sampler's memory is O(CPUs x a few MiB) whatever the trial count.
+# sampler's memory is O(CPUs x a few MiB) whatever the trial count.  With
+# blocks of SPLIT_BLOCK_TRIALS here too, a 1e5-trial run on one CPU of a
+# shared 2-CPU VM took 0.88-0.93 ms against 0.69-0.71 ms.
 BLOCK_TRIALS = 1 << 14
 
 # Trials per share: a run splits only from 2 x SHARE_TRIALS trials on.  A
@@ -190,7 +193,7 @@ SHARE_TRIALS = 1 << 17
 # Trials per block of each share of a split run: 32 Ki words, 256 KiB.
 # Shares hand the GIL to each other at every numpy call, and blocks twice as
 # long make half as many calls a trial: on a shared 2-CPU VM a 1e7-trial
-# run on two shares took 55-59 ms against 66-73 ms with blocks of
+# run on two shares took 34-48 ms against 43-55 ms with blocks of
 # BLOCK_TRIALS.  A run on one share hands the GIL to no one and keeps
 # BLOCK_TRIALS.
 SPLIT_BLOCK_TRIALS = 1 << 15
@@ -204,36 +207,39 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stream_counts(seed: int, start: int, stop: int, cut: np.ndarray, block: int) -> np.ndarray:
-    """Counts of trials start..stop-1 in 95 bins, ``block`` trials at a time.
+# Bin offsets of the 32 columns: (2 col + 1) * 2**58 (see _stream_counts).
+_COLUMN_BINS = (2 * np.arange(32, dtype=np.uint64) + 1) << 58
 
-    A kept trial of column ``col`` lands in bin ``63 + col`` and one that
-    gives way to the alias in bin ``col``; bins 32..62 stay 0.
+
+def _stream_counts(seed: int, start: int, stop: int, cut: np.ndarray, block: int) -> np.ndarray:
+    """Counts of trials start..stop-1 in 64 bins, ``block`` trials at a time.
+
+    A trial of column ``col`` lands in bin ``2 * col`` when the cut keeps
+    it and in bin ``2 * col + 1`` when it gives way to the alias.
     """
-    counts = np.zeros(95, dtype=np.int64)
+    counts = np.zeros(64, dtype=np.int64)
+    key = _COLUMN_BINS - cut
     words = trial_stream(seed, start, stop)
     # Two rows for the whole share, so that a block allocates only its
     # words: with fresh temporaries at every block, the C allocator gave the
     # freed 256 KiB ones back to the OS and faulted them in again, about
-    # 29 500 page faults a 1e7-trial call on a shared 2-CPU VM.  The words
-    # stay as drawn.
+    # 29 500 page faults a 1e7-trial call on a shared 2-CPU VM.
     buf = np.empty((2, min(block, stop - start)), dtype=np.uint64)
     for lo in range(start, stop, block):
         w = words.random_raw(min(block, stop - lo))
-        d, c = buf[:, : w.size]
+        d, k = buf[:, : w.size]
         np.bitwise_and(w, 31, out=d)
-        # mode="clip" (every column is in range) lets take write into c
+        # mode="clip" (every column is in range) lets take write into k
         # directly, and int64 indices need no cast to intp.
-        cut.take(d.view(np.int64), out=c, mode="clip")
+        key.take(d.view(np.int64), out=k, mode="clip")
         np.right_shift(w, 11, out=d)
-        # hi = w >> 11 < 2**53 and every cut <= 2**53, so hi - cut is below
-        # 2**53 for a trial the cut rejects and, wrapping silently as numpy's
-        # uint64 array arithmetic does, at least 2**64 - 2**53 for one it
-        # keeps: its top 6 bits read 0 or 63.
-        d -= c
+        # hi = w >> 11 < 2**53 and 0 <= cut <= 2**53, so hi + key[col] =
+        # (2 col + 1) * 2**58 + (hi - cut) lies within 2**53 of that offset:
+        # nothing wraps, and the top 6 bits read 2 col + 1 when hi >= cut
+        # and 2 col when hi < cut, the trials the cut keeps.
+        d += k
         d >>= 58
-        d += np.bitwise_and(w, 31, out=c)
-        counts += np.bincount(d.view(np.int64), minlength=95)
+        counts += np.bincount(d.view(np.int64), minlength=64)
     return counts
 
 
@@ -246,11 +252,11 @@ def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     with "not announced" counted and dropped.  A trial's word picks the
     column ``w & 31``, which keeps itself when ``(w >> 11) < cut[col]`` and
     otherwise gives way to ``alias[col]``.  Each share counts its trials by
-    (column, kept) in 95 bins, aliased ones in bins 0..31 and kept ones in
-    63..94, and the summed bins are folded once, exactly in integers, into
-    the outcomes: kept trials to their column, the rest to its alias.  A
-    basis pair whose W sums above 1 (beyond rounding), or to NaN, raises
-    ValueError: fair bases give each pair a quarter of the trials.
+    (column, kept) in 64 bins, a column's kept ones in bin 2 col and its
+    aliased ones in 2 col + 1, and the summed bins are folded once, exactly
+    in integers, into the outcomes: kept trials to their column, the rest to
+    its alias.  A basis pair whose W sums above 1 (beyond rounding), or to
+    NaN, raises ValueError: fair bases give each pair a quarter of the trials.
 
     The range is split into ``max(1, min(CPUs, n_trials // SHARE_TRIALS))``
     contiguous shares, so a run of fewer than 2 x SHARE_TRIALS trials
@@ -285,8 +291,7 @@ def sample_tally(seed: int, n_trials: int, weights) -> Tally:
     for r in results:
         if isinstance(r, BaseException):
             raise r
-    counts = sum(results)
-    aliased, kept = counts[:32], counts[63:]
+    kept, aliased = sum(results).reshape(32, 2).T
     np.add.at(kept, alias, aliased)
     return Tally(kept[:16].reshape(2, 2, 2, 2), n_trials)
 
