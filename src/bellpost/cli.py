@@ -8,6 +8,12 @@ Floats are rounded to 12 significant digits and then written as the shortest
 repr of the rounded value (so 1e12 prints as ``1000000000000.0``); the CSV
 table uses the same rounding, so the two artifacts always agree.
 
+An argv whose first word is a mode goes straight to that mode's subparser;
+every other argv (help, no mode, an unknown mode or an option before the
+mode) goes through the top-level parser, which hands a mode's arguments to
+the same subparser.  Both routes give the same namespace, help text and
+usage errors.
+
 Exit codes: 0 success, 2 config error, 3 empty-cell / undefined statistic,
 4 internal numerical violation.
 """
@@ -45,8 +51,16 @@ class ConfigError(Exception):
     """The config document (or a flag) failed validation."""
 
 
-def _number(v, path: str) -> float:
-    """A finite float from a config number; bools and non-numbers are errors."""
+def _number(v, path: str, index: int | None = None) -> float:
+    """A finite float from a config number; bools and non-numbers are errors.
+
+    An error names ``path``, or ``path[index]`` when an index is given: the
+    text is formatted only for a value that fails.
+    """
+    if type(v) is float and math.isfinite(v):
+        return v
+    if index is not None:
+        path = f"{path}[{index}]"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(v).__name__}")
     try:
@@ -67,7 +81,7 @@ def _list(v, length: int | None, path: str) -> list:
 
 
 def _numbers(v, length: int | None, path: str) -> list[float]:
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(_list(v, length, path))]
+    return [_number(x, path, i) for i, x in enumerate(_list(v, length, path))]
 
 
 def _object(obj, required, optional, path: str) -> dict:
@@ -77,9 +91,9 @@ def _object(obj, required, optional, path: str) -> dict:
     missing = [k for k in required if k not in obj]
     if missing:
         raise ConfigError(f"missing field(s) for {path}: {missing}")
-    unknown = sorted(str(k) for k in obj if k not in required and k not in optional)
+    unknown = [k for k in obj if k not in required and k not in optional]
     if unknown:
-        raise ConfigError(f"unknown field(s) for {path}: {unknown}")
+        raise ConfigError(f"unknown field(s) for {path}: {sorted(str(k) for k in unknown)}")
     return obj
 
 
@@ -116,13 +130,11 @@ def _schemes(obj, path: str) -> tuple[protocol.PreparationScheme, protocol.Prepa
 
 
 def _schemes_echo(schemes) -> dict:
-    return {
-        name: {
-            f"basis{a}": {"angles": s.angles[a].tolist(), "priors": s.priors[a].tolist()}
-            for a in (0, 1)
-        }
-        for name, s in zip(("alice", "bob"), schemes)
-    }
+    echo = {}
+    for name, s in zip(("alice", "bob"), schemes):
+        angles, priors = s.angles.tolist(), s.priors.tolist()
+        echo[name] = {f"basis{a}": {"angles": angles[a], "priors": priors[a]} for a in (0, 1)}
+    return echo
 
 
 _LHV_DISTS = ("lambda", "lambda_prime")
@@ -222,7 +234,8 @@ def _tol(v, path: str) -> float:
 
 
 def _e_dict(e: np.ndarray) -> dict:
-    return {f"{a}{b}": float(e[a, b]) for a in (0, 1) for b in (0, 1)}
+    (e00, e01), (e10, e11) = e.tolist()
+    return {"00": e00, "01": e01, "10": e10, "11": e11}
 
 
 def _verdict_exact(s: float) -> str:
@@ -260,10 +273,21 @@ def _sampled(
 
 
 def _no_signaling_gap(table: protocol.CondProbTable) -> float:
-    p = table.probs
-    alice = np.abs(p.sum(axis=3)[:, 0, :] - p.sum(axis=3)[:, 1, :]).max()
-    bob = np.abs(p.sum(axis=2)[0, :, :] - p.sum(axis=2)[1, :, :]).max()
-    return float(max(alice, bob))
+    """The largest change of a party's marginal with the other party's basis.
+
+    Alice's is p(x | a, b) and Bob's p(y | a, b).  Sixteen probabilities, so
+    Python floats: one numpy call costs more than the arithmetic on them.
+    """
+    p = table.probs.tolist()
+    alice = max(
+        abs((p[a][0][x][0] + p[a][0][x][1]) - (p[a][1][x][0] + p[a][1][x][1]))
+        for a in (0, 1) for x in (0, 1)
+    )
+    bob = max(
+        abs((p[0][b][0][y] + p[0][b][1][y]) - (p[1][b][0][y] + p[1][b][1][y]))
+        for b in (0, 1) for y in (0, 1)
+    )
+    return max(alice, bob)
 
 
 def _run_quantum_exact(cfg: SimpleNamespace) -> tuple[dict, str]:
@@ -271,11 +295,12 @@ def _run_quantum_exact(cfg: SimpleNamespace) -> tuple[dict, str]:
     table, rates = protocol.exact_postselected(alice, bob)
     e = protocol.correlations(table)
     s = protocol.bell_s(*e.ravel())
+    spread = rates.ravel().tolist()
     results = {
         "e": _e_dict(e),
         "s": s,
         "selection_rates": _e_dict(rates),
-        "selection_rate_spread": float(rates.max() - rates.min()),
+        "selection_rate_spread": max(spread) - min(spread),
         "no_signaling_gap": _no_signaling_gap(table),
         "conditional_probs": table.probs.tolist(),
     }
@@ -513,31 +538,47 @@ def _render(obj, indent: str) -> str:
     """``obj`` as the JSON text ``json.dumps(..., indent=2)`` writes, floats rounded.
 
     ``indent`` is the current line's indentation; object keys are strings.
+    Reports are built of plain floats, strings, dicts and lists, so those
+    exact types are dispatched first; the ``isinstance`` chain below them
+    takes everything else (subclasses, None, bools, ints and tuples).
     """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, float):
+    kind = type(obj)
+    if kind is float:
         return _float_text(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is not dict and kind is not list:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if isinstance(obj, float):
+            return _float_text(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, dict):
+            kind = dict
+        elif not isinstance(obj, (list, tuple)):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    # Floats, most of a report's leaves, skip a call of _render.
     inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in obj.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_render(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if kind is dict:
+        brackets = "{}"
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (_float_text(v) if type(v) is float else _render(v, inner))
+            for k, v in obj.items()
+        ]
+    else:
+        brackets = "[]"
+        items = [_float_text(v) if type(v) is float else _render(v, inner) for v in obj]
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def render_report(report: dict) -> str:
@@ -619,7 +660,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every later one."""
+    """The argument parser, built on the first call and shared by every later one.
+
+    Its ``mode_parsers`` maps each mode to the subparser that parses the
+    arguments after the mode's name.
+    """
     parser = _ArgumentParser(
         prog="bellpost",
         description="Post-selected three-party CHSH task: quantum strategies, "
@@ -637,7 +682,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", metavar="PATH", help="also write the CSV table to PATH")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="stdout artifact format (default json)")
+    parser.mode_parsers = sub.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed command line, with the mode under ``mode``.
+
+    An argv that starts with a mode's full name goes straight to that mode's
+    subparser, which is where the top-level parser would hand the rest of it
+    after a pass over the whole argv; that pass costs more than the parse
+    itself.  Every other argv (``-h``, none, an unknown or abbreviated mode,
+    an option before the mode) goes through the top-level parser.
+    """
+    parser = _build_parser()
+    mode_parser = parser.mode_parsers.get(argv[0]) if argv else None
+    if mode_parser is None:
+        return parser.parse_args(argv)
+    args = mode_parser.parse_args(argv[1:])
+    args.mode = argv[0]
+    return args
 
 
 def _error_report(exc: Exception) -> str:
@@ -645,8 +709,14 @@ def _error_report(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (by default ``sys.argv[1:]``) and return its exit code.
+
+    An argv that starts with a mode is parsed by that mode's subparser alone
+    (``_parse_args``); any other goes through the top-level parser, so both
+    give the same namespace, help text and usage errors.
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         doc = _decode(_read_config_text(args.config)) if args.config else {}
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")

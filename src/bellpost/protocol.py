@@ -71,15 +71,23 @@ class EmptyCellError(Exception):
         super().__init__(f"no selected incidents for basis pair (a={self.a}, b={self.b})")
 
 
-def canonical_angle(theta) -> np.ndarray:
-    """Reduce angles in radians, elementwise, to the canonical range [0, 2*pi).
+def canonical_angle(theta):
+    """Reduce finite angles in radians, elementwise, to the canonical range [0, 2*pi).
 
     C ``fmod`` keeps the sign of ``theta``; a negative remainder wraps up by
-    2 pi, and one a rounding step below zero wraps to 2 pi and then to 0.
+    2 pi, and one a rounding step below zero wraps to 2 pi and then to 0.  A
+    float gives a float and anything else an array of its shape.  The
+    reduction runs on Python floats: callers pass one angle or a scheme's
+    four, and one numpy call costs more than the arithmetic on them.
     """
-    t = np.fmod(theta, TWO_PI)
-    t = np.where(t < 0.0, t + TWO_PI, t)
-    return np.where(t >= TWO_PI, 0.0, t)
+    if isinstance(theta, float):
+        t = math.fmod(theta, TWO_PI)
+        if t < 0.0:
+            t += TWO_PI
+        return 0.0 if t >= TWO_PI else t
+    theta = np.asarray(theta, dtype=np.float64)
+    reduced = [canonical_angle(t) for t in theta.ravel().tolist()]
+    return np.array(reduced, dtype=np.float64).reshape(theta.shape)
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,9 @@ class PreparationScheme:
     ``angles[a, x]`` is the meridian angle of the state sent when basis ``a``
     draws state index ``x``; ``priors[a, x]`` is the probability of ``x`` given
     ``a``.  The two bases themselves are always drawn with probability 1/2
-    each; only the state priors are configurable.
+    each; only the state priors are configurable.  The checks run on the
+    tables' four Python floats each, since one numpy call costs more than
+    the arithmetic on them.
     """
 
     angles: np.ndarray
@@ -100,14 +110,16 @@ class PreparationScheme:
         priors = np.array(self.priors, dtype=np.float64)
         if angles.shape != (2, 2) or priors.shape != (2, 2):
             raise ValueError("scheme requires 2x2 angle and prior tables (basis x state)")
-        if not np.all(np.isfinite(angles)):
+        if not all(math.isfinite(t) for t in angles.ravel().tolist()):
             raise ValueError("state angles must be finite")
         angles = canonical_angle(angles)
-        if not np.all(priors >= 0.0):
+        p = priors.ravel().tolist()
+        if not all(q >= 0.0 for q in p):
             raise ValueError("state priors must be nonnegative")
-        sums = priors.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= EXACT_TOL):
-            raise ValueError(f"state priors must sum to 1 per basis, got row sums {sums.tolist()}")
+        # From +0.0 and left to right, as numpy sums a row.
+        sums = [0.0 + p[0] + p[1], 0.0 + p[2] + p[3]]
+        if not all(abs(s - 1.0) <= EXACT_TOL for s in sums):
+            raise ValueError(f"state priors must sum to 1 per basis, got row sums {sums}")
         angles.setflags(write=False)
         priors.setflags(write=False)
         object.__setattr__(self, "angles", angles)
@@ -298,7 +310,11 @@ def sample_tally(seed: int, n_trials: int, weights) -> Tally:
 
 @dataclass(frozen=True)
 class CondProbTable:
-    """Conditional probabilities; ``probs[a, b, x, y]`` is p(x, y | a, b)."""
+    """Conditional probabilities; ``probs[a, b, x, y]`` is p(x, y | a, b).
+
+    The checks run on the table's sixteen Python floats, since one numpy
+    call costs more than the arithmetic on them.
+    """
 
     probs: np.ndarray
 
@@ -306,11 +322,15 @@ class CondProbTable:
         probs = np.array(self.probs, dtype=np.float64)
         if probs.shape != (2, 2, 2, 2):
             raise ValueError(f"probability table must have shape (2,2,2,2), got {probs.shape}")
-        if not np.all(probs >= 0.0):
+        p = probs.ravel().tolist()
+        if not all(q >= 0.0 for q in p):
             raise ValueError("conditional probabilities must be nonnegative")
-        sums = probs.sum(axis=(2, 3))
-        if not np.all(np.abs(sums - 1.0) <= EXACT_TOL):
-            raise ValueError(f"p(x,y|a,b) must sum to 1 per basis pair, got {sums.tolist()}")
+        # From +0.0 and left to right, as numpy sums a basis pair's four cells.
+        sums = [0.0 + p[k] + p[k + 1] + p[k + 2] + p[k + 3] for k in range(0, 16, 4)]
+        if not all(abs(s - 1.0) <= EXACT_TOL for s in sums):
+            raise ValueError(
+                f"p(x,y|a,b) must sum to 1 per basis pair, got {[sums[:2], sums[2:]]}"
+            )
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -325,9 +345,8 @@ def postselect(weights) -> tuple[CondProbTable, np.ndarray]:
     """
     weights = np.asarray(weights)
     totals = weights.sum(axis=(2, 3))
-    empty = np.argwhere(totals <= EXACT_TOL)
-    if empty.size:
-        raise EmptyCellError(*empty[0])
+    if any(t <= EXACT_TOL for t in totals.ravel().tolist()):
+        raise EmptyCellError(*np.argwhere(totals <= EXACT_TOL)[0])
     return CondProbTable(weights / totals[:, :, None, None]), totals
 
 

@@ -1,5 +1,6 @@
 """Tests for config parsing, report generation, and the CLI entry point."""
 
+import io
 import json
 import math
 import os
@@ -116,6 +117,28 @@ class TestParseConfig:
         for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
             with pytest.raises(ConfigError, match="non-finite"):
                 config_from_doc(json.loads(f'{{"mode": "check-independence", "tol": {literal}}}'))
+
+    @pytest.mark.parametrize("values", [
+        [0.5, True, 1.0],
+        [1.0, 2.0, "0.5"],
+        [HUGE, 1.0],
+        [1.0, -0.0, 3, math.nan, "x"],
+        [0.25, None, True],
+        [0.0, -0.0, 2, 10**300, 1e-320, -1.5],
+    ], ids=["bool", "string", "huge-int", "nan-before-string", "null-before-bool", "valid"])
+    def test_numbers_match_one_by_one_parse(self, values):
+        """``_numbers`` returns, or names as bad, what ``_number`` does element by element."""
+
+        def outcome(parse):
+            try:
+                got = parse()
+            except ConfigError as exc:
+                return str(exc)
+            return [(type(x), x) for x in got]
+
+        want = outcome(lambda: [cli._number(x, f"w[{i}]") for i, x in enumerate(values)])
+        assert outcome(lambda: cli._numbers(values, None, "w")) == want
+        assert isinstance(want, list) == (values[-1] == -1.5)
 
     def test_nonfinite_tol_rejected(self):
         for tol in (math.nan, math.inf):
@@ -337,10 +360,24 @@ _FLOATS = st.one_of(
     st.floats(min_value=-1e16, max_value=-1e12),
 )
 _TEXT = st.text(st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/aé€\u2028😀'))
+class _Int(int):
+    """An int subclass, which the renderer's exact-type dispatch passes to its fallback."""
+
+
+class _Str(str):
+    """A str subclass, likewise."""
+
+
+class _Dict(dict):
+    """A dict subclass, likewise."""
+
+
 _LEAVES = st.one_of(
     _FLOATS,
     _FLOATS.map(np.float64),
     st.integers(),
+    st.integers().map(_Int),
+    _TEXT.map(_Str),
     st.integers(min_value=10**29, max_value=10**40).flatmap(lambda n: st.sampled_from([n, -n])),
     st.booleans(),
     st.none(),
@@ -353,6 +390,7 @@ _DOCS = st.recursive(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text() | _TEXT, inner, max_size=4),
+        st.dictionaries(st.text(), inner, max_size=4).map(_Dict),
     ),
     max_leaves=24,
 )
@@ -362,6 +400,8 @@ class TestRenderReport:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_DOCS)
     @example({"s": 1.0, "n": [1e12, [-0.0]]})
+    @example({"f": np.float64(0.1), "b": [True, False, None], "i": _Int(-3), "t": (1.5, _Str("x")),
+              "d": _Dict(e=[_Int(2), np.float64(-0.0)], z=_Dict()), "l": [[], {}, ()]})
     def test_matches_round_then_dump(self, doc):
         assert render_report(doc) == reference_render(doc)
 
@@ -611,6 +651,50 @@ class TestMain:
             cli._build_parser.cache_clear()
             assert got == call(argv), argv
         assert [code for code, _ in shared] == [0, 2, 0, 0, 0, 0]
+
+    def test_mode_argv_skips_top_level_parser(self, capsys, monkeypatch):
+        """Every argv prints what the top-level parser's route prints.
+
+        Each argv runs twice: as ``main`` routes it, and with no mode parser
+        to route to, so that ``_build_parser().parse_args`` takes every argv.
+        A spy on the top-level ``parse_args`` sees only argv that do not
+        start with a mode.
+        """
+        examples = {json.loads(p.read_text())["mode"]: p for p in sorted(EXAMPLES.glob("*.json"))}
+        table = [([mode, "--config", "-"], path.read_text()) for mode, path in examples.items()]
+        table += [(argv, "") for argv in (
+            ["-h"], ["quantum-mc", "-h"], ["swap", "--help"], [],
+            ["quantum"], ["bogus"], ["--seed", "1", "quantum-mc"],
+            ["quantum-mc", "--trials", "abc"], ["quantum-exact", "--bogus"],
+            ["swap", "quantum-mc"], ["quantum-exact", "--"], ["--", "quantum-exact"],
+            ["quantum-mc", "--", "--trials", "5"], ["quantum-mc", "--trials", "2000", "--"],
+            ["check-independence", "--tol=1e-9"], ["swap", "--grid", "0,0.5", "--format", "csv"],
+        )]
+        parser = cli._build_parser()
+        top_level = parser.parse_args
+        seen = []
+
+        def spy(argv):
+            seen.append(list(argv))
+            return top_level(argv)
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+
+        def call(argv, stdin):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        for argv, stdin in table:
+            seen.clear()
+            routed = call(argv, stdin)
+            assert seen == ([] if argv and argv[0] in cli.MODES else [argv]), argv
+            with monkeypatch.context() as m:
+                m.setattr(parser, "mode_parsers", {})
+                assert call(argv, stdin) == routed, argv
+            assert routed[0] in (0, 2), argv
+        assert set(examples) == set(cli.MODES)
 
     def test_swap_run_evaluates_each_joint_once(self, capsys, monkeypatch):
         calls = []

@@ -345,6 +345,113 @@ class TestConditionalProbs:
         np.testing.assert_allclose(postselect(weights)[0].probs[1, 0], 0.25)
 
 
+def _whole_array_error(kind, *tables) -> str | None:
+    """The ValueError text of a scheme's or a table's checks made with whole-array
+    numpy calls, or None when they pass: the oracle for the float checks."""
+    if kind is PreparationScheme:
+        angles, priors = (np.array(t, dtype=np.float64) for t in tables)
+        if angles.shape != (2, 2) or priors.shape != (2, 2):
+            return "scheme requires 2x2 angle and prior tables (basis x state)"
+        if not np.all(np.isfinite(angles)):
+            return "state angles must be finite"
+        if not np.all(priors >= 0.0):
+            return "state priors must be nonnegative"
+        sums = priors.sum(axis=1)
+        if not np.all(np.abs(sums - 1.0) <= 1e-12):
+            return f"state priors must sum to 1 per basis, got row sums {sums.tolist()}"
+        return None
+    probs = np.array(tables[0], dtype=np.float64)
+    if probs.shape != (2, 2, 2, 2):
+        return f"probability table must have shape (2,2,2,2), got {probs.shape}"
+    if not np.all(probs >= 0.0):
+        return "conditional probabilities must be nonnegative"
+    sums = probs.sum(axis=(2, 3))
+    if not np.all(np.abs(sums - 1.0) <= 1e-12):
+        return f"p(x,y|a,b) must sum to 1 per basis pair, got {sums.tolist()}"
+    return None
+
+
+def _check_error(kind, *tables) -> str | None:
+    try:
+        kind(*tables)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _near_one_rows(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
+    """Rows of ``width`` weights whose sums straddle 1 +- EXACT_TOL by a few ulps."""
+    rows = rng.dirichlet(np.ones(width), size=n)
+    rows[:, -1] += rng.choice([-1.0, 1.0], n) * (1e-12 + rng.integers(-8, 9, n) * 2.0**-52)
+    return rows
+
+
+class TestFloatChecksMatchWholeArrayChecks:
+    """The scheme and table checks run on Python floats and raise the texts
+    that whole-array numpy checks raise."""
+
+    nan, inf = math.nan, math.inf
+    canonical = [[0.0, PI], [PI / 2, 3 * PI / 2]]
+    half = [[0.5, 0.5], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("angles, priors", [
+        ([[0.0, nan], [1.0, 2.0]], half),
+        ([[inf, 0.0], [1.0, 2.0]], half),
+        ([[0.0, 1.0], [-inf, 2.0]], half),
+        (canonical, [[1.5, -0.5], [0.5, 0.5]]),
+        (canonical, [[0.5, 0.5], [nan, 0.5]]),
+        (canonical, [[0.5, 0.5 + 1e-9], [0.5, 0.5]]),
+        (canonical, [[0.5, 0.5], [0.5 - 1e-9, 0.5]]),
+        (canonical, [[-0.0, -0.0], [0.5, 0.5]]),
+        ([[0.0, nan], [1.0, 2.0]], [[-1.0, 2.0], [0.5, 0.5]]),
+        ([0.0, PI], half),
+        (canonical, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]),
+        (canonical, half),
+    ], ids=["nan-angle", "inf-angle", "minus-inf-angle", "negative-prior", "nan-prior",
+            "sum-over", "sum-under", "negative-zeros", "angle-before-prior", "angle-shape",
+            "prior-shape", "valid"])
+    def test_scheme_cases(self, angles, priors):
+        want = _whole_array_error(PreparationScheme, angles, priors)
+        assert _check_error(PreparationScheme, angles, priors) == want
+        assert (want is None) == (angles is self.canonical and priors is self.half)
+
+    def test_scheme_row_sums_at_the_tolerance(self):
+        rng = np.random.default_rng(2026)
+        priors = _near_one_rows(rng, 4000, 2).reshape(-1, 2, 2)
+        outcomes = set()
+        for p in priors:
+            want = _whole_array_error(PreparationScheme, self.canonical, p)
+            assert _check_error(PreparationScheme, self.canonical, p) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("probs", [
+        np.full((2, 2, 2, 2), 0.25),
+        np.full((2, 2, 2, 2), 0.2),
+        np.where(np.arange(16).reshape(2, 2, 2, 2) == 5, -0.25, 0.25 + 0.5 / 15),
+        np.where(np.arange(16).reshape(2, 2, 2, 2) == 9, math.nan, 0.25),
+        np.where(np.arange(16).reshape(2, 2, 2, 2) == 15, 0.25 + 1e-9, 0.25),
+        np.where(np.arange(16).reshape(2, 2, 2, 2) == 0, 0.25 - 1e-9, 0.25),
+        np.where(np.arange(16).reshape(2, 2, 2, 2) < 4, -0.0, 0.25),
+        np.full((2, 2, 4), 0.25),
+        np.full((2, 2, 2), 0.5),
+    ], ids=["valid", "sums-off", "negative", "nan", "sum-over", "sum-under", "negative-zeros",
+            "shape-224", "shape-222"])
+    def test_table_cases(self, probs):
+        want = _whole_array_error(CondProbTable, probs)
+        assert _check_error(CondProbTable, probs) == want
+
+    def test_table_sums_at_the_tolerance(self):
+        rng = np.random.default_rng(2027)
+        tables = _near_one_rows(rng, 8000, 4).reshape(-1, 2, 2, 2, 2)
+        outcomes = set()
+        for probs in tables:
+            want = _whole_array_error(CondProbTable, probs)
+            assert _check_error(CondProbTable, probs) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+
 def _random_scheme(rng: np.random.Generator) -> PreparationScheme:
     return PreparationScheme(rng.uniform(0, 2 * PI, size=(2, 2)), rng.dirichlet([1, 1], size=2))
 
