@@ -357,7 +357,7 @@ def _whole_array_error(kind, *tables) -> str | None:
         if not np.all(priors >= 0.0):
             return "state priors must be nonnegative"
         sums = priors.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= 1e-12):
+        if not np.all(np.abs(sums - 1.0) <= protocol.EXACT_TOL):
             return f"state priors must sum to 1 per basis, got row sums {sums.tolist()}"
         return None
     probs = np.array(tables[0], dtype=np.float64)
@@ -366,7 +366,7 @@ def _whole_array_error(kind, *tables) -> str | None:
     if not np.all(probs >= 0.0):
         return "conditional probabilities must be nonnegative"
     sums = probs.sum(axis=(2, 3))
-    if not np.all(np.abs(sums - 1.0) <= 1e-12):
+    if not np.all(np.abs(sums - 1.0) <= protocol.EXACT_TOL):
         return f"p(x,y|a,b) must sum to 1 per basis pair, got {sums.tolist()}"
     return None
 
