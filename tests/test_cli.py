@@ -360,6 +360,8 @@ _FLOATS = st.one_of(
     st.floats(min_value=-1e16, max_value=-1e12),
 )
 _TEXT = st.text(st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/aé€\u2028😀'))
+
+
 class _Int(int):
     """An int subclass, which the renderer's exact-type dispatch passes to its fallback."""
 
